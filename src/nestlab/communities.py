@@ -2,12 +2,19 @@
 
 Noisy identification produces a symmetric weight matrix over items, with
 entries in [0, 1] grading how confidently two items look nested together.
-Communities are found by agglomerating short random walks: vertices whose
-t-step walk distributions look alike get merged, and the merge sequence is
-cut at the first strict modularity maximum.
+Communities are found by Walktrap (Pons & Latapy, "Computing communities in
+large networks using random walks", JGAA 2006): vertices whose t-step walk
+distributions look alike get merged, and the merge sequence is cut at the
+first strict modularity maximum.  As in the paper's implementation, a
+min-heap holds the distances between adjacent communities and only the
+merged community's distances are computed after each merge, while the
+modularity of every cut follows from Newman's merge increment ("Fast
+algorithm for detecting community structure in networks", PRE 2004).
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -20,6 +27,8 @@ def _validated_weights(weights: np.ndarray) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("weight matrix must be square")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     if not np.allclose(w, w.T, rtol=0.0, atol=1e-12):
         raise ValueError("weight matrix must be symmetric")
     if np.any(w < 0):
@@ -54,15 +63,24 @@ def modularity(
 
 
 def community_detect(weights: np.ndarray, walk_length: int = WALK_LENGTH) -> NestPartition:
-    """Partition items 1..n by agglomerative random-walk clustering.
+    """Partition items 1..n by Walktrap agglomerative random-walk clustering.
 
     Vertices get a self-loop of weight 1 and transition matrix P = D^-1 A;
     a community's signature is the average of its members' rows of P**t.
     Only communities joined by positive off-diagonal weight may merge, the
     pair at minimum walk distance merges first, and distance ties go to the
-    lexicographically lowest community index pair.  Every partition along
-    the merge sequence is scored by modularity and the first strict maximum
-    wins.  A graph with no edges keeps every item alone.
+    lexicographically lowest community index pair.
+
+    Candidate pairs sit in a min-heap of (distance, a, b) with a < b, so a
+    pop yields exactly that order.  Merged communities get fresh ids, never
+    reused, and heap entries naming a merged-away id are skipped when popped
+    (lazy deletion); after a merge only the new community's distances to its
+    neighbours are pushed.  Modularity is tracked incrementally along the
+    merge sequence, merging a and b adding Newman's 2 (e_ab - a_a a_b), and
+    the first strict maximum wins.  The running sum is kept in units of
+    1/(2m)^2, exact for integer weights, so cuts of mathematically equal
+    modularity compare equal and the earliest is kept.  A graph with no
+    edges keeps every item alone.
     """
     w = _validated_weights(weights)
     n = w.shape[0]
@@ -70,7 +88,23 @@ def community_detect(weights: np.ndarray, walk_length: int = WALK_LENGTH) -> Nes
         raise ValueError("empty weight matrix")
     if w.sum() == 0.0:
         return singleton_partition(n)
+    merges, best_step = _walktrap_merges(w, walk_length)
+    groups: dict[int, list[int]] = {i: [i + 1] for i in range(n)}
+    for step, (a, b) in enumerate(merges[:best_step]):
+        groups[n + step] = groups.pop(a) + groups.pop(b)
+    return NestPartition(groups.values())
 
+
+def _walktrap_merges(
+    w: np.ndarray, walk_length: int
+) -> tuple[list[tuple[int, int]], int]:
+    """Walktrap's merge sequence on validated weights, and its best cut.
+
+    Merge k joins communities a < b into the new community n + k.  The cut
+    after the first best_step merges is the first strict modularity maximum.
+    """
+    n = w.shape[0]
+    two_m = w.sum()
     loops = w.copy()
     np.fill_diagonal(loops, 1.0)
     degrees = loops.sum(axis=1)
@@ -78,53 +112,48 @@ def community_detect(weights: np.ndarray, walk_length: int = WALK_LENGTH) -> Nes
     walk = np.linalg.matrix_power(transition, walk_length)
     inv_degree = 1.0 / degrees
 
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    vectors: dict[int, np.ndarray] = {i: walk[i].copy() for i in range(n)}
-    neighbors: dict[int, set[int]] = {
-        i: set(np.nonzero(w[i] > 0.0)[0].tolist()) for i in range(n)
-    }
-    snapshots = [[list(v) for v in members.values()]]
-    next_id = n
+    size: dict[int, int] = dict.fromkeys(range(n), 1)
+    vectors: dict[int, np.ndarray] = dict(enumerate(walk))
+    strengths = w.sum(axis=1).tolist()
+    strength: dict[int, float] = dict(enumerate(strengths))
+    # links[a][c]: total weight between adjacent communities a and c
+    links: dict[int, dict[int, float]] = {}
+    for i in range(n):
+        adjacent = np.nonzero(w[i] > 0.0)[0]
+        links[i] = dict(zip(adjacent.tolist(), w[i, adjacent].tolist()))
 
     def walk_distance(a: int, b: int) -> float:
         diff = vectors[a] - vectors[b]
-        size_a, size_b = len(members[a]), len(members[b])
+        size_a, size_b = size[a], size[b]
         factor = size_a * size_b / (size_a + size_b)
         return factor * float(np.dot(diff * diff, inv_degree)) / n
 
-    while len(members) > 1:
-        best_pair = None
-        best_dist = np.inf
-        for a in sorted(members):
-            for b in sorted(neighbors[a]):
-                if b <= a:
-                    continue
-                dist = walk_distance(a, b)
-                if dist < best_dist:
-                    best_dist = dist
-                    best_pair = (a, b)
-        if best_pair is None:
-            break  # only disconnected communities remain
-        a, b = best_pair
-        merged = next_id
-        next_id += 1
-        size_a, size_b = len(members[a]), len(members[b])
-        vectors[merged] = (size_a * vectors[a] + size_b * vectors[b]) / (size_a + size_b)
-        members[merged] = members.pop(a) + members.pop(b)
-        joined = (neighbors.pop(a) | neighbors.pop(b)) - {a, b}
-        neighbors[merged] = joined
-        for c in joined:
-            neighbors[c].discard(a)
-            neighbors[c].discard(b)
-            neighbors[c].add(merged)
-        del vectors[a], vectors[b]
-        snapshots.append([sorted(v) for v in members.values()])
-
-    best_q = -np.inf
-    best_groups = snapshots[0]
-    for groups in snapshots:
-        q = modularity(w, groups)
-        if q > best_q:
-            best_q = q
-            best_groups = groups
-    return NestPartition([[i + 1 for i in group] for group in best_groups])
+    heap = [(walk_distance(a, b), a, b) for a in range(n) for b in links[a] if a < b]
+    heapq.heapify(heap)
+    merges: list[tuple[int, int]] = []
+    score = -sum(s * s for s in strengths)  # modularity times (2m)^2
+    best_score, best_step = score, 0
+    while heap:
+        _, a, b = heapq.heappop(heap)
+        if a not in size or b not in size:
+            continue
+        score += 2.0 * (two_m * links[a][b] - strength[a] * strength[b])
+        merged = n + len(merges)
+        merges.append((a, b))
+        size_a, size_b = size.pop(a), size.pop(b)
+        size[merged] = size_a + size_b
+        vectors[merged] = (size_a * vectors.pop(a) + size_b * vectors.pop(b)) / (size_a + size_b)
+        strength[merged] = strength.pop(a) + strength.pop(b)
+        joined = links.pop(a)
+        for c, weight in links.pop(b).items():
+            joined[c] = joined.get(c, 0.0) + weight
+        del joined[a], joined[b]
+        links[merged] = joined
+        for c, weight in joined.items():
+            links[c].pop(a, None)
+            links[c].pop(b, None)
+            links[c][merged] = weight
+            heapq.heappush(heap, (walk_distance(c, merged), c, merged))
+        if score > best_score:
+            best_score, best_step = score, len(merges)
+    return merges, best_step

@@ -321,13 +321,29 @@ class CompareReport:
         return out
 
 
+def _worker_count() -> int:
+    """Worker processes requested by NESTLAB_THREADS, capped at the CPU count.
+
+    Unset means 1 (serial).  Anything but an integer of at least 1 raises.
+    """
+    raw = os.environ.get("NESTLAB_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"NESTLAB_THREADS must be an integer >= 1, got {raw!r}")
+    return min(threads, os.cpu_count() or 1)
+
+
 def compare_designs(config: ExperimentConfig) -> CompareReport:
     """Run the full comparison grid and optionally write its reports.
 
     Ground-truth instances are generated once and shared by every scheme and
     budget; general-position violations against the slice design get flagged
     (they void the identification guarantees, so the CLI exits nonzero).
-    NESTLAB_THREADS > 1 distributes cells across processes.
+    NESTLAB_THREADS > 1 distributes cells across processes, at most one per
+    CPU.
     """
     models = _instance_models(config)
     slice_ref = slice_design(balanced_enumeration(config.n, config.b))
@@ -344,7 +360,7 @@ def compare_designs(config: ExperimentConfig) -> CompareReport:
         for scheme in config.schemes
         for T in config.T_list
     ]
-    threads = int(os.environ.get("NESTLAB_THREADS", "1"))
+    threads = _worker_count()
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_cell, cells, chunksize=1))

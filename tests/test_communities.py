@@ -5,8 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from nestlab.communities import community_detect, modularity
-from nestlab.model import NestPartition, singleton_partition
+from nestlab.communities import WALK_LENGTH, _walktrap_merges, community_detect, modularity
+from nestlab.designs import balanced_enumeration, slice_design
+from nestlab.identify import TestConfig, noisy_identify_with_outside
+from nestlab.model import NestPartition, generate_ground_truth, singleton_partition
+from nestlab.sampling import allocate_customers, sample_choices
 
 
 def block_matrix(sizes, noise=None):
@@ -59,6 +62,86 @@ def brute_force_best_partition(weights):
     return best, best_q
 
 
+def reference_walktrap(weights, walk_length=WALK_LENGTH):
+    """The plain Walktrap merge sequence, and each cut with its modularity.
+
+    The reference algorithm: each merge rescans every adjacent community
+    pair for the minimum walk distance (ties to the lowest index pair), and
+    each cut is scored by modularity() from scratch.
+    """
+    w = np.array(weights, dtype=np.float64)
+    np.fill_diagonal(w, 0.0)
+    n = w.shape[0]
+    loops = w.copy()
+    np.fill_diagonal(loops, 1.0)
+    degrees = loops.sum(axis=1)
+    walk = np.linalg.matrix_power(loops / degrees[:, None], walk_length)
+    inv_degree = 1.0 / degrees
+
+    members = {i: [i] for i in range(n)}
+    vectors = {i: walk[i].copy() for i in range(n)}
+    neighbors = {i: set(np.nonzero(w[i] > 0.0)[0].tolist()) for i in range(n)}
+    snapshots = [[list(v) for v in members.values()]]
+    merges = []
+    next_id = n
+
+    def walk_distance(a, b):
+        diff = vectors[a] - vectors[b]
+        size_a, size_b = len(members[a]), len(members[b])
+        factor = size_a * size_b / (size_a + size_b)
+        return factor * float(np.dot(diff * diff, inv_degree)) / n
+
+    while len(members) > 1:
+        best_pair, best_dist = None, np.inf
+        for a in sorted(members):
+            for b in sorted(neighbors[a]):
+                if b <= a:
+                    continue
+                dist = walk_distance(a, b)
+                if dist < best_dist:
+                    best_dist, best_pair = dist, (a, b)
+        if best_pair is None:
+            break
+        a, b = best_pair
+        merges.append(best_pair)
+        merged = next_id
+        next_id += 1
+        size_a, size_b = len(members[a]), len(members[b])
+        vectors[merged] = (size_a * vectors[a] + size_b * vectors[b]) / (size_a + size_b)
+        members[merged] = members.pop(a) + members.pop(b)
+        joined = (neighbors.pop(a) | neighbors.pop(b)) - {a, b}
+        neighbors[merged] = joined
+        for c in joined:
+            neighbors[c] -= {a, b}
+            neighbors[c].add(merged)
+        del vectors[a], vectors[b]
+        snapshots.append([sorted(v) for v in members.values()])
+
+    cuts = [NestPartition([[i + 1 for i in g] for g in groups]) for groups in snapshots]
+    return merges, cuts, [modularity(w, groups) for groups in snapshots]
+
+
+def assert_matches_reference(weights):
+    """Same merge sequence as the reference, and its first modularity maximum.
+
+    Cuts whose from-scratch modularity differs from the maximum by roundoff
+    only (1e-12) are tied: the reference's choice among them rests on the
+    last bits of a sum, so any tied cut of the same merge sequence passes.
+    """
+    merges, cuts, qs = reference_walktrap(weights)
+    w = np.array(weights, dtype=np.float64)
+    np.fill_diagonal(w, 0.0)
+    assert _walktrap_merges(w, WALK_LENGTH)[0] == merges
+    tied = [cut for cut, q in zip(cuts, qs) if q >= max(qs) - 1e-12]
+    got = community_detect(weights)
+    assert got in tied, (got, cuts[int(np.argmax(qs))])
+
+
+def symmetric(upper):
+    upper = np.triu(upper, 1)
+    return upper + upper.T
+
+
 def test_modularity_straight_line_value():
     """Two disjoint edges: handwritten Newman sum"""
     w = block_matrix([2, 2])
@@ -107,6 +190,57 @@ def test_detection_matches_exhaustive_search_on_random_graphs():
         assert modularity(w, got) == pytest.approx(want_q, abs=1e-12), sizes
 
 
+def test_detection_matches_reference_on_random_graphs():
+    """Heap merges and incremental modularity reproduce the full-rescan cut"""
+    rng = np.random.default_rng(2024)
+    for trial in range(200):
+        n = int(rng.integers(2, 30))
+        kind = trial % 5
+        if kind == 0:  # dense
+            w = symmetric(rng.random((n, n)))
+        elif kind == 1:  # sparse
+            w = symmetric(rng.random((n, n)) * (rng.random((n, n)) < 0.15))
+        elif kind == 2:  # thirds, so walk distances tie
+            w = symmetric(np.round(3 * rng.random((n, n))) / 3 * (rng.random((n, n)) < 0.5))
+        elif kind == 3:  # disconnected components
+            w = np.zeros((n, n))
+            cut = int(rng.integers(1, n))
+            for lo, hi in [(0, cut), (cut, n)]:
+                w[lo:hi, lo:hi] = symmetric(np.round(3 * rng.random((hi - lo, hi - lo))) / 3)
+        else:  # shuffled cliques: symmetric vertices tie exactly on distance
+            w = block_matrix([int(s) for s in rng.integers(1, 5, size=int(rng.integers(2, 6)))])
+            perm = rng.permutation(w.shape[0])
+            w = w[np.ix_(perm, perm)]
+        assert_matches_reference(w)
+
+
+def test_detection_matches_reference_on_noisy_edges():
+    truth = generate_ground_truth(n=64, rng=np.random.default_rng(12))
+    design = slice_design(balanced_enumeration(64, 2))
+    allocation = allocate_customers(10**7, design.num_experiments + 1)
+    table = sample_choices(truth, design, allocation, seed=4)
+    edges, partition = noisy_identify_with_outside(table, design, TestConfig(alpha=0.05))
+    assert_matches_reference(edges.values)
+    assert community_detect(edges.values) == partition
+
+
+def test_exactly_tied_cuts_keep_the_earliest():
+    """Merging 3 into {1, 2, 4} changes modularity by exactly zero
+
+    2m = 12, the one link between them has weight 1 and their degrees are 2
+    and 6, so 2m * 1 == 6 * 2; the earlier cut is the first maximum.
+    """
+    w = np.zeros((6, 6))
+    for i, j in [(1, 4), (1, 6), (2, 3), (2, 4), (3, 6), (5, 6)]:
+        w[i - 1, j - 1] = w[j - 1, i - 1] = 1.0
+    got = community_detect(w)
+    assert got == NestPartition([(1, 2, 4), (3,), (5, 6)])
+    later = NestPartition([(1, 2, 3, 4), (5, 6)])
+    assert modularity(w, got) == pytest.approx(1 / 9, abs=1e-15)
+    assert modularity(w, later) == pytest.approx(1 / 9, abs=1e-15)
+    assert later in reference_walktrap(w)[1]
+
+
 def test_single_weak_edge_does_not_move_blocks():
     w = block_matrix([3, 3, 2], noise=(1, 8, 0.1))
     assert community_detect(w) == blocks_partition([3, 3, 2])
@@ -150,6 +284,16 @@ def test_rejects_negative_weights():
     w[0, 1] = w[1, 0] = -0.5
     with pytest.raises(ValueError):
         community_detect(w)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_weights(bad):
+    w = np.zeros((3, 3))
+    w[0, 1] = w[1, 0] = bad
+    with pytest.raises(ValueError, match="weights must be finite"):
+        community_detect(w)
+    with pytest.raises(ValueError, match="weights must be finite"):
+        modularity(w, singleton_partition(3))
 
 
 def test_partition_enumerator_counts_bell_numbers():

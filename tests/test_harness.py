@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from nestlab.harness import (
     load_config,
     point_estimate_baseline,
     run_pipeline,
+    _worker_count,
 )
 from nestlab.model import NestPartition, generate_ground_truth
 from nestlab.sampling import allocate_customers, sample_choices
@@ -165,6 +167,24 @@ def test_compare_designs_parallel_matches_serial(monkeypatch):
     monkeypatch.setenv("NESTLAB_THREADS", "2")
     parallel = compare_designs(tiny_config()).summary()
     assert serial == parallel
+
+
+def test_worker_count_reads_nestlab_threads_capped_at_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("NESTLAB_THREADS", raising=False)
+    assert _worker_count() == 1
+    for raw, want in [("1", 1), ("3", 3), (" 2 ", 2), ("4", 4), ("64", 4)]:
+        monkeypatch.setenv("NESTLAB_THREADS", raw)
+        assert _worker_count() == want, raw
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count() == 1
+
+
+@pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5", ""])
+def test_worker_count_rejects_bad_nestlab_threads(monkeypatch, raw):
+    monkeypatch.setenv("NESTLAB_THREADS", raw)
+    with pytest.raises(ValueError, match="NESTLAB_THREADS"):
+        _worker_count()
 
 
 def test_summary_reports_failures_field():
