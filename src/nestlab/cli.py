@@ -87,8 +87,6 @@ def _cmd_identify(args) -> int:
             alpha=args.alpha,
             beta=args.beta,
             z_threshold=threshold if args.mode == "ztheorem" else None,
-            delta=args.delta,
-            C=args.C,
         )
         if table.outside:
             edges, partition = identify.noisy_identify_with_outside(table, design, config)
@@ -199,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=identify.EXACT_TOLERANCE)
     p.add_argument("--threshold", type=float, default=None, help="explicit |z| cutoff")
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--C", type=float, default=25.0)
     p.add_argument("--out-partition", default="partition.json")
     p.add_argument("--out-edges", default=None)
     p.set_defaults(func=_cmd_identify)

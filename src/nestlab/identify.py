@@ -7,7 +7,10 @@ share one when both nests are fully offered, in which case it equals the
 outside option's boost.  The exact algorithms turn these facts into an edge
 matrix of same-nest deductions; the noisy ones replace equality checks with
 two-proportion z-tests and hand a soft evidence matrix to community
-detection.
+detection.  The tests run per experiment as array operations: one kernel
+computes the z score of every pair of offered items (outside option
+included) at once, and each experiment's deductions merge into the edge
+matrix by elementwise minimum.
 """
 
 from __future__ import annotations
@@ -120,11 +123,19 @@ class EdgeMatrix:
         self.values[j - 1, i - 1] = value
 
 
+def _shares_definite_one(values: np.ndarray) -> np.ndarray:
+    """(i, j) pairs with some k where values[i, k] == values[k, j] == 1.
+
+    The product runs in float64 so BLAS computes it; path counts stay far
+    below 2**53, so the result is exact.
+    """
+    ones = (values == 1.0).astype(np.float64)
+    return (ones @ ones) > 0.0
+
+
 def _one_hop_transitivity_exact(values: np.ndarray) -> None:
     # Snapshot semantics: all (i,j) with a shared definite-1 neighbor flip at once.
-    ones = values == 1.0
-    shared = (ones.astype(np.int64) @ ones.astype(np.int64)) > 0
-    promote = np.isnan(values) & shared
+    promote = np.isnan(values) & _shares_definite_one(values)
     values[promote] = 1.0
 
 
@@ -168,6 +179,34 @@ def _finalize_exact(edges: EdgeMatrix) -> tuple[EdgeMatrix, NestPartition]:
     return edges, _components_of_ones(edges.values)
 
 
+def _split_from_unoffered(edges: EdgeMatrix, i: int, offered: set[int]) -> None:
+    # i's nest lies inside the experiment, so i splits from every unoffered item.
+    for k in range(1, edges.n + 1):
+        if k not in offered:
+            edges._set(i, k, 0.0)
+
+
+def _resolve_low_group(edges: EdgeMatrix, group: list[int], offered: set[int]) -> None:
+    """Without an outside option, settle an experiment's minimum-boost group.
+
+    If any two members are already split, the group holds nests fully
+    inside the experiment, which split from everything unoffered; otherwise
+    the group joins.
+    """
+    split = any(
+        edges.get(group[a], group[c]) == 0.0
+        for a in range(len(group))
+        for c in range(a + 1, len(group))
+    )
+    if split:
+        for i in group:
+            _split_from_unoffered(edges, i, offered)
+    else:
+        for a in range(len(group)):
+            for c in range(a + 1, len(group)):
+                edges._set(group[a], group[c], 1.0)
+
+
 def exact_identify_with_outside(
     table: BoostTable, design: ExperimentDesign, tol: float = EXACT_TOLERANCE
 ) -> tuple[EdgeMatrix, NestPartition]:
@@ -192,11 +231,9 @@ def exact_identify_with_outside(
                 elif bf[i] > base and not _releq(bf[i], base, tol):
                     edges._set(i, j, 1.0)
         offered = set(items)
-        unboosted = [i for i in items if _releq(bf[i], base, tol)]
-        for i in unboosted:
-            for k in range(1, n + 1):
-                if k not in offered:
-                    edges._set(i, k, 0.0)
+        for i in items:
+            if _releq(bf[i], base, tol):
+                _split_from_unoffered(edges, i, offered)
     return _finalize_exact(edges)
 
 
@@ -231,30 +268,57 @@ def exact_identify_without_outside(
         if not items:
             continue
         low = min(bf[i] for i in items)
-        group = [i for i in items if _releq(bf[i], low, tol)]
-        offered = set(items)
-        split = any(
-            edges.get(group[a], group[c]) == 0.0
-            for a in range(len(group))
-            for c in range(a + 1, len(group))
-        )
-        if split:
-            for i in group:
-                for k in range(1, n + 1):
-                    if k not in offered:
-                        edges._set(i, k, 0.0)
-        else:
-            for a in range(len(group)):
-                for c in range(a + 1, len(group)):
-                    edges._set(group[a], group[c], 1.0)
+        _resolve_low_group(edges, [i for i in items if _releq(bf[i], low, tol)], set(items))
     return _finalize_exact(edges)
 
 
-def _count(table: ChoiceCountTable, row: int, item: int) -> int:
+def _support_counts(table: ChoiceCountTable, row: int, support) -> np.ndarray:
+    counts = table.counts[row]
     try:
-        return table.counts[row][item]
-    except KeyError:
-        raise ValueError(f"item {item} not offered in {table.labels[row]}") from None
+        return np.array([counts[i] for i in support], dtype=np.int64)
+    except KeyError as exc:
+        raise ValueError(f"item {exc.args[0]} not offered in {table.labels[row]}") from None
+
+
+def _pairwise_z(
+    xs: np.ndarray, xc: np.ndarray, m_s: int, m_c: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two-proportion z scores for every ordered pair of one experiment's support.
+
+    xs and xc count each support item's choices in the experiment and in the
+    control, out of m_s and m_c customers.  Returns the z matrix, NaN where
+    a pair has no evidence, and the has-evidence mask (pooled counts positive
+    on both assortments).  Exactly antisymmetric: the numerator is
+    cross-multiplied so swapping a pair negates the same float products
+    instead of rounding two different quotients.
+    """
+    ns = xs[:, None] + xs[None, :]
+    nc = xc[:, None] + xc[None, :]
+    evidence = (ns > 0) & (nc > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ps, pc = xs / m_s, xc / m_c
+        share_s = ps[:, None] + ps[None, :]
+        share_c = pc[:, None] + pc[None, :]
+        numerator = (ps[:, None] * pc[None, :] - pc[:, None] * ps[None, :]) / (share_s * share_c)
+        # grouped so the sum is evaluated identically with i and j swapped
+        total = share_s + share_c
+        pool = ps + pc
+        variance = ((pool[:, None] / total) * (pool[None, :] / total)) * (1.0 / ns + 1.0 / nc)
+        z = numerator / np.sqrt(variance)
+    z[numerator == 0.0] = 0.0
+    z[~evidence] = np.nan
+    return z, evidence
+
+
+def _support_z(
+    table: ChoiceCountTable, experiment: int, support: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """_pairwise_z over the given items (0: outside option) of one experiment."""
+    row = experiment + 1
+    return _pairwise_z(
+        _support_counts(table, row, support), _support_counts(table, 0, support),
+        table.sizes[row], table.sizes[0],
+    )
 
 
 def z_statistic(table: ChoiceCountTable, i: int, j: int, experiment: int) -> float:
@@ -262,31 +326,17 @@ def z_statistic(table: ChoiceCountTable, i: int, j: int, experiment: int) -> flo
 
     experiment indexes into the experiment list (0-based, control excluded).
     Works for per-assortment sample sizes; with equal sizes it reduces to
-    the classical pooled form.  Exactly antisymmetric in (i, j): the
-    numerator is cross-multiplied so swapping arguments negates the same
-    float products instead of rounding two different quotients.
+    the classical pooled form.  Exactly antisymmetric in (i, j): swapping
+    the arguments negates the same float products (see _pairwise_z).
     """
     if i == j:
         raise ValueError("z statistic needs two distinct choices")
-    row = experiment + 1
-    xs_i, xs_j = _count(table, row, i), _count(table, row, j)
-    xc_i, xc_j = _count(table, 0, i), _count(table, 0, j)
-    if xs_i + xs_j == 0 or xc_i + xc_j == 0:
+    z, evidence = _support_z(table, experiment, (i, j))
+    if not evidence[0, 1]:
         raise ZeroEvidenceError(
-            f"no observations of items {i},{j} in {table.labels[row]} or control"
+            f"no observations of items {i},{j} in {table.labels[experiment + 1]} or control"
         )
-    m_s, m_c = table.sizes[row], table.sizes[0]
-    ps_i, ps_j = xs_i / m_s, xs_j / m_s
-    pc_i, pc_j = xc_i / m_c, xc_j / m_c
-    numerator = (ps_i * pc_j - pc_i * ps_j) / ((ps_i + ps_j) * (pc_i + pc_j))
-    if numerator == 0.0:
-        return 0.0
-    # grouped so the sum is evaluated identically with i and j swapped
-    total = (ps_i + ps_j) + (pc_i + pc_j)
-    pool_i = (ps_i + pc_i) / total
-    pool_j = (ps_j + pc_j) / total
-    variance = pool_i * pool_j * (1.0 / (xs_i + xs_j) + 1.0 / (xc_i + xc_j))
-    return numerator / math.sqrt(variance)
+    return float(z[0, 1])
 
 
 def p_value_equal(table: ChoiceCountTable, i: int, j: int, experiment: int) -> float:
@@ -307,7 +357,7 @@ class TestConfig:
 
     alpha rejects sameness, beta gates the no-boost deduction (1 - alpha by
     default).  z_threshold switches identification to the fixed-cutoff
-    regime; delta and C parameterize its sample-size bound.
+    regime.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -315,8 +365,6 @@ class TestConfig:
     alpha: float = 0.05
     beta: float | None = None
     z_threshold: float | None = None
-    delta: float = 0.1
-    C: float = 25.0
 
     def __post_init__(self):
         if self.beta is None:
@@ -327,25 +375,30 @@ class TestConfig:
             raise ValueError("beta must lie in [0, 1]")
 
 
-def _safe_p_equal(table, i, j, s):
-    try:
-        return p_value_equal(table, i, j, s)
-    except ZeroEvidenceError:
-        return None
+# math.erfc elementwise: scipy.special.erfc differs from it in the last bit.
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
-def _safe_p_leq(table, i, s):
-    try:
-        return p_value_leq_outside(table, i, s)
-    except ZeroEvidenceError:
-        return None
+def _tested_pairs(
+    z: np.ndarray, evidence: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upper-triangle pairs (a, b) with evidence and their two-sided p-values."""
+    a, b = np.triu_indices(z.shape[0], 1)
+    keep = evidence[a, b]
+    a, b = a[keep], b[keep]
+    return a, b, _erfc(np.abs(z[a, b]) / math.sqrt(2.0)).astype(np.float64)
+
+
+def _merge_min(values: np.ndarray, rows, cols, weight) -> None:
+    """values[r, c] = values[c, r] = min(values[r, c], weight), elementwise."""
+    merged = np.minimum(values[rows, cols], weight)
+    values[rows, cols] = merged
+    values[cols, rows] = merged
 
 
 def _one_hop_transitivity_noisy(values: np.ndarray) -> None:
     # Only full-confidence edges (exactly 1.0) may transport membership.
-    ones = values == 1.0
-    shared = (ones.astype(np.int64) @ ones.astype(np.int64)) > 0
-    promote = (values != 0.0) & shared
+    promote = (values != 0.0) & _shares_definite_one(values)
     np.fill_diagonal(promote, False)
     values[promote] = 1.0
 
@@ -360,7 +413,8 @@ def noisy_identify_with_outside(
     smallest p-value seen as a soft weight.  Items confidently unboosted
     discount their edges to items outside the experiment.  With alpha = 1
     every pair is rejected; with alpha = 0 nothing is and the matrix stays
-    purely soft.
+    purely soft.  Each experiment's tests run as one array computation and
+    every update is a minimum, so experiments combine in any order.
     """
     if config is None:
         config = TestConfig()
@@ -370,35 +424,30 @@ def noisy_identify_with_outside(
         raise ValueError("count table has no outside option")
     n = table.n
     values = np.full((n, n), NOISY_NULL)
-    edges = EdgeMatrix(values=values, mode="noisy")
     for s, items in enumerate(table.assortments[1:]):
-        for a, i in enumerate(items):
-            for j in items[a + 1:]:
-                p_eq = _safe_p_equal(table, i, j, s)
-                if p_eq is None:
-                    continue
-                if p_eq <= config.alpha:
-                    edges._set(i, j, 0.0)
-                    continue
-                p_i = _safe_p_leq(table, i, s)
-                p_j = _safe_p_leq(table, j, s)
-                if p_i is not None and p_j is not None and max(p_i, p_j) <= config.alpha:
-                    edges._set(i, j, min(1.0, edges.get(i, j)))
-                else:
-                    edges._set(i, j, min(p_eq, edges.get(i, j)))
-        offered = set(items)
-        for i in items:
-            p_i = _safe_p_leq(table, i, s)
-            if p_i is None or p_i <= config.beta:
-                continue
-            confidence = 1.0 - p_i
-            for k in range(1, n + 1):
-                if k not in offered:
-                    edges._set(i, k, min(confidence, edges.get(i, k)))
+        offered = np.asarray(items, dtype=np.intp) - 1
+        z, evidence = _support_z(table, s, (0, *items))
+        # one-sided p-value of 'no boost over the outside option'; NaN untested
+        p_leq = np.full(len(items), np.nan)
+        tested = evidence[1:, 0]
+        p_leq[tested] = 0.5 * _erfc(z[1:, 0][tested] / math.sqrt(2.0)).astype(np.float64)
+        boosted = p_leq <= config.alpha
+        a, b, p_eq = _tested_pairs(z[1:, 1:], evidence[1:, 1:])
+        weight = np.where(
+            p_eq <= config.alpha, 0.0, np.where(boosted[a] & boosted[b], 1.0, p_eq)
+        )
+        _merge_min(values, offered[a], offered[b], weight)
+        unboosted = p_leq > config.beta
+        if unboosted.any():
+            unoffered = np.setdiff1d(np.arange(n), offered)
+            _merge_min(
+                values, offered[unboosted][:, None], unoffered[None, :],
+                (1.0 - p_leq[unboosted])[:, None],
+            )
     _one_hop_transitivity_noisy(values)
     values[values == NOISY_NULL] = 0.0
     np.fill_diagonal(values, 0.0)
-    return edges, community_detect(values)
+    return EdgeMatrix(values=values, mode="noisy"), community_detect(values)
 
 
 def noisy_identify_without_outside(
@@ -418,27 +467,13 @@ def noisy_identify_without_outside(
         raise ValueError("count table carries an outside option")
     n = table.n
     values = np.full((n, n), NOISY_NULL)
-    edges = EdgeMatrix(values=values, mode="noisy")
     for s, items in enumerate(table.assortments[1:]):
-        for a, i in enumerate(items):
-            for j in items[a + 1:]:
-                p_eq = _safe_p_equal(table, i, j, s)
-                if p_eq is None:
-                    continue
-                if p_eq <= config.alpha:
-                    edges._set(i, j, 0.0)
-                else:
-                    edges._set(i, j, min(p_eq, edges.get(i, j)))
+        offered = np.asarray(items, dtype=np.intp) - 1
+        a, b, p_eq = _tested_pairs(*_support_z(table, s, items))
+        _merge_min(values, offered[a], offered[b], np.where(p_eq <= config.alpha, 0.0, p_eq))
     values[values == NOISY_NULL] = 0.0
     np.fill_diagonal(values, 0.0)
-    return edges, community_detect(values)
-
-
-def _safe_z(table, i, j, s):
-    try:
-        return z_statistic(table, i, j, s)
-    except ZeroEvidenceError:
-        return None
+    return EdgeMatrix(values=values, mode="noisy"), community_detect(values)
 
 
 def _threshold_identify(
@@ -453,88 +488,42 @@ def _threshold_identify(
         raise ValueError("outside-option flag does not match the count table")
     n = table.n
     edges = EdgeMatrix(values=np.full((n, n), np.nan), mode="exact")
+    low_groups = []
     for s, items in enumerate(table.assortments[1:]):
         offered = set(items)
+        z = _support_z(table, s, ((0,) if outside else ()) + items)[0].tolist()  # NaN: no evidence
         if outside:
-            boosted: dict[int, bool | None] = {}
-            for i in items:
-                z = _safe_z(table, i, 0, s)
-                boosted[i] = None if z is None else abs(z) > threshold
-            for a, i in enumerate(items):
-                for j in items[a + 1:]:
-                    z = _safe_z(table, i, j, s)
-                    if z is None:
-                        continue
-                    if abs(z) > threshold:
-                        edges._set(i, j, 0.0)
-                    elif boosted[i] and boosted[j]:
-                        edges._set(i, j, 1.0)
-            for i in items:
-                if boosted[i] is False:
-                    for k in range(1, n + 1):
-                        if k not in offered:
-                            edges._set(i, k, 0.0)
+            # support index 0 is the outside option; item a sits at a + 1
+            boosted = [None if math.isnan(row[0]) else abs(row[0]) > threshold for row in z[1:]]
+            z = [row[1:] for row in z[1:]]
         else:
             # Empirical-minimum item anchors the 'no boost seen' group.
-            ratios = {}
-            for i in items:
-                x_c = _count(table, 0, i)
-                x_s = _count(table, s + 1, i)
-                if x_c > 0:
-                    ratios[i] = (x_s / table.sizes[s + 1]) / (x_c / table.sizes[0])
-            if not ratios:
+            control, counts = table.counts[0], table.counts[s + 1]
+            ratios = {
+                i: (counts[i] / table.sizes[s + 1]) / (control[i] / table.sizes[0])
+                for i in items
+                if control[i] > 0 and table.sizes[s + 1] > 0
+            }
+            if not ratios:  # nothing observed: the experiment has no evidence
                 continue
-            low_item = min(ratios, key=lambda i: (ratios[i], i))
-            above: dict[int, bool | None] = {low_item: False}
-            for i in items:
-                if i == low_item:
+            low = items.index(min(ratios, key=lambda i: (ratios[i], i)))
+            boosted = [None if math.isnan(row[low]) else abs(row[low]) > threshold for row in z]
+            boosted[low] = False
+            low_groups.append((offered, sorted(i for i, up in zip(items, boosted) if up is False)))
+        for a, i in enumerate(items):
+            for c in range(a + 1, len(items)):
+                if math.isnan(z[a][c]):
                     continue
-                z = _safe_z(table, i, low_item, s)
-                above[i] = None if z is None else abs(z) > threshold
-            for a, i in enumerate(items):
-                for j in items[a + 1:]:
-                    z = _safe_z(table, i, j, s)
-                    if z is None:
-                        continue
-                    if abs(z) > threshold:
-                        edges._set(i, j, 0.0)
-                    elif above[i] and above[j]:
-                        edges._set(i, j, 1.0)
-    if not outside:
-        for s, items in enumerate(table.assortments[1:]):
-            ratios = {}
-            for i in items:
-                x_c = _count(table, 0, i)
-                if x_c > 0:
-                    ratios[i] = (_count(table, s + 1, i) / table.sizes[s + 1]) / (
-                        x_c / table.sizes[0]
-                    )
-            if not ratios:
-                continue
-            low_item = min(ratios, key=lambda i: (ratios[i], i))
-            group = [low_item]
-            for i in items:
-                if i == low_item:
-                    continue
-                z = _safe_z(table, i, low_item, s)
-                if z is not None and abs(z) <= threshold:
-                    group.append(i)
-            group.sort()
-            offered = set(items)
-            split = any(
-                edges.get(group[a], group[c]) == 0.0
-                for a in range(len(group))
-                for c in range(a + 1, len(group))
-            )
-            if split:
-                for i in group:
-                    for k in range(1, n + 1):
-                        if k not in offered:
-                            edges._set(i, k, 0.0)
-            else:
-                for a in range(len(group)):
-                    for c in range(a + 1, len(group)):
-                        edges._set(group[a], group[c], 1.0)
+                if abs(z[a][c]) > threshold:
+                    edges._set(i, items[c], 0.0)
+                elif boosted[a] and boosted[c]:
+                    edges._set(i, items[c], 1.0)
+        if outside:
+            for i, up in zip(items, boosted):
+                if up is False:
+                    _split_from_unoffered(edges, i, offered)
+    for offered, group in low_groups:
+        _resolve_low_group(edges, group, offered)
     return _finalize_exact(edges)
 
 

@@ -9,7 +9,6 @@ intervals are Student-t over independent instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -139,22 +138,3 @@ def confidence_interval(
     quantile = float(stats.t.ppf(0.5 + level / 2.0, k - 1))
     half = quantile * spread / math.sqrt(k)
     return mean, mean - half, mean + half
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    """Bundle of the comparable scores between a truth and an estimate."""
-
-    rmse_soft: float | None
-    rand_index: float | None
-    rmse_soft_restricted: float | None = None
-
-    def to_dict(self) -> dict:
-        out = {}
-        if self.rmse_soft is not None:
-            out["rmse_soft"] = self.rmse_soft
-        if self.rand_index is not None:
-            out["rand_index"] = self.rand_index
-        if self.rmse_soft_restricted is not None:
-            out["rmse_soft_restricted"] = self.rmse_soft_restricted
-        return out

@@ -39,7 +39,8 @@ class ChoiceCountTable:
 
     assortments[0] is the control; labels align one to one.  Every offered
     item appears in its count dict, zeros included, so the assortment is
-    recoverable from the table alone.
+    recoverable from the table alone.  Items lie in 1..n and counts are
+    non-negative; construction rejects anything else.
     """
 
     n: int
@@ -54,10 +55,16 @@ class ChoiceCountTable:
             len(self.labels) == len(self.assortments) == len(self.counts) == len(self.sizes)
         ):
             raise ValueError("misaligned count table")
-        for items, cnt, m in zip(self.assortments, self.counts, self.sizes):
+        for label, items, cnt, m in zip(self.labels, self.assortments, self.counts, self.sizes):
+            for i in items:
+                if not 1 <= i <= self.n:
+                    raise ValueError(f"item {i} of {label} lies outside 1..{self.n}")
             expect = set(items) | ({0} if self.outside else set())
             if set(cnt) != expect:
                 raise ValueError("count rows must cover exactly the offered items")
+            for i, c in cnt.items():
+                if c < 0:
+                    raise ValueError(f"negative count {c} for item {i} in {label}")
             if sum(cnt.values()) != m:
                 raise ValueError("counts must sum to the sample size")
 
@@ -149,7 +156,9 @@ def load_counts(path: str, n: int) -> ChoiceCountTable:
                 rows[label] = {}
                 order.append(label)
             rows[label][int(rec["item_id"])] = int(rec["count"])
-            sizes[label] = int(rec["sample_size"])
+            size = int(rec["sample_size"])
+            if sizes.setdefault(label, size) != size:
+                raise ValueError(f"{label} lists sample sizes {sizes[label]} and {size}")
     if not order or order[0] != "control":
         raise ValueError("count file must start with the control assortment")
     outside = 0 in rows["control"]

@@ -1,5 +1,6 @@
 """Tests for boost factors, statistical tests, and nest identification."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from nestlab.designs import ExperimentDesign, balanced_enumeration, naive_encoding, slice_design
 from nestlab.identify import (
+    NOISY_NULL,
     BoostTable,
     TestConfig,
     ZeroEvidenceError,
@@ -24,6 +26,7 @@ from nestlab.identify import (
     theorem_z_threshold,
     z_statistic,
 )
+from nestlab.communities import community_detect
 from nestlab.metrics import rand_index, rmse_soft_restricted
 from nestlab.model import (
     ChoiceProbabilities,
@@ -311,6 +314,30 @@ def test_threshold_identification_uses_fixed_cutoff():
     assert rand_index(partition, model.partition) == 1.0
 
 
+def test_threshold_identification_skips_experiments_without_customers():
+    """An experiment nobody saw adds nothing, as if it had not been run"""
+    rng = np.random.default_rng(43)
+    model = generate_ground_truth(6, rng, outside=False)
+    design = slice_design(balanced_enumeration(6, 2))
+    alloc = [10**6] * (design.num_experiments + 1)
+    alloc[2] = 0
+    starved = sample_choices(model, design, alloc, seed=8)
+    keep = [k for k in range(starved.num_assortments) if k != 2]
+    dropped = ChoiceCountTable(
+        n=6,
+        outside=False,
+        labels=tuple(starved.labels[k] for k in keep),
+        assortments=tuple(starved.assortments[k] for k in keep),
+        counts=tuple(starved.counts[k] for k in keep),
+        sizes=tuple(starved.sizes[k] for k in keep),
+    )
+    config = TestConfig(z_threshold=3.0)
+    got, partition = noisy_identify_without_outside(starved, design, config)
+    want, expected = noisy_identify_without_outside(dropped, design, config)
+    assert np.array_equal(got.values, want.values)
+    assert partition == expected
+
+
 def test_theorem_constants_straight_line():
     # K = (|S| + 1) (n + 1 + C(n+1, 2)) pairs, n = 8 with 6 experiments
     assert theorem_pair_count(8, 6) == 7 * (9 + 36)
@@ -356,3 +383,116 @@ def test_boost_factors_from_counts_matches_ratio():
     emp_s = {i: c / table.sizes[1] for i, c in table.counts[1].items()}
     for i in table.assortments[1]:
         assert boosts.factors[0][i] == pytest.approx(emp_s[i] / emp_control[i])
+
+
+def reference_z(table, i, j, s):
+    """Scalar pooled z score for (i, j) in experiment s; None without evidence."""
+    row = s + 1
+    xs_i, xs_j = table.counts[row][i], table.counts[row][j]
+    xc_i, xc_j = table.counts[0][i], table.counts[0][j]
+    if xs_i + xs_j == 0 or xc_i + xc_j == 0:
+        return None
+    m_s, m_c = table.sizes[row], table.sizes[0]
+    ps_i, ps_j = xs_i / m_s, xs_j / m_s
+    pc_i, pc_j = xc_i / m_c, xc_j / m_c
+    numerator = (ps_i * pc_j - pc_i * ps_j) / ((ps_i + ps_j) * (pc_i + pc_j))
+    if numerator == 0.0:
+        return 0.0
+    total = (ps_i + ps_j) + (pc_i + pc_j)
+    pool_i = (ps_i + pc_i) / total
+    pool_j = (ps_j + pc_j) / total
+    variance = pool_i * pool_j * (1.0 / (xs_i + xs_j) + 1.0 / (xc_i + xc_j))
+    return numerator / math.sqrt(variance)
+
+
+def reference_noisy_identify(table, config):
+    """The noisy identifiers as scalar loops, one z-test call per pair.
+
+    Returns the finalized edge values (before community detection).
+    """
+    n = table.n
+    values = np.full((n, n), NOISY_NULL)
+
+    def lower(i, j, w):
+        values[i - 1, j - 1] = values[j - 1, i - 1] = min(w, values[i - 1, j - 1])
+
+    def p_equal(i, j, s):
+        z = reference_z(table, i, j, s)
+        return None if z is None else math.erfc(abs(z) / math.sqrt(2.0))
+
+    def p_leq(i, s):
+        z = reference_z(table, i, 0, s)
+        return None if z is None else 0.5 * math.erfc(z / math.sqrt(2.0))
+
+    for s, items in enumerate(table.assortments[1:]):
+        for a, i in enumerate(items):
+            for j in items[a + 1:]:
+                p_eq = p_equal(i, j, s)
+                if p_eq is None:
+                    continue
+                if p_eq <= config.alpha:
+                    lower(i, j, 0.0)
+                elif not table.outside:
+                    lower(i, j, p_eq)
+                else:
+                    p_i, p_j = p_leq(i, s), p_leq(j, s)
+                    if p_i is not None and p_j is not None and max(p_i, p_j) <= config.alpha:
+                        lower(i, j, 1.0)
+                    else:
+                        lower(i, j, p_eq)
+        if not table.outside:
+            continue
+        for i in items:
+            p_i = p_leq(i, s)
+            if p_i is None or p_i <= config.beta:
+                continue
+            for k in range(1, n + 1):
+                if k not in items:
+                    lower(i, k, 1.0 - p_i)
+    if table.outside:
+        ones = values == 1.0
+        shared = (ones.astype(np.int64) @ ones.astype(np.int64)) > 0
+        promote = (values != 0.0) & shared
+        np.fill_diagonal(promote, False)
+        values[promote] = 1.0
+    values[values == NOISY_NULL] = 0.0
+    np.fill_diagonal(values, 0.0)
+    return values
+
+
+def reference_tables():
+    """Seeded sampled tables from thin to plentiful budgets, some rows empty"""
+    rng = np.random.default_rng(77)
+    configs = [
+        TestConfig(alpha=alpha, beta=beta)
+        for alpha, beta in itertools.product((0.0, 0.05, 1.0), (None, 0.0, 1.0))
+    ]
+    for n, outside in itertools.product((6, 16, 64), (True, False)):
+        design = slice_design(balanced_enumeration(n, 2))
+        for k, config in enumerate(configs):
+            for cap in (4, 60, 5000, 10**6):
+                model = generate_ground_truth(n, rng, outside=outside)
+                alloc = [int(m) for m in rng.integers(0, cap, size=design.num_experiments + 1)]
+                if k % 3 == 0:
+                    alloc[1 + k % design.num_experiments] = 0  # an all-zero row
+                table = sample_choices(model, design, alloc, seed=int(rng.integers(2**31)))
+                yield design, table, config
+
+
+def test_noisy_identification_matches_scalar_reference():
+    """Per-experiment array tests give bit-identical edges to the pair loops"""
+    identify = {True: noisy_identify_with_outside, False: noisy_identify_without_outside}
+    checked = zero_evidence = 0
+    for design, table, config in reference_tables():
+        edges, partition = identify[table.outside](table, design, config)
+        want = reference_noisy_identify(table, config)
+        assert np.array_equal(edges.values, want), (table.n, config)
+        assert partition == community_detect(want)
+        zero_evidence += any(
+            reference_z(table, i, j, s) is None
+            for s, items in enumerate(table.assortments[1:])
+            for i, j in itertools.combinations(items, 2)
+        )
+        checked += 1
+    assert checked >= 200
+    assert zero_evidence >= 50  # thin budgets exercise the no-evidence skips

@@ -161,3 +161,38 @@ def test_load_counts_requires_control_first(tmp_path):
     )
     with pytest.raises(ValueError):
         load_counts(path, n=2)
+
+
+def test_count_table_rejects_negative_counts():
+    # {1: -1, 2: 6} sums to the sample size, so only the sign check catches it
+    with pytest.raises(ValueError, match="item 1 in control"):
+        ChoiceCountTable(
+            n=2,
+            outside=False,
+            labels=("control",),
+            assortments=((1, 2),),
+            counts=({1: -1, 2: 6},),
+            sizes=(5,),
+        )
+
+
+def test_count_table_rejects_items_outside_range():
+    with pytest.raises(ValueError, match="item 7 of S"):
+        ChoiceCountTable(
+            n=2,
+            outside=False,
+            labels=("control", "S"),
+            assortments=((1, 2), (1, 7)),
+            counts=({1: 2, 2: 3}, {1: 1, 7: 4}),
+            sizes=(5, 5),
+        )
+
+
+def test_load_counts_rejects_conflicting_sample_sizes(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_text(
+        "assortment_label,item_id,count,sample_size\n"
+        "control,1,3,9\ncontrol,2,2,5\n"  # sums to the last size listed
+    )
+    with pytest.raises(ValueError, match="control lists sample sizes 9 and 5"):
+        load_counts(path, n=2)
