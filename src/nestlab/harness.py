@@ -6,6 +6,10 @@ least squares, and score the fit against the ground truth.  The comparison
 grid repeats this over instances x schemes x budgets with per-cell seeds, so
 any cell is reproducible in isolation, and writes one CSV per budget plus a
 summary JSON of means and confidence intervals.
+
+The grid runs one instance at a time (one process-pool task per instance):
+the instance's all-subset truth table is built once, shared by its cells'
+rmse_soft scores, and dropped before the next instance.
 """
 
 from __future__ import annotations
@@ -36,12 +40,18 @@ from .identify import (
     noisy_identify_with_outside,
     noisy_identify_without_outside,
 )
-from .metrics import confidence_interval, rand_index, rmse_soft, rmse_soft_restricted
+from .metrics import (
+    EXHAUSTIVE_LIMIT,
+    all_subset_probabilities,
+    confidence_interval,
+    rand_index,
+    rmse_soft,
+    rmse_soft_restricted,
+)
 from .model import (
     ChoiceProbabilities,
     NestPartition,
     NestedLogitModel,
-    choice_probabilities,
     check_general_position,
     generate_ground_truth,
 )
@@ -50,6 +60,7 @@ from .sampling import (
     ChoiceCountTable,
     allocate_customers,
     empirical_probabilities,
+    exact_count_table,
     sample_choices,
 )
 
@@ -141,9 +152,6 @@ class PointEstimatePredictor:
         except KeyError:
             raise ValueError(f"assortment {key} was never offered") from None
 
-    def observed_assortments(self) -> list[tuple[int, ...]]:
-        return sorted(self._by_assortment)
-
 
 def point_estimate_baseline(table: ChoiceCountTable) -> PointEstimatePredictor:
     return PointEstimatePredictor(table)
@@ -160,6 +168,10 @@ class PipelineResult:
     rmse_soft_restricted: float
     failed: bool = False
     flags: tuple[str, ...] = ()
+    failed_stage: str | None = None  # "identify" or "recovery" when failed
+
+
+FAILURE_STAGES = ("identify", "recovery")
 
 
 def build_design(
@@ -182,7 +194,7 @@ def build_design(
 
 def _identify(table, design, config: ExperimentConfig, truth: NestedLogitModel):
     if config.mode == "exact":
-        probs = [choice_probabilities(truth, items) for items in (design.control, *design.experiments)]
+        probs = exact_count_table(truth, design)
         bf = boost_factors(probs[0], probs[1:], labels=design.labels)
         if truth.outside:
             return exact_identify_with_outside(bf, design)[1]
@@ -199,22 +211,22 @@ def run_pipeline(
     config: ExperimentConfig,
     seed: int,
     instance: int = 0,
+    truth_table: np.ndarray | None = None,
 ) -> PipelineResult:
     """Design, sample, identify, recover, and score one grid cell.
 
     Baseline schemes reuse the slice design's data: default_two_nest skips
     identification in favor of a fixed half split, and point_estimate skips
-    modeling entirely, so it only gets the restricted score.
+    modeling entirely, so it only gets the restricted score.  truth_table is
+    all_subset_probabilities(truth) when the caller has it; rmse_soft is the
+    same float either way, and NaN past metrics.EXHAUSTIVE_LIMIT items.
     """
     n = truth.n
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD5)))
     design = build_design(scheme, n, config.b, config, rng)
     allocation = allocate_customers(T, design.num_experiments + 1)
     table = sample_choices(truth, design, allocation, seed)
-    true_probs = [
-        choice_probabilities(truth, items)
-        for items in (design.control, *design.experiments)
-    ]
+    true_probs = exact_count_table(truth, design)
     flags: list[str] = []
 
     if scheme == "point_estimate":
@@ -231,11 +243,13 @@ def run_pipeline(
             rmse_soft_restricted=restricted,
         )
 
+    stage = "identify"
     try:
         if scheme == "default_two_nest":
             partition = default_two_nest_partition(n)
         else:
             partition = _identify(table, design, config, truth)
+        stage = "recovery"
         if config.mode == "exact":
             estimate = recover_all(true_probs, partition, design)
         else:
@@ -253,20 +267,18 @@ def run_pipeline(
             rmse_soft_restricted=float("nan"),
             failed=True,
             flags=(f"{type(exc).__name__}: {exc}",),
+            failed_stage=stage,
         )
 
-    est_probs = [
-        choice_probabilities(estimate, items)
-        for items in (design.control, *design.experiments)
-    ]
+    soft = float("nan") if n > EXHAUSTIVE_LIMIT else rmse_soft(truth, estimate, truth_table)
     return PipelineResult(
         instance=instance,
         scheme=scheme,
         T=T,
         partition=partition,
-        rmse_soft=rmse_soft(truth, estimate),
+        rmse_soft=soft,
         rand_index=rand_index(truth.partition, partition),
-        rmse_soft_restricted=rmse_soft_restricted(true_probs, est_probs),
+        rmse_soft_restricted=rmse_soft_restricted(true_probs, exact_count_table(estimate, design)),
         flags=tuple(flags),
     )
 
@@ -286,9 +298,26 @@ def _instance_models(config: ExperimentConfig) -> list[NestedLogitModel]:
     return models
 
 
-def _run_cell(args) -> PipelineResult:
-    truth, scheme, T, config, seed, instance = args
-    return run_pipeline(truth, scheme, T, config, seed, instance)
+def _run_instance(args) -> list[PipelineResult]:
+    """Every (scheme, T) cell of one instance, sharing one truth table.
+
+    Cells go through the module-level run_pipeline, looked up per call.
+    """
+    config, instance, truth = args
+    truth_table = all_subset_probabilities(truth) if truth.n <= EXHAUSTIVE_LIMIT else None
+    return [
+        run_pipeline(
+            truth,
+            scheme,
+            T,
+            config,
+            _cell_seed(config.seed, instance, scheme, T),
+            instance,
+            truth_table=truth_table,
+        )
+        for scheme in config.schemes
+        for T in config.T_list
+    ]
 
 
 @dataclass
@@ -310,6 +339,10 @@ class CompareReport:
                     "T": T,
                     "runs": len(rows),
                     "failures": sum(r.failed for r in rows),
+                    "failures_by_stage": {
+                        stage: sum(r.failed_stage == stage for r in rows)
+                        for stage in FAILURE_STAGES
+                    },
                 }
                 for name in ("rmse_soft", "rand_index", "rmse_soft_restricted"):
                     vals = [getattr(r, name) for r in rows if not np.isnan(getattr(r, name))]
@@ -342,8 +375,11 @@ def compare_designs(config: ExperimentConfig) -> CompareReport:
     Ground-truth instances are generated once and shared by every scheme and
     budget; general-position violations against the slice design get flagged
     (they void the identification guarantees, so the CLI exits nonzero).
-    NESTLAB_THREADS > 1 distributes cells across processes, at most one per
-    CPU.
+    Work runs per instance: each instance builds its truth's all-subset
+    table once for its cells' rmse_soft and drops it when done, so at most
+    one table per worker is alive.  Results come back in (instance, scheme,
+    T) order.  NESTLAB_THREADS > 1 distributes instances across processes,
+    at most one per CPU.
     """
     models = _instance_models(config)
     slice_ref = slice_design(balanced_enumeration(config.n, config.b))
@@ -354,18 +390,14 @@ def compare_designs(config: ExperimentConfig) -> CompareReport:
                 f"instance {i}: nests {k_a} and {k_b} share a multiplier under {label}"
             )
 
-    cells = [
-        (models[i], scheme, T, config, _cell_seed(config.seed, i, scheme, T), i)
-        for i in range(config.instances)
-        for scheme in config.schemes
-        for T in config.T_list
-    ]
+    tasks = [(config, i, truth) for i, truth in enumerate(models)]
     threads = _worker_count()
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_cell, cells, chunksize=1))
+            per_instance = list(pool.map(_run_instance, tasks, chunksize=1))
     else:
-        results = [_run_cell(c) for c in cells]
+        per_instance = [_run_instance(task) for task in tasks]
+    results = [r for cells in per_instance for r in cells]
 
     report = CompareReport(config=config, results=results, assumption_violations=violations)
     if config.output_dir:
@@ -388,6 +420,7 @@ def write_report(report: CompareReport, output_dir: str) -> None:
                     "rand_index",
                     "rmse_soft_restricted",
                     "failed",
+                    "failed_stage",
                     "partition",
                 ]
             )
@@ -408,6 +441,7 @@ def write_report(report: CompareReport, output_dir: str) -> None:
                         f"{r.rand_index:.10g}",
                         f"{r.rmse_soft_restricted:.10g}",
                         int(r.failed),
+                        r.failed_stage or "",
                         groups,
                     ]
                 )

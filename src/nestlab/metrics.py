@@ -4,10 +4,19 @@ rmse_soft averages squared choice-probability error over every nonempty
 assortment (the restricted variant over a fixed list); rand_index scores a
 recovered partition by pairwise co-membership agreement; confidence
 intervals are Student-t over independent instances.
+
+The all-subset table behind rmse_soft is built column by column: the bool
+offer mask for the last n is cached, per-nest offered weights come from a
+doubling pass over the bitmasks, and each item column is its nest's
+per-unit-weight share times the item weight, zeroed where the item is not
+offered.  A caller
+scoring many estimates of one truth (the comparison grid) builds the
+truth's table once and passes it to rmse_soft.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -18,60 +27,101 @@ from .model import ChoiceProbabilities, NestPartition, NestedLogitModel
 EXHAUSTIVE_LIMIT = 20  # 2**n probability table; past this use the restricted form
 
 
+@functools.lru_cache(maxsize=1)
+def _subset_masks(n: int) -> np.ndarray:
+    """Read-only bool offer masks, shape (n, 2**n - 1).
+
+    Entry [t, s - 1] says whether the assortment with bitmask s offers item
+    t + 1.  Item-major, so each item's row is contiguous.
+    """
+    codes = np.arange(1, 1 << n, dtype=np.uint32)
+    masks = np.empty((n, codes.size), dtype=bool)
+    for t in range(n):
+        masks[t] = (codes >> t) & 1
+    masks.flags.writeable = False
+    return masks
+
+
 def all_subset_probabilities(model: NestedLogitModel) -> np.ndarray:
     """Choice probabilities for every nonempty assortment, vectorized.
 
     Row s - 1 (s = 1..2**n - 1) covers the assortment whose bitmask is s,
     with columns 0..n; column 0 is the outside option (all zero when the
     model has none) and column i the probability of item i, zero when not
-    offered.
+    offered.  The table is column-major, so each column is contiguous.
+
+    Per-nest offered weights W_N over all subsets are built by doubling
+    (the subsets with top bit t are those below 2**t plus item t + 1).
+    Nest values, the denominator and one per-nest factor
+    v_N / (denom * W_N) are whole-array operations; item column i is
+    factor[nest(i)] * v_i, written straight into the table, and one in-place
+    multiply by the cached bool offer mask zeroes the items not offered.
+    Entries match choice_probabilities to roundoff.
     """
     n = model.n
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_LIMIT}")
-    count = (1 << n) - 1
-    codes = np.arange(1, count + 1, dtype=np.uint32)
-    masks = ((codes[:, None] >> np.arange(n)) & 1).astype(bool)  # column t: item t+1
-    weights = np.asarray(model.weights)
-    nest_values = np.zeros((count, model.partition.num_nests))
-    within_sums = np.zeros((count, model.partition.num_nests))
-    for k, nest in enumerate(model.partition.nests):
-        cols = np.asarray(nest, dtype=np.int64) - 1
-        offered_sum = masks[:, cols] @ weights[cols]
-        within_sums[:, k] = offered_sum
-        lam = model.lambdas[k]
-        present = offered_sum > 0.0
-        if lam == 0.0:
-            nest_values[present, k] = model.degenerate_weights[k]
-        else:
-            nest_values[present, k] = np.exp(lam * np.log(offered_sum[present]))
-    denom = (1.0 if model.outside else 0.0) + nest_values.sum(axis=1)
-    probs = np.zeros((count, n + 1))
-    if model.outside:
-        probs[:, 0] = 1.0 / denom
+    masks = _subset_masks(n)
     labels = model.partition.labels()
-    for i in range(1, n + 1):
-        k = labels[i - 1]
-        offered = masks[:, i - 1]
-        probs[offered, i] = (
-            nest_values[offered, k] / denom[offered] * weights[i - 1] / within_sums[offered, k]
-        )
-    return probs
+    weights = np.asarray(model.weights)
+    sums = np.zeros((model.partition.num_nests, 1 << n))  # column s: subset s, 0 included
+    for t, k in enumerate(labels):
+        top = sums[:, 1 << t : 2 << t]
+        top[...] = sums[:, : 1 << t]
+        top[k] += weights[t]
+    within = sums[:, 1:]
+    present = within > 0.0
+    # v_N(S) = W_N(S) ** lambda_N in log space; absent nests stay 0
+    factor = np.zeros_like(within)
+    np.log(within, out=factor, where=present)
+    factor *= np.asarray(model.lambdas)[:, None]
+    np.exp(factor, out=factor, where=present)
+    for k, v in model.degenerate_weights.items():
+        factor[k] = present[k] * v
+    denom = factor.sum(axis=0)
+    if model.outside:
+        denom += 1.0
+    # per-nest factor v_N(S) / (denom(S) * W_N(S)), in place; absent nests stay 0
+    factor /= denom
+    np.divide(factor, within, out=factor, where=present)
+    del sums, within, present  # free before the table is allocated
+    probs = np.empty((n + 1, masks.shape[1]))  # transposed: one contiguous row per column
+    if model.outside:
+        np.divide(1.0, denom, out=probs[0])
+    else:
+        probs[0] = 0.0
+    for i, k in enumerate(labels, start=1):
+        np.multiply(factor[k], weights[i - 1], out=probs[i])
+    probs[1:] *= masks
+    return probs.T
 
 
-def rmse_soft(truth: NestedLogitModel, estimate: NestedLogitModel) -> float:
+def rmse_soft(
+    truth: NestedLogitModel,
+    estimate: NestedLogitModel,
+    truth_table: np.ndarray | None = None,
+) -> float:
     """Root mean squared choice-probability error over all nonempty assortments.
 
     Each assortment contributes one squared error per offered item, plus one
     for the outside option when present; the mean is over all contributions.
+    truth_table, when given, is all_subset_probabilities(truth), computed
+    once and shared by every estimate of the same truth; the result is the
+    same float either way.
     """
     if truth.n != estimate.n:
         raise ValueError("models must share the item set")
     if truth.outside != estimate.outside:
         raise ValueError("models must agree on the outside option")
     n = truth.n
-    diff = all_subset_probabilities(truth) - all_subset_probabilities(estimate)
-    total = float((diff * diff).sum())
+    if truth_table is None:
+        truth_table = all_subset_probabilities(truth)
+    diff = all_subset_probabilities(estimate)
+    if truth_table.shape != diff.shape:
+        raise ValueError(f"truth table shape {truth_table.shape}, expected {diff.shape}")
+    diff -= truth_table
+    flat = diff.ravel(order="K")  # a view, not a copy
+    total = float(np.vdot(flat, flat))
     cells = n * (1 << (n - 1))  # sum of |S| over nonempty S
     if truth.outside:
         cells += (1 << n) - 1

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from nestlab.designs import balanced_enumeration, slice_design
+from nestlab import harness
 from nestlab.harness import (
     ExperimentConfig,
     CompareReport,
     _cell_seed,
+    _instance_models,
     build_design,
     compare_designs,
     config_from_dict,
@@ -189,5 +191,85 @@ def test_worker_count_rejects_bad_nestlab_threads(monkeypatch, raw):
 
 def test_summary_reports_failures_field():
     report = compare_designs(tiny_config())
+    assert all(r.failed_stage is None for r in report.results)
     for cell in report.summary()["cells"]:
         assert cell["failures"] == 0
+        assert cell["failures_by_stage"] == {"identify": 0, "recovery": 0}
+
+
+def same_result(a, b):
+    """Bitwise field equality, NaN equal to NaN."""
+    floats = ("rmse_soft", "rand_index", "rmse_soft_restricted")
+    same_floats = all(
+        getattr(a, f) == getattr(b, f) or (np.isnan(getattr(a, f)) and np.isnan(getattr(b, f)))
+        for f in floats
+    )
+    rest = ("instance", "scheme", "T", "partition", "failed", "failed_stage", "flags")
+    return same_floats and all(getattr(a, f) == getattr(b, f) for f in rest)
+
+
+@pytest.mark.parametrize("mode", ["noisy", "exact"])
+def test_compare_designs_cells_equal_standalone_run_pipeline(mode):
+    config = tiny_config(
+        schemes=("slice", "random", "default_two_nest", "point_estimate"),
+        T_list=(7000, 40000),
+        mode=mode,
+    )
+    report = compare_designs(config)
+    truths = _instance_models(config)
+    cells = [
+        (i, scheme, T)
+        for i in range(config.instances)
+        for scheme in config.schemes
+        for T in config.T_list
+    ]
+    assert len(report.results) == len(cells)
+    for (i, scheme, T), result in zip(cells, report.results):
+        alone = run_pipeline(truths[i], scheme, T, config, _cell_seed(config.seed, i, scheme, T), i)
+        assert same_result(result, alone), (i, scheme, T)
+
+
+def test_compare_designs_calls_module_level_run_pipeline_per_cell(monkeypatch):
+    calls = []
+    original = harness.run_pipeline
+
+    def spy(truth, scheme, T, *args, **kwargs):
+        calls.append((scheme, T, kwargs.get("truth_table") is not None))
+        return original(truth, scheme, T, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_pipeline", spy)
+    config = tiny_config(T_list=(7000, 9000))
+    report = compare_designs(config)
+    expected = [(s, T, True) for _ in range(2) for s in config.schemes for T in config.T_list]
+    assert calls == expected
+    assert [(r.scheme, r.T) for r in report.results] == [(s, T) for s, T, _ in expected]
+
+
+def test_compare_designs_past_exhaustive_limit_scores_restricted_only():
+    config = tiny_config(n=21, schemes=("slice",), T_list=(60000,), instances=1)
+    (result,) = compare_designs(config).results
+    assert not result.failed
+    assert np.isnan(result.rmse_soft)
+    assert np.isfinite(result.rmse_soft_restricted)
+    assert 0.0 <= result.rand_index <= 1.0
+
+
+@pytest.mark.parametrize(
+    "target, stage", [("_identify", "identify"), ("recover_least_squares", "recovery")]
+)
+def test_failed_cells_report_their_stage(monkeypatch, tmp_path, target, stage):
+    def broken(*args, **kwargs):
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setattr(harness, target, broken)
+    config = tiny_config(schemes=("slice",), output_dir=str(tmp_path))
+    report = compare_designs(config)
+    assert all(r.failed and r.failed_stage == stage for r in report.results)
+    (cell,) = report.summary()["cells"]
+    assert cell["failures"] == 2
+    assert cell["failures_by_stage"] == {"identify": 0, "recovery": 0, stage: 2}
+    with open(tmp_path / "results_T7000.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["failed_stage"] for r in rows] == [stage, stage]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["cells"][0]["failures_by_stage"][stage] == 2

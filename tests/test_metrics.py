@@ -59,6 +59,62 @@ def test_all_subset_probabilities_order_is_bitmask():
     assert table[0b0101 - 1, 2] == 0.0
 
 
+def mixed_nest_model(outside):
+    """n = 7 with a lambda = 0 nest, a lambda = 1 nest, two singletons and a proper nest."""
+    return NestedLogitModel(
+        partition=NestPartition([(1, 4), (2, 6, 7), (3,), (5,)]),
+        weights=(2.0, 0.5, 3.0, 1.5, 0.25, 4.0, 1.0),
+        lambdas=(0.0, 1.0, 1.0, 0.35),
+        outside=outside,
+        degenerate_weights={0: 1.75},
+    )
+
+
+@pytest.mark.parametrize("outside", [True, False])
+def test_all_subset_probabilities_match_choice_probabilities(outside):
+    rng = np.random.default_rng(70)
+    models = [mixed_nest_model(outside), NestedLogitModel(
+        partition=NestPartition([(1, 2, 3)]),
+        weights=(1.0, 2.0, 3.0),
+        lambdas=(0.0,),
+        outside=outside,
+        degenerate_weights={0: 0.5},
+    )]
+    models += [generate_ground_truth(int(rng.integers(2, 8)), rng, outside=outside) for _ in range(6)]
+    for model in models:
+        n = model.n
+        table = all_subset_probabilities(model)
+        assert table.shape == (2**n - 1, n + 1)
+        for s in range(1, 2**n):
+            items = [t + 1 for t in range(n) if s >> t & 1]
+            want = np.zeros(n + 1)
+            for i, p in choice_probabilities(model, items).probs.items():
+                want[i] = p
+            np.testing.assert_allclose(table[s - 1], want, rtol=0, atol=1e-14)
+
+
+def test_rmse_soft_with_given_truth_table_is_bitwise_equal():
+    rng = np.random.default_rng(71)
+    for outside in (True, False):
+        for n in (2, 5, 9):
+            truth = generate_ground_truth(n, rng, outside=outside)
+            estimate = generate_ground_truth(n, rng, outside=outside)
+            table = all_subset_probabilities(truth)
+            before = table.copy()
+            assert rmse_soft(truth, estimate, table) == rmse_soft(truth, estimate)
+            np.testing.assert_array_equal(table, before)  # the shared table is not modified
+    truth = mixed_nest_model(True)
+    assert rmse_soft(truth, truth, all_subset_probabilities(truth)) == 0.0
+
+
+def test_rmse_soft_rejects_truth_table_of_wrong_shape():
+    rng = np.random.default_rng(72)
+    truth = generate_ground_truth(5, rng)
+    other = generate_ground_truth(4, rng)
+    with pytest.raises(ValueError, match="truth table"):
+        rmse_soft(truth, truth, all_subset_probabilities(other))
+
+
 def test_rmse_soft_matches_brute_force():
     rng = np.random.default_rng(62)
     for outside in (True, False):
