@@ -92,6 +92,8 @@ def _cmd_identify(args) -> int:
             edges, partition = identify.noisy_identify_with_outside(table, design, config)
         else:
             edges, partition = identify.noisy_identify_without_outside(table, design, config)
+    if edges.inconsistencies:
+        print(f"note: {len(edges.inconsistencies)} contradictory deductions", file=sys.stderr)
     with open(args.out_partition, "w") as fh:
         json.dump({"n": partition.n, "nests": [list(nest) for nest in partition.nests]}, fh, indent=2)
         fh.write("\n")

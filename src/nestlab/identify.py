@@ -4,13 +4,13 @@ An item's boost factor under an experiment S is its choice probability there
 divided by its control probability.  Items sharing a nest always share a
 boost factor; under general position, items of different nests can only
 share one when both nests are fully offered, in which case it equals the
-outside option's boost.  The exact algorithms turn these facts into an edge
-matrix of same-nest deductions; the noisy ones replace equality checks with
-two-proportion z-tests and hand a soft evidence matrix to community
-detection.  The tests run per experiment as array operations: one kernel
-computes the z score of every pair of offered items (outside option
-included) at once, and each experiment's deductions merge into the edge
-matrix by elementwise minimum.
+outside option's boost.  One rule engine turns these facts into an edge
+matrix of same-nest deductions, fed by either of two comparators: relative
+tolerance on exact boost factors, or a |z| cutoff on counts.  The noisy
+identifiers replace equality with two-proportion z-tests, run per experiment
+as array operations over every pair of offered items (outside option
+included), merge each experiment by elementwise minimum and hand the soft
+evidence matrix to community detection.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ class ZeroEvidenceError(ValueError):
 def normal_cdf(z: float) -> float:
     """Standard normal CDF via erfc; good to about 1e-15 everywhere."""
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def _releq(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol * max(abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -115,12 +111,20 @@ class EdgeMatrix:
     def get(self, i: int, j: int) -> float:
         return float(self.values[i - 1, j - 1])
 
-    def _set(self, i: int, j: int, value: float) -> None:
-        old = self.values[i - 1, j - 1]
-        if self.mode == "exact" and not np.isnan(old) and old != value:
-            self.inconsistencies.append((i, j, float(old), value))
-        self.values[i - 1, j - 1] = value
-        self.values[j - 1, i - 1] = value
+    def _write(self, rows: np.ndarray, cols: np.ndarray, value) -> None:
+        """Set each 0-based pair (rows[k], cols[k]), listed at most once, to value.
+
+        Pairs already holding the other definite value are recorded, in order.
+        """
+        value = np.broadcast_to(np.asarray(value, dtype=np.float64), rows.shape)
+        old = self.values[rows, cols]
+        clash = ~np.isnan(old) & (old != value)
+        self.inconsistencies.extend(zip(
+            (rows[clash] + 1).tolist(), (cols[clash] + 1).tolist(),
+            old[clash].tolist(), value[clash].tolist(),
+        ))
+        self.values[rows, cols] = value
+        self.values[cols, rows] = value
 
 
 def _shares_definite_one(values: np.ndarray) -> np.ndarray:
@@ -179,32 +183,78 @@ def _finalize_exact(edges: EdgeMatrix) -> tuple[EdgeMatrix, NestPartition]:
     return edges, _components_of_ones(edges.values)
 
 
-def _split_from_unoffered(edges: EdgeMatrix, i: int, offered: set[int]) -> None:
-    # i's nest lies inside the experiment, so i splits from every unoffered item.
-    for k in range(1, edges.n + 1):
-        if k not in offered:
-            edges._set(i, k, 0.0)
+def _split_from_unoffered(
+    edges: EdgeMatrix, offered: np.ndarray, members: np.ndarray
+) -> None:
+    # The flagged offered items have their nests inside the experiment, so
+    # each splits from every unoffered item.
+    unoffered = np.ones(edges.n, dtype=bool)
+    unoffered[offered] = False
+    rows, cols = np.nonzero(np.logical_and.outer(members, unoffered))
+    edges._write(offered[rows], cols, 0.0)
 
 
-def _resolve_low_group(edges: EdgeMatrix, group: list[int], offered: set[int]) -> None:
-    """Without an outside option, settle an experiment's minimum-boost group.
+def _deduce(n: int, comparisons, outside: bool) -> tuple[EdgeMatrix, NestPartition]:
+    """The deduction rules of exact identification, fed by either comparator.
 
-    If any two members are already split, the group holds nests fully
-    inside the experiment, which split from everything unoffered; otherwise
-    the group joins.
+    Each comparison (items, differ, boosted) covers one experiment: differ
+    is 1.0 where two offered items' boosts differ, 0.0 where they agree and
+    NaN where untested; boosted is 1.0 above the reference, 0.0 like it and
+    NaN unknown.  Distinct boosts split a pair; a shared boost joins it when
+    both items are boosted.  Unboosted items split from everything unoffered
+    at once with an outside option.  Without one they form the minimum-boost
+    group, resolved after all pair writes: split from the unoffered if two
+    members are already split, else joined.  Writes (and inconsistencies)
+    keep the order pairs, then splits, experiment by experiment.
     """
-    split = any(
-        edges.get(group[a], group[c]) == 0.0
-        for a in range(len(group))
-        for c in range(a + 1, len(group))
-    )
-    if split:
-        for i in group:
-            _split_from_unoffered(edges, i, offered)
-    else:
-        for a in range(len(group)):
-            for c in range(a + 1, len(group)):
-                edges._set(group[a], group[c], 1.0)
+    edges = EdgeMatrix(values=np.full((n, n), np.nan), mode="exact")
+    low_groups = []
+    for items, differ, boosted in comparisons:
+        offered = np.asarray(items, dtype=np.intp) - 1
+        a, c = np.triu_indices(len(offered), 1)
+        pair = differ[a, c]
+        join = (pair == 0.0) & (boosted[a] == 1.0) & (boosted[c] == 1.0)
+        write = (pair == 1.0) | join
+        edges._write(offered[a[write]], offered[c[write]], join[write].astype(np.float64))
+        unboosted = boosted == 0.0
+        if outside:
+            _split_from_unoffered(edges, offered, unboosted)
+        else:
+            low_groups.append((offered, unboosted))
+    for offered, low in low_groups:
+        group = offered[low]
+        if (edges.values[np.ix_(group, group)] == 0.0).any():
+            _split_from_unoffered(edges, offered, low)
+        else:
+            a, c = np.triu_indices(len(group), 1)
+            edges._write(group[a], group[c], 1.0)
+    return _finalize_exact(edges)
+
+
+def _boosts_differ(factors: np.ndarray, tol: float) -> np.ndarray:
+    """1.0 where two boost factors differ beyond relative tolerance tol, else 0.0."""
+    size = np.abs(factors)
+    bound = tol * np.maximum(size[:, None], size[None, :])
+    return (~(np.abs(factors[:, None] - factors[None, :]) <= bound)).astype(np.float64)
+
+
+def _exact_comparisons(table: BoostTable, tol: float):
+    """_deduce comparisons from exact boosts, equal within relative tolerance tol.
+
+    The reference is the outside option's boost or, without one, the minimum;
+    an item clearly below it (impossible on exact inputs) counts as unknown.
+    """
+    skip = int(table.outside)
+    for items, bf in zip(table.assortments, table.factors):
+        if not items:
+            continue
+        factors = np.array([bf[i] for i in ((0,) if table.outside else ()) + items])
+        differ = _boosts_differ(factors, tol)
+        ref = 0 if table.outside else int(np.argmin(factors))
+        boosted = np.where(
+            differ[:, ref] == 0.0, 0.0, np.where(factors > factors[ref], 1.0, np.nan)
+        )
+        yield items, differ[skip:, skip:], boosted[skip:]
 
 
 def exact_identify_with_outside(
@@ -220,21 +270,7 @@ def exact_identify_with_outside(
     """
     if not table.outside:
         raise ValueError("boost table has no outside option")
-    n = table.n
-    edges = EdgeMatrix(values=np.full((n, n), np.nan), mode="exact")
-    for items, bf in zip(table.assortments, table.factors):
-        base = bf[0]
-        for a, i in enumerate(items):
-            for j in items[a + 1:]:
-                if not _releq(bf[i], bf[j], tol):
-                    edges._set(i, j, 0.0)
-                elif bf[i] > base and not _releq(bf[i], base, tol):
-                    edges._set(i, j, 1.0)
-        offered = set(items)
-        for i in items:
-            if _releq(bf[i], base, tol):
-                _split_from_unoffered(edges, i, offered)
-    return _finalize_exact(edges)
+    return _deduce(table.n, _exact_comparisons(table, tol), outside=True)
 
 
 def exact_identify_without_outside(
@@ -250,26 +286,7 @@ def exact_identify_without_outside(
     """
     if table.outside:
         raise ValueError("boost table carries an outside option")
-    n = table.n
-    edges = EdgeMatrix(values=np.full((n, n), np.nan), mode="exact")
-    for items, bf in zip(table.assortments, table.factors):
-        if not items:
-            continue
-        low = min(bf[i] for i in items)
-        for a, i in enumerate(items):
-            for j in items[a + 1:]:
-                if not _releq(bf[i], bf[j], tol):
-                    edges._set(i, j, 0.0)
-                elif bf[i] > low and not _releq(bf[i], low, tol):
-                    edges._set(i, j, 1.0)
-    # Second pass: the minimum-boost group of each experiment resolves against
-    # everything deduced so far, in experiment order.
-    for items, bf in zip(table.assortments, table.factors):
-        if not items:
-            continue
-        low = min(bf[i] for i in items)
-        _resolve_low_group(edges, [i for i in items if _releq(bf[i], low, tol)], set(items))
-    return _finalize_exact(edges)
+    return _deduce(table.n, _exact_comparisons(table, tol), outside=False)
 
 
 def _support_counts(table: ChoiceCountTable, row: int, support) -> np.ndarray:
@@ -418,10 +435,11 @@ def noisy_identify_with_outside(
     """
     if config is None:
         config = TestConfig()
-    if config.z_threshold is not None:
-        return _threshold_identify(table, design, config.z_threshold, outside=True)
     if not table.outside:
         raise ValueError("count table has no outside option")
+    if config.z_threshold is not None:
+        comparisons = _threshold_comparisons(table, config.z_threshold)
+        return _deduce(table.n, comparisons, outside=True)
     n = table.n
     values = np.full((n, n), NOISY_NULL)
     for s, items in enumerate(table.assortments[1:]):
@@ -461,10 +479,11 @@ def noisy_identify_without_outside(
     """
     if config is None:
         config = TestConfig()
-    if config.z_threshold is not None:
-        return _threshold_identify(table, design, config.z_threshold, outside=False)
     if table.outside:
         raise ValueError("count table carries an outside option")
+    if config.z_threshold is not None:
+        comparisons = _threshold_comparisons(table, config.z_threshold)
+        return _deduce(table.n, comparisons, outside=False)
     n = table.n
     values = np.full((n, n), NOISY_NULL)
     for s, items in enumerate(table.assortments[1:]):
@@ -476,55 +495,32 @@ def noisy_identify_without_outside(
     return EdgeMatrix(values=values, mode="noisy"), community_detect(values)
 
 
-def _threshold_identify(
-    table: ChoiceCountTable, design: ExperimentDesign, threshold: float, outside: bool
-) -> tuple[EdgeMatrix, NestPartition]:
-    """Exact-algorithm structure with |z| <= threshold standing in for equality.
+def _threshold_comparisons(table: ChoiceCountTable, threshold: float):
+    """_deduce comparisons from counts, boosts differing where |z| > threshold.
 
-    In the large-sample regime the cutoff classifies every boost comparison
-    correctly, so the deduction rules of the exact algorithms apply verbatim.
+    In the large-sample regime the cutoff classifies every comparison
+    correctly, so the exact rules apply.  The reference is the outside
+    option or, without one, the item with the smallest empirical boost (ties
+    to the smaller id); an experiment where no item has one is skipped.
     """
-    if outside != table.outside:
-        raise ValueError("outside-option flag does not match the count table")
-    n = table.n
-    edges = EdgeMatrix(values=np.full((n, n), np.nan), mode="exact")
-    low_groups = []
+    skip = int(table.outside)
     for s, items in enumerate(table.assortments[1:]):
-        offered = set(items)
-        z = _support_z(table, s, ((0,) if outside else ()) + items)[0].tolist()  # NaN: no evidence
-        if outside:
-            # support index 0 is the outside option; item a sits at a + 1
-            boosted = [None if math.isnan(row[0]) else abs(row[0]) > threshold for row in z[1:]]
-            z = [row[1:] for row in z[1:]]
-        else:
-            # Empirical-minimum item anchors the 'no boost seen' group.
-            control, counts = table.counts[0], table.counts[s + 1]
-            ratios = {
-                i: (counts[i] / table.sizes[s + 1]) / (control[i] / table.sizes[0])
-                for i in items
-                if control[i] > 0 and table.sizes[s + 1] > 0
-            }
-            if not ratios:  # nothing observed: the experiment has no evidence
+        support = ((0,) if table.outside else ()) + items
+        xs, xc = _support_counts(table, s + 1, support), _support_counts(table, 0, support)
+        m_s, m_c = table.sizes[s + 1], table.sizes[0]
+        ref = 0
+        if not table.outside:
+            seen = xc > 0
+            if m_s == 0 or not seen.any():
                 continue
-            low = items.index(min(ratios, key=lambda i: (ratios[i], i)))
-            boosted = [None if math.isnan(row[low]) else abs(row[low]) > threshold for row in z]
-            boosted[low] = False
-            low_groups.append((offered, sorted(i for i, up in zip(items, boosted) if up is False)))
-        for a, i in enumerate(items):
-            for c in range(a + 1, len(items)):
-                if math.isnan(z[a][c]):
-                    continue
-                if abs(z[a][c]) > threshold:
-                    edges._set(i, items[c], 0.0)
-                elif boosted[a] and boosted[c]:
-                    edges._set(i, items[c], 1.0)
-        if outside:
-            for i, up in zip(items, boosted):
-                if up is False:
-                    _split_from_unoffered(edges, i, offered)
-    for offered, group in low_groups:
-        _resolve_low_group(edges, group, offered)
-    return _finalize_exact(edges)
+            ratio = np.full(len(items), np.inf)
+            ratio[seen] = (xs[seen] / m_s) / (xc[seen] / m_c)
+            ref = int(np.lexsort((items, ratio))[0])
+        z = _pairwise_z(xs, xc, m_s, m_c)[0]
+        differ = np.where(np.isnan(z), np.nan, np.abs(z) > threshold)
+        boosted = differ[:, ref].copy()
+        boosted[ref] = 0.0
+        yield items, differ[skip:, skip:], boosted[skip:]
 
 
 def boost_factors_from_counts(table: ChoiceCountTable) -> BoostTable:
@@ -564,13 +560,11 @@ def theorem_margins(model, design: ExperimentDesign, tol: float = EXACT_TOLERANC
         if not items:
             continue
         cp = choice_probabilities(model, items)
-        support = ([0] if model.outside else []) + list(items)
-        bf = {i: cp.probs[i] / control.probs[i] for i in support}
-        for a, i in enumerate(support):
-            for j in support[a + 1:]:
-                if _releq(bf[i], bf[j], tol):
-                    continue
-                share_s = cp.probs[i] / (cp.probs[i] + cp.probs[j])
-                share_c = control.probs[i] / (control.probs[i] + control.probs[j])
-                delta = min(delta, abs(share_s - share_c))
+        support = ((0,) if model.outside else ()) + tuple(items)
+        ps = np.array([cp.probs[i] for i in support])
+        pc = np.array([control.probs[i] for i in support])
+        a, c = np.nonzero(np.triu(_boosts_differ(ps / pc, tol) == 1.0, 1))
+        if a.size:
+            gaps = np.abs(ps[a] / (ps[a] + ps[c]) - pc[a] / (pc[a] + pc[c]))
+            delta = min(delta, float(gaps.min()))
     return rho, delta

@@ -131,3 +131,42 @@ def test_compare_flags_assumption_violations_with_exit_2(tmp_path, capsys, monke
 def test_unknown_subcommand_is_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+CONTRADICTORY_COUNTS = """assortment_label,item_id,count,sample_size
+control,0,200000,1000000
+control,1,200000,1000000
+control,2,200000,1000000
+control,3,200000,1000000
+control,4,200000,1000000
+A,0,200000,1000000
+A,1,300000,1000000
+A,2,300000,1000000
+A,3,200000,1000000
+B,0,200000,1000000
+B,1,240000,1000000
+B,2,360000,1000000
+B,4,200000,1000000
+"""
+
+
+@pytest.mark.parametrize("mode", ["exact", "ztheorem"])
+def test_identify_reports_contradictory_deductions(tmp_path, capsys, mode):
+    """A joins items 1 and 2 (same boost above the outside's), B splits them"""
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({
+        "n": 4, "control": [1, 2, 3, 4],
+        "experiments": [{"label": "A", "items": [1, 2, 3]}, {"label": "B", "items": [1, 2, 4]}],
+    }))
+    contradictory = tmp_path / "contradictory.csv"
+    contradictory.write_text(CONTRADICTORY_COUNTS)
+    # B with items 1 and 2 at the same boost as in A: nothing contradicts
+    clean = tmp_path / "clean.csv"
+    clean.write_text(CONTRADICTORY_COUNTS.replace("B,1,240000", "B,1,300000").replace(
+        "B,2,360000", "B,2,300000"))
+    args = ["identify", "--design", str(design), "--mode", mode, "--threshold", "3",
+            "--out-partition", str(tmp_path / "p.json")]
+    assert main([*args, "--counts", str(contradictory)]) == 0
+    assert "note: 1 contradictory deductions" in capsys.readouterr().err
+    assert main([*args, "--counts", str(clean)]) == 0
+    assert "contradictory" not in capsys.readouterr().err

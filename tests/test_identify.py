@@ -8,8 +8,10 @@ import pytest
 
 from nestlab.designs import ExperimentDesign, balanced_enumeration, naive_encoding, slice_design
 from nestlab.identify import (
+    EXACT_TOLERANCE,
     NOISY_NULL,
     BoostTable,
+    EdgeMatrix,
     TestConfig,
     ZeroEvidenceError,
     boost_factors,
@@ -25,6 +27,8 @@ from nestlab.identify import (
     theorem_sample_size,
     theorem_z_threshold,
     z_statistic,
+    _finalize_exact,
+    _support_z,
 )
 from nestlab.communities import community_detect
 from nestlab.metrics import rand_index, rmse_soft_restricted
@@ -496,3 +500,317 @@ def test_noisy_identification_matches_scalar_reference():
         checked += 1
     assert checked >= 200
     assert zero_evidence >= 50  # thin budgets exercise the no-evidence skips
+
+
+# The scalar deduction loops of exact and z-threshold identification, kept as
+# references for the rule engine.  The exact ones join a tied pair when its
+# first-listed item is boosted; the engine needs both boosted (see by_boost).
+
+
+def reference_releq(a, b, tol):
+    return abs(a - b) <= tol * max(abs(a), abs(b))
+
+
+def reference_set(edges, i, j, value):
+    """One scalar edge write, recording contradictions as the engine does."""
+    old = edges.values[i - 1, j - 1]
+    if not np.isnan(old) and old != value:
+        edges.inconsistencies.append((i, j, float(old), value))
+    edges.values[i - 1, j - 1] = value
+    edges.values[j - 1, i - 1] = value
+
+
+def reference_split_from_unoffered(edges, i, offered):
+    for k in range(1, edges.n + 1):
+        if k not in offered:
+            reference_set(edges, i, k, 0.0)
+
+
+def reference_resolve_low_group(edges, group, offered):
+    split = any(
+        edges.get(group[a], group[c]) == 0.0
+        for a in range(len(group))
+        for c in range(a + 1, len(group))
+    )
+    if split:
+        for i in group:
+            reference_split_from_unoffered(edges, i, offered)
+    else:
+        for a in range(len(group)):
+            for c in range(a + 1, len(group)):
+                reference_set(edges, group[a], group[c], 1.0)
+
+
+def reference_exact_with_outside(table, tol=EXACT_TOLERANCE):
+    """Exact identification with an outside option as scalar pair loops."""
+    n = table.n
+    edges = EdgeMatrix(values=np.full((n, n), np.nan), mode="exact")
+    for items, bf in zip(table.assortments, table.factors):
+        base = bf[0]
+        for a, i in enumerate(items):
+            for j in items[a + 1:]:
+                if not reference_releq(bf[i], bf[j], tol):
+                    reference_set(edges, i, j, 0.0)
+                elif bf[i] > base and not reference_releq(bf[i], base, tol):
+                    reference_set(edges, i, j, 1.0)
+        offered = set(items)
+        for i in items:
+            if reference_releq(bf[i], base, tol):
+                reference_split_from_unoffered(edges, i, offered)
+    return _finalize_exact(edges)
+
+
+def reference_exact_without_outside(table, tol=EXACT_TOLERANCE):
+    """Exact identification without an outside option as scalar pair loops."""
+    n = table.n
+    edges = EdgeMatrix(values=np.full((n, n), np.nan), mode="exact")
+    for items, bf in zip(table.assortments, table.factors):
+        if not items:
+            continue
+        low = min(bf[i] for i in items)
+        for a, i in enumerate(items):
+            for j in items[a + 1:]:
+                if not reference_releq(bf[i], bf[j], tol):
+                    reference_set(edges, i, j, 0.0)
+                elif bf[i] > low and not reference_releq(bf[i], low, tol):
+                    reference_set(edges, i, j, 1.0)
+    for items, bf in zip(table.assortments, table.factors):
+        if not items:
+            continue
+        low = min(bf[i] for i in items)
+        reference_resolve_low_group(
+            edges, [i for i in items if reference_releq(bf[i], low, tol)], set(items)
+        )
+    return _finalize_exact(edges)
+
+
+def reference_threshold_identify(table, threshold):
+    """z-theorem identification as scalar pair loops over the z kernel."""
+    outside = table.outside
+    n = table.n
+    edges = EdgeMatrix(values=np.full((n, n), np.nan), mode="exact")
+    low_groups = []
+    for s, items in enumerate(table.assortments[1:]):
+        offered = set(items)
+        z = _support_z(table, s, ((0,) if outside else ()) + items)[0].tolist()
+        if outside:
+            boosted = [None if math.isnan(row[0]) else abs(row[0]) > threshold for row in z[1:]]
+            z = [row[1:] for row in z[1:]]
+        else:
+            control, counts = table.counts[0], table.counts[s + 1]
+            ratios = {
+                i: (counts[i] / table.sizes[s + 1]) / (control[i] / table.sizes[0])
+                for i in items
+                if control[i] > 0 and table.sizes[s + 1] > 0
+            }
+            if not ratios:
+                continue
+            low = items.index(min(ratios, key=lambda i: (ratios[i], i)))
+            boosted = [None if math.isnan(row[low]) else abs(row[low]) > threshold for row in z]
+            boosted[low] = False
+            low_groups.append((offered, sorted(i for i, up in zip(items, boosted) if up is False)))
+        for a, i in enumerate(items):
+            for c in range(a + 1, len(items)):
+                if math.isnan(z[a][c]):
+                    continue
+                if abs(z[a][c]) > threshold:
+                    reference_set(edges, i, items[c], 0.0)
+                elif boosted[a] and boosted[c]:
+                    reference_set(edges, i, items[c], 1.0)
+        if outside:
+            for i, up in zip(items, boosted):
+                if up is False:
+                    reference_split_from_unoffered(edges, i, offered)
+    for offered, group in low_groups:
+        reference_resolve_low_group(edges, group, offered)
+    return _finalize_exact(edges)
+
+
+def assert_same_identification(got, want):
+    (edges, partition), (ref_edges, ref_partition) = got, want
+    assert np.array_equal(edges.values, ref_edges.values)
+    assert edges.inconsistencies == ref_edges.inconsistencies
+    assert partition == ref_partition
+
+
+def exact_identify(table, tol=EXACT_TOLERANCE):
+    identify = exact_identify_with_outside if table.outside else exact_identify_without_outside
+    return identify(table, None, tol)
+
+
+def reference_exact_identify(table, tol=EXACT_TOLERANCE):
+    identify = reference_exact_with_outside if table.outside else reference_exact_without_outside
+    return identify(table, tol)
+
+
+def by_boost(table, descending=False):
+    """The same boost table with each experiment's items listed by boost.
+
+    Listed by ascending boost, the old exact rule (join when the first item
+    of a tied pair is boosted) and the engine's (join when both are)
+    coincide; listed by descending boost, they differ on near ties.
+    """
+    return BoostTable(
+        n=table.n,
+        outside=table.outside,
+        labels=table.labels,
+        assortments=tuple(
+            tuple(sorted(items, key=lambda i: (bf[i], i), reverse=descending))
+            for items, bf in zip(table.assortments, table.factors)
+        ),
+        factors=table.factors,
+    )
+
+
+def test_exact_identification_matches_scalar_reference():
+    """Exact and sampled boost tables, n 4..64: same edges, contradictions and nests"""
+    rng = np.random.default_rng(78)
+    contradictions = 0
+    for n, outside, _ in itertools.product((4, 8, 16, 32, 64), (True, False), range(3)):
+        truth = generate_ground_truth(n, rng, outside=outside)
+        design = slice_design(balanced_enumeration(n, int(rng.integers(2, 4))))
+        rows = exact_count_table(truth, design)
+        table = boost_factors(rows[0], rows[1:], labels=design.labels)
+        assert_same_identification(exact_identify(table), reference_exact_identify(table))
+        # sampled boosts under a loose tolerance contradict each other often
+        alloc = [int(m) for m in rng.integers(10**3, 10**5, size=design.num_experiments + 1)]
+        sampled = by_boost(boost_factors_from_counts(sample_choices(truth, design, alloc, seed=n)))
+        for tol in (EXACT_TOLERANCE, 0.05):
+            got = exact_identify(sampled, tol)
+            assert_same_identification(got, reference_exact_identify(sampled, tol))
+            contradictions += len(got[0].inconsistencies)
+    assert contradictions > 1000
+
+
+def test_exact_contradictions_match_scalar_reference():
+    n = 4
+    table = BoostTable(
+        n=n,
+        outside=True,
+        labels=("A", "B"),
+        assortments=((1, 2, 3), (1, 2, 4)),
+        factors=(
+            {0: 1.0, 1: 1.5, 2: 1.5, 3: 1.0},
+            {0: 1.0, 1: 1.2, 2: 1.7, 4: 1.0},
+        ),
+    )
+    got = exact_identify(table)
+    assert got[0].inconsistencies == [(1, 2, 1.0, 0.0)]
+    assert_same_identification(got, reference_exact_identify(table))
+
+
+def near_tie_tables():
+    """Boost tables whose ties hold only within 2 * EXACT_TOLERANCE.
+
+    Boosts sit at a reference or a boosted level, each nudged by a few
+    multiples of 0.4 * EXACT_TOLERANCE, so equality is not transitive.
+    """
+    rng = np.random.default_rng(79)
+    step = 0.4 * EXACT_TOLERANCE
+    for outside, _ in itertools.product((True, False), range(20)):
+        n = int(rng.integers(4, 9))
+        assortments, factors = [], []
+        for _ in range(4):
+            items = rng.choice(np.arange(1, n + 1), int(rng.integers(2, n)), replace=False)
+            bf = {
+                int(i): float(rng.choice((1.0, 1.6))) * (1.0 + step * int(rng.integers(0, 5)))
+                for i in items
+            }
+            if outside:
+                bf[0] = 1.0
+            assortments.append(tuple(sorted(int(i) for i in items)))
+            factors.append(bf)
+        yield BoostTable(
+            n=n,
+            outside=outside,
+            labels=tuple(f"S{k}" for k in range(4)),
+            assortments=tuple(assortments),
+            factors=tuple(factors),
+        )
+
+
+def test_near_ties_match_scalar_reference():
+    for table in near_tie_tables():
+        table = by_boost(table)
+        assert_same_identification(exact_identify(table), reference_exact_identify(table))
+
+
+def test_near_tie_joins_need_both_items_boosted():
+    """The one input where the engine departs from the old exact rule.
+
+    Two items whose boosts agree within tolerance, one clear of the
+    reference and one within tolerance of it: the old rule joined them only
+    when the boosted item was listed first; the engine never joins them, so
+    its edges do not depend on the order of the assortment.
+    """
+    up, near = 1.0 + 1.5 * EXACT_TOLERANCE, 1.0 + 0.5 * EXACT_TOLERANCE
+    table = BoostTable(
+        n=4, outside=True, labels=("S",), assortments=((1, 2, 3),),
+        factors=({0: 1.0, 1: up, 2: near, 3: up},),
+    )
+    flipped = by_boost(table)  # lists item 2 first
+    assert reference_exact_identify(table)[0].get(1, 2) == 1.0
+    assert reference_exact_identify(flipped)[0].get(1, 2) == 0.0
+    for boosts in (table, flipped):
+        edges, partition = exact_identify(boosts)
+        assert edges.get(1, 2) == 0.0
+        assert partition == NestPartition([(1, 3), (2,), (4,)])
+    departed = 0
+    for table in near_tie_tables():
+        ascending, descending = by_boost(table), by_boost(table, descending=True)
+        got_up, got_down = exact_identify(ascending), exact_identify(descending)
+        assert np.array_equal(got_up[0].values, got_down[0].values)
+        assert got_up[1] == got_down[1]
+        departed += not np.array_equal(
+            got_down[0].values, reference_exact_identify(descending)[0].values
+        )
+    assert departed > 0
+
+
+def test_threshold_identification_matches_scalar_reference():
+    """z-theorem mode over several cutoffs, thin budgets and starved experiments"""
+    rng = np.random.default_rng(80)
+    identify = {True: noisy_identify_with_outside, False: noisy_identify_without_outside}
+    starved = 0
+    for n, outside, cap in itertools.product((6, 16, 48), (True, False), (30, 3000, 10**6)):
+        truth = generate_ground_truth(n, rng, outside=outside)
+        design = slice_design(balanced_enumeration(n, 2))
+        alloc = [int(m) for m in rng.integers(0, cap, size=design.num_experiments + 1)]
+        alloc[0] = max(alloc[0], 1)
+        alloc[1 + int(rng.integers(design.num_experiments))] = 0
+        table = sample_choices(truth, design, alloc, seed=int(rng.integers(2**31)))
+        starved += alloc.count(0)
+        for tau in (0.5, 2.0, 5.0, 40.0):
+            got = identify[outside](table, design, TestConfig(z_threshold=tau))
+            assert_same_identification(got, reference_threshold_identify(table, tau))
+    assert starved >= 18
+
+
+def reference_theorem_margins(model, design, tol=EXACT_TOLERANCE):
+    control = choice_probabilities(model, design.control)
+    rho = min(control.probs.values())
+    delta = 1.0
+    for items in design.experiments:
+        if not items:
+            continue
+        cp = choice_probabilities(model, items)
+        support = ([0] if model.outside else []) + list(items)
+        bf = {i: cp.probs[i] / control.probs[i] for i in support}
+        for a, i in enumerate(support):
+            for j in support[a + 1:]:
+                if reference_releq(bf[i], bf[j], tol):
+                    continue
+                share_s = cp.probs[i] / (cp.probs[i] + cp.probs[j])
+                share_c = control.probs[i] / (control.probs[i] + control.probs[j])
+                delta = min(delta, abs(share_s - share_c))
+    return rho, delta
+
+
+def test_theorem_margins_match_scalar_reference():
+    """Bitwise on the criterion-05 truths, the fixed-cutoff truth and no-outside truths"""
+    design = slice_design(balanced_enumeration(8, 2))
+    truths = [generate_ground_truth(8, np.random.default_rng(seed)) for seed in range(10)]
+    truths.append(generate_ground_truth(8, np.random.default_rng(42)))
+    truths += [generate_ground_truth(8, np.random.default_rng(s), outside=False) for s in range(3)]
+    for truth in truths:
+        assert theorem_margins(truth, design) == reference_theorem_margins(truth, design)
