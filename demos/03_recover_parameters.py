@@ -17,7 +17,7 @@ design = slice_design(encoding)
 
 # From exact probabilities the log-linear systems solve to machine precision.
 rows = exact_count_table(truth, design)
-fitted = recover_all(rows, truth.partition, design, encoding)
+fitted = recover_all(rows, truth.partition, design)
 print(f"round trip from exact probabilities: rmse_soft {rmse_soft(truth, fitted):.2e}")
 
 # Only the identifiable reparameterization can be compared coordinate-wise;

@@ -37,7 +37,6 @@ from .harness import (
     ExperimentConfig,
     compare_designs,
     default_two_nest_partition,
-    point_estimate_baseline,
     run_pipeline,
 )
 from .metrics import (
@@ -59,7 +58,6 @@ from .model import (
     save_model,
 )
 from .recovery import (
-    find_assortment_pair,
     recover_all,
     recover_least_squares,
     solve_nest_params,

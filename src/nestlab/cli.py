@@ -68,23 +68,37 @@ def _write_edges(edges, path: str) -> None:
             writer.writerow([i, *(f"{edges.get(i, j):.10g}" for j in range(1, n + 1))])
 
 
+IDENTIFY_ALPHA = 0.05
+IDENTIFY_DELTA = 0.1
+
+
+def _reject_ignored_flags(parser: argparse.ArgumentParser, args) -> None:
+    # These flags default to None, so a flag that is set was given.
+    ignored = ("threshold", "alpha", "beta", "delta") if args.mode == "exact" else ("tol",)
+    for name in ignored:
+        if getattr(args, name) is not None:
+            parser.error(f"identify: --{name} has no effect in {args.mode} mode")
+
+
 def _cmd_identify(args) -> int:
     design = designs.load_design(args.design)
     table = sampling.load_counts(args.counts, design.n)
     if args.mode == "exact":
+        tol = identify.EXACT_TOLERANCE if args.tol is None else args.tol
         bf = identify.boost_factors_from_counts(table)
         if table.outside:
-            edges, partition = identify.exact_identify_with_outside(bf, design, tol=args.tol)
+            edges, partition = identify.exact_identify_with_outside(bf, design, tol=tol)
         else:
-            edges, partition = identify.exact_identify_without_outside(bf, design, tol=args.tol)
+            edges, partition = identify.exact_identify_without_outside(bf, design, tol=tol)
     else:
         threshold = args.threshold
         if args.mode == "ztheorem" and threshold is None:
             pairs = identify.theorem_pair_count(design.n, design.num_experiments)
-            threshold = identify.theorem_z_threshold(pairs, args.delta)
+            delta = IDENTIFY_DELTA if args.delta is None else args.delta
+            threshold = identify.theorem_z_threshold(pairs, delta)
             print(f"z threshold {threshold:.4f} (K = {pairs})", file=sys.stderr)
         config = identify.TestConfig(
-            alpha=args.alpha,
+            alpha=IDENTIFY_ALPHA if args.alpha is None else args.alpha,
             beta=args.beta,
             z_threshold=threshold if args.mode == "ztheorem" else None,
         )
@@ -137,10 +151,9 @@ def _cmd_evaluate(args) -> int:
         report["rmse_soft"] = metrics.rmse_soft(truth, estimate)
     if args.design:
         design = designs.load_design(args.design)
-        assortments = (design.control, *design.experiments)
-        true_probs = [model.choice_probabilities(truth, a) for a in assortments]
-        est_probs = [model.choice_probabilities(estimate, a) for a in assortments]
-        report["rmse_soft_restricted"] = metrics.rmse_soft_restricted(true_probs, est_probs)
+        report["rmse_soft_restricted"] = metrics.rmse_soft_restricted(
+            sampling.exact_count_table(truth, design), sampling.exact_count_table(estimate, design)
+        )
     print(json.dumps(report, indent=2))
     return 0
 
@@ -194,11 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", required=True)
     p.add_argument("--design", required=True)
     p.add_argument("--mode", choices=["exact", "noisy", "ztheorem"], default="noisy")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--tol", type=float, default=identify.EXACT_TOLERANCE)
+    p.add_argument("--alpha", type=float, default=None, help=f"default {IDENTIFY_ALPHA}")
+    p.add_argument("--beta", type=float, default=None, help="default 1 - alpha")
+    p.add_argument("--tol", type=float, default=None, help="exact mode; relative tolerance")
     p.add_argument("--threshold", type=float, default=None, help="explicit |z| cutoff")
-    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--delta", type=float, default=None, help=f"ztheorem mode; default {IDENTIFY_DELTA}")
     p.add_argument("--out-partition", default="partition.json")
     p.add_argument("--out-edges", default=None)
     p.set_defaults(func=_cmd_identify)
@@ -226,7 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "identify":
+        _reject_ignored_flags(parser, args)
     return args.func(args)
 
 

@@ -49,7 +49,6 @@ from .metrics import (
     rmse_soft_restricted,
 )
 from .model import (
-    ChoiceProbabilities,
     NestPartition,
     NestedLogitModel,
     check_general_position,
@@ -57,7 +56,6 @@ from .model import (
 )
 from .recovery import recover_all, recover_least_squares
 from .sampling import (
-    ChoiceCountTable,
     allocate_customers,
     empirical_probabilities,
     exact_count_table,
@@ -138,25 +136,6 @@ def default_two_nest_partition(n: int) -> NestPartition:
     return NestPartition([tuple(range(1, half + 1)), tuple(range(half + 1, n + 1))])
 
 
-class PointEstimatePredictor:
-    """Empirical choice frequencies; only answers for observed assortments."""
-
-    def __init__(self, table: ChoiceCountTable):
-        probs = empirical_probabilities(table)
-        self._by_assortment = {cp.assortment: cp for cp in probs}
-
-    def probabilities(self, assortment) -> ChoiceProbabilities:
-        key = tuple(sorted(set(int(i) for i in assortment)))
-        try:
-            return self._by_assortment[key]
-        except KeyError:
-            raise ValueError(f"assortment {key} was never offered") from None
-
-
-def point_estimate_baseline(table: ChoiceCountTable) -> PointEstimatePredictor:
-    return PointEstimatePredictor(table)
-
-
 @dataclass
 class PipelineResult:
     instance: int
@@ -192,10 +171,9 @@ def build_design(
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _identify(table, design, config: ExperimentConfig, truth: NestedLogitModel):
+def _identify(table, design, config: ExperimentConfig, truth: NestedLogitModel, true_probs):
     if config.mode == "exact":
-        probs = exact_count_table(truth, design)
-        bf = boost_factors(probs[0], probs[1:], labels=design.labels)
+        bf = boost_factors(true_probs[0], true_probs[1:], labels=design.labels)
         if truth.outside:
             return exact_identify_with_outside(bf, design)[1]
         return exact_identify_without_outside(bf, design)[1]
@@ -230,9 +208,7 @@ def run_pipeline(
     flags: list[str] = []
 
     if scheme == "point_estimate":
-        predictor = point_estimate_baseline(table)
-        est_probs = [predictor.probabilities(items) for items in (design.control, *design.experiments)]
-        restricted = rmse_soft_restricted(true_probs, est_probs)
+        restricted = rmse_soft_restricted(true_probs, empirical_probabilities(table))
         return PipelineResult(
             instance=instance,
             scheme=scheme,
@@ -248,7 +224,7 @@ def run_pipeline(
         if scheme == "default_two_nest":
             partition = default_two_nest_partition(n)
         else:
-            partition = _identify(table, design, config, truth)
+            partition = _identify(table, design, config, truth, true_probs)
         stage = "recovery"
         if config.mode == "exact":
             estimate = recover_all(true_probs, partition, design)

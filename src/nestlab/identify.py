@@ -33,11 +33,6 @@ class ZeroEvidenceError(ValueError):
     """Raised when a z-test's pooled counts vanish on either assortment."""
 
 
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF via erfc; good to about 1e-15 everywhere."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
 @dataclass(frozen=True)
 class BoostTable:
     """Boost factors for each experiment, key 0 being the outside option."""
@@ -101,7 +96,6 @@ class EdgeMatrix:
     """
 
     values: np.ndarray
-    mode: str
     inconsistencies: list[tuple[int, int, float, float]] = field(default_factory=list)
 
     @property
@@ -207,7 +201,7 @@ def _deduce(n: int, comparisons, outside: bool) -> tuple[EdgeMatrix, NestPartiti
     members are already split, else joined.  Writes (and inconsistencies)
     keep the order pairs, then splits, experiment by experiment.
     """
-    edges = EdgeMatrix(values=np.full((n, n), np.nan), mode="exact")
+    edges = EdgeMatrix(values=np.full((n, n), np.nan))
     low_groups = []
     for items, differ, boosted in comparisons:
         offered = np.asarray(items, dtype=np.intp) - 1
@@ -465,7 +459,7 @@ def noisy_identify_with_outside(
     _one_hop_transitivity_noisy(values)
     values[values == NOISY_NULL] = 0.0
     np.fill_diagonal(values, 0.0)
-    return EdgeMatrix(values=values, mode="noisy"), community_detect(values)
+    return EdgeMatrix(values=values), community_detect(values)
 
 
 def noisy_identify_without_outside(
@@ -492,7 +486,7 @@ def noisy_identify_without_outside(
         _merge_min(values, offered[a], offered[b], np.where(p_eq <= config.alpha, 0.0, p_eq))
     values[values == NOISY_NULL] = 0.0
     np.fill_diagonal(values, 0.0)
-    return EdgeMatrix(values=values, mode="noisy"), community_detect(values)
+    return EdgeMatrix(values=values), community_detect(values)
 
 
 def _threshold_comparisons(table: ChoiceCountTable, threshold: float):

@@ -9,8 +9,12 @@ scale is normalized to 1): for any assortment T,
 
 with A_T, B_T the log within-nest weight sums over the offered members and
 s_N = lambda_N * log(c_N) (or log v_N for a degenerate nest).  Exact inputs
-need as many well-chosen assortments as unknowns; noisy inputs use every
-usable assortment in one least-squares fit.
+solve the control row plus one experiment per free lambda.  On any design,
+those experiments are the ones whose system has the largest |determinant|.
+Relative to the control row it is a 2x2 minor (or one entry) of the log
+fractions of each nest's weight that each experiment offers, so nonzero
+means solvable.  Noisy inputs use every usable assortment in one
+least-squares fit.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .designs import BaseBEncoding, ExperimentDesign
+from .designs import ExperimentDesign
 from .model import (
     LAMBDA_ROUNDOFF,
     ChoiceProbabilities,
@@ -65,129 +69,6 @@ def within_nest_weights(
         for i in nest:
             weights[i] = control.probs[i] / base
     return weights
-
-
-def _nonconstant_positions(encoding: BaseBEncoding, items: tuple[int, ...]) -> set[int]:
-    rows = encoding.digits[np.asarray(items, dtype=np.int64) - 1]
-    return {
-        pos + 1
-        for pos in range(encoding.length)
-        if np.unique(rows[:, pos]).size > 1
-    }
-
-
-def _slice_index(design: ExperimentDesign, encoding: BaseBEncoding, pos: int, digit: int) -> int:
-    idx = (pos - 1) * encoding.b + digit
-    if design.labels[idx] != f"S({pos},-{digit})":
-        raise ValueError("design experiments are not in slice order")
-    return idx
-
-
-def find_assortment_pair(
-    design: ExperimentDesign,
-    nest_a: tuple[int, ...],
-    nest_b: tuple[int, ...],
-    encoding: BaseBEncoding,
-) -> tuple[int, int]:
-    """Two experiment indices that jointly pin down both nests' parameters.
-
-    Both nests need at least two items.  The returned slices each intersect
-    both nests, differ in how they cut them, and leave at least one nest
-    partially offered, which is what the three-row solve needs.  Only works
-    for designs generated from the given encoding's slices.
-    """
-    if design.scheme != "slice" or design.b != encoding.b or design.n != encoding.n:
-        raise ValueError("assortment pair construction needs a slice design")
-    nest_a = tuple(sorted(nest_a))
-    nest_b = tuple(sorted(nest_b))
-    if len(nest_a) < 2 or len(nest_b) < 2:
-        raise ValueError("both nests need at least two items")
-    split_a = _nonconstant_positions(encoding, nest_a)
-    split_b = _nonconstant_positions(encoding, nest_b)
-    common = split_a & split_b
-    if common:
-        pos = min(common)
-        i = nest_a[0]
-        i2 = min(x for x in nest_a if encoding.sigma_digit(x, pos) != encoding.sigma_digit(i, pos))
-        j = nest_b[0]
-        if encoding.sigma_digit(i, pos) == encoding.sigma_digit(j, pos):
-            first = _slice_index(design, encoding, pos, encoding.sigma_digit(i, pos))
-            second = _slice_index(design, encoding, pos, encoding.sigma_digit(i2, pos))
-        else:
-            first = _slice_index(design, encoding, pos, encoding.sigma_digit(i, pos))
-            second = _slice_index(design, encoding, pos, encoding.sigma_digit(j, pos))
-        return first, second
-    # No shared splitting position: cut each nest where the other is constant.
-    pos_a = min(split_a)
-    i = nest_a[0]
-    i2 = min(x for x in nest_a if encoding.sigma_digit(x, pos_a) != encoding.sigma_digit(i, pos_a))
-    other_digit = encoding.sigma_digit(nest_b[0], pos_a)
-    cut = i if encoding.sigma_digit(i, pos_a) != other_digit else i2
-    first = _slice_index(design, encoding, pos_a, encoding.sigma_digit(cut, pos_a))
-    pos_b = min(split_b)
-    j = nest_b[0]
-    j2 = min(x for x in nest_b if encoding.sigma_digit(x, pos_b) != encoding.sigma_digit(j, pos_b))
-    other_digit = encoding.sigma_digit(nest_a[0], pos_b)
-    cut = j if encoding.sigma_digit(j, pos_b) != other_digit else j2
-    second = _slice_index(design, encoding, pos_b, encoding.sigma_digit(cut, pos_b))
-    return first, second
-
-
-def _pair_is_usable(
-    anchor: tuple[int, ...],
-    target: tuple[int, ...],
-    s_items: tuple[int, ...],
-    sp_items: tuple[int, ...],
-) -> bool:
-    s, sp = set(s_items), set(sp_items)
-    cuts = (
-        tuple(sorted(set(anchor) & s)),
-        tuple(sorted(set(target) & s)),
-        tuple(sorted(set(anchor) & sp)),
-        tuple(sorted(set(target) & sp)),
-    )
-    if any(len(c) == 0 for c in cuts):
-        return False
-    if (cuts[0], cuts[1]) == (cuts[2], cuts[3]):
-        return False
-    if (cuts[2], cuts[3]) == (anchor, target):
-        return False
-    return True
-
-
-def _search_assortment_pair(
-    design: ExperimentDesign, anchor: tuple[int, ...], target: tuple[int, ...]
-) -> list[tuple[int, int]]:
-    pairs = []
-    for a in range(design.num_experiments):
-        for c in range(design.num_experiments):
-            if a == c:
-                continue
-            if _pair_is_usable(anchor, target, design.experiments[a], design.experiments[c]):
-                pairs.append((a, c))
-    return pairs
-
-
-def intersection_log_determinant(
-    weights: dict[int, float],
-    anchor: tuple[int, ...],
-    target: tuple[int, ...],
-    s_items: tuple[int, ...],
-    sp_items: tuple[int, ...],
-) -> float:
-    """2x2 determinant of log offered-weight fractions; nonzero means solvable.
-
-    Equals the determinant of the three-row recovery system, so it is the
-    operative nondegeneracy condition.
-    """
-    def frac(nest, items):
-        inside = sum(weights[i] for i in nest if i in set(items))
-        total = sum(weights[i] for i in nest)
-        return math.log(inside / total)
-
-    return frac(anchor, s_items) * frac(target, sp_items) - frac(anchor, sp_items) * frac(
-        target, s_items
-    )
 
 
 @dataclass
@@ -285,6 +166,26 @@ def _log_weight_sum(weights: dict[int, float], nest: tuple[int, ...], items: set
     return math.log(total) if total > 0.0 else math.nan
 
 
+def _log_fractions(
+    weights: dict[int, float], nests: tuple[tuple[int, ...], ...], design: ExperimentDesign
+) -> np.ndarray:
+    """F[k, e]: log of the share of nest k's weight that experiment e offers.
+
+    -inf where e offers no member of nest k, exactly 0 where it offers all.
+    Relative to the control row, each nest's recovery determinant is a 2x2
+    minor or a single entry of F.
+    """
+    offered = design.membership_matrix()
+    fractions = np.empty((len(nests), design.num_experiments))
+    for k, nest in enumerate(nests):
+        inside = offered[:, np.asarray(nest) - 1]
+        w = np.array([weights[i] for i in nest])
+        with np.errstate(divide="ignore"):
+            fractions[k] = np.log(inside @ w / w.sum())
+        fractions[k, inside.all(axis=1)] = 0.0
+    return fractions
+
+
 def _row(
     cp: ChoiceProbabilities,
     weights: dict[int, float],
@@ -324,14 +225,15 @@ def recover_all(
     probs: list[ChoiceProbabilities],
     partition: NestPartition,
     design: ExperimentDesign,
-    encoding: BaseBEncoding | None = None,
 ) -> NestedLogitModel:
     """Recover every nest's parameters from exact probabilities.
 
     probs lists the control distribution first, then one per experiment in
     design order.  With an outside option each nest solves independently
     against it; without one, the first nest anchors the scale and all
-    independent estimates of its lambda must agree to 1e-8.
+    independent estimates of its lambda must agree to 1e-8.  Each nest's
+    system uses the control plus the experiments that maximize its |det|,
+    read off the log offered-weight fractions, on any design.
     """
     if len(probs) != design.num_experiments + 1:
         raise ValueError("need control plus one probability row per experiment")
@@ -356,18 +258,6 @@ def recover_all(
             out.append(row)
         return out
 
-    def partial_experiments(target: tuple[int, ...], require: tuple[int, ...] | None):
-        found = []
-        target_set = set(target)
-        for idx, items in enumerate(design.experiments):
-            inside = target_set & set(items)
-            if not inside or inside == target_set:
-                continue
-            if require is not None and not (set(require) & set(items)):
-                continue
-            found.append(idx)
-        return found
-
     solutions: dict[int, NestSolution] = {}
     anchor_idx: int | None = None
     anchor_items: tuple[int, ...] | None = None
@@ -376,37 +266,36 @@ def recover_all(
         anchor_items = nests[0]
     anchor_free = anchor_items is not None and len(anchor_items) > 1
     anchor_estimates: list[float] = []
+    fractions = _log_fractions(weights, nests, design)
+    offers_anchor = np.ones(design.num_experiments, dtype=bool)
+    if anchor_idx is not None:
+        offers_anchor = np.isfinite(fractions[anchor_idx])
 
     for k, nest in enumerate(nests):
         if k == anchor_idx:
             continue
         target_free = len(nest) > 1
-        if not target_free:
-            if not anchor_free:
-                chosen: list[int] = [-1]
-            else:
-                partial = partial_experiments(anchor_items, nest)
-                if not partial:
-                    raise RecoveryError(
-                        f"no experiment splits the anchor while offering nest {k}"
-                    )
-                chosen = [-1, partial[0]]
-        elif not anchor_free:
-            partial = partial_experiments(nest, anchor_items)
-            if not partial:
-                raise RecoveryError(f"no experiment splits nest {k}")
-            chosen = [-1, partial[0]]
+        # Experiments offering both sides; each case keeps the one(s) that
+        # maximize |det| of its own system, ties to the first in design order.
+        both = np.flatnonzero(offers_anchor & np.isfinite(fractions[k]))
+        if anchor_free and target_free:
+            if both.size < 2:
+                raise RecoveryError(
+                    f"no experiment pair jointly splits the anchor and nest {k}"
+                )
+            cross = np.outer(fractions[anchor_idx, both], fractions[k, both])
+            s, s2 = np.unravel_index(np.argmax(np.abs(cross - cross.T)), cross.shape)
+            chosen = [-1, int(both[s]), int(both[s2])]
+        elif anchor_free or target_free:
+            if both.size == 0:
+                raise RecoveryError(
+                    f"no experiment splits the anchor while offering nest {k}"
+                    if anchor_free else f"no experiment splits nest {k}"
+                )
+            free = anchor_idx if anchor_free else k
+            chosen = [-1, int(both[np.argmax(np.abs(fractions[free, both]))])]
         else:
-            if encoding is not None and design.scheme == "slice":
-                pair = find_assortment_pair(design, anchor_items, nest, encoding)
-                chosen = [-1, pair[0], pair[1]]
-            else:
-                candidates = _search_assortment_pair(design, anchor_items, nest)
-                if not candidates:
-                    raise RecoveryError(
-                        f"no experiment pair jointly splits the anchor and nest {k}"
-                    )
-                chosen = [-1, *candidates[0]]
+            chosen = [-1]
         sol = solve_nest_params(
             rows_for(k, chosen, anchor_items),
             anchor_free=anchor_free,

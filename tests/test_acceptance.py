@@ -72,7 +72,7 @@ def test_criterion_02_without_outside_choice_function_matches():
         rows = exact_count_table(truth, design)
         table = boost_factors(rows[0], rows[1:], labels=design.labels)
         _, partition = exact_identify_without_outside(table, design)
-        fitted = recover_all(rows, partition, design, encoding)
+        fitted = recover_all(rows, partition, design)
         est = exact_count_table(fitted, design)
         for want, got in zip(rows, est):
             for item in want.probs:
@@ -221,7 +221,7 @@ def test_criterion_07_exact_recovery_round_trip():
         if check_general_position(truth, design):
             continue  # coincidental multiplier tie; draw another instance
         rows = exact_count_table(truth, design)
-        fitted = recover_all(rows, truth.partition, design, encoding)
+        fitted = recover_all(rows, truth.partition, design)
         diff = all_subset_probabilities(truth) - all_subset_probabilities(fitted)
         assert np.max(np.abs(diff)) <= 1e-8, n
         done += 1

@@ -150,23 +150,45 @@ B,4,200000,1000000
 """
 
 
+def write_two_experiment_design(path):
+    path.write_text(json.dumps({
+        "n": 4, "control": [1, 2, 3, 4],
+        "experiments": [{"label": "A", "items": [1, 2, 3]}, {"label": "B", "items": [1, 2, 4]}],
+    }))
+
+
 @pytest.mark.parametrize("mode", ["exact", "ztheorem"])
 def test_identify_reports_contradictory_deductions(tmp_path, capsys, mode):
     """A joins items 1 and 2 (same boost above the outside's), B splits them"""
     design = tmp_path / "design.json"
-    design.write_text(json.dumps({
-        "n": 4, "control": [1, 2, 3, 4],
-        "experiments": [{"label": "A", "items": [1, 2, 3]}, {"label": "B", "items": [1, 2, 4]}],
-    }))
+    write_two_experiment_design(design)
     contradictory = tmp_path / "contradictory.csv"
     contradictory.write_text(CONTRADICTORY_COUNTS)
     # B with items 1 and 2 at the same boost as in A: nothing contradicts
     clean = tmp_path / "clean.csv"
     clean.write_text(CONTRADICTORY_COUNTS.replace("B,1,240000", "B,1,300000").replace(
         "B,2,360000", "B,2,300000"))
-    args = ["identify", "--design", str(design), "--mode", mode, "--threshold", "3",
+    args = ["identify", "--design", str(design), "--mode", mode,
+            *(["--threshold", "3"] if mode == "ztheorem" else []),
             "--out-partition", str(tmp_path / "p.json")]
     assert main([*args, "--counts", str(contradictory)]) == 0
     assert "note: 1 contradictory deductions" in capsys.readouterr().err
     assert main([*args, "--counts", str(clean)]) == 0
     assert "contradictory" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, flag", [
+    ("exact", "--threshold"), ("exact", "--alpha"), ("exact", "--beta"), ("exact", "--delta"),
+    ("noisy", "--tol"), ("ztheorem", "--tol"),
+])
+def test_identify_rejects_flags_its_mode_ignores(tmp_path, capsys, mode, flag):
+    design = tmp_path / "design.json"
+    write_two_experiment_design(design)
+    counts = tmp_path / "counts.csv"
+    counts.write_text(CONTRADICTORY_COUNTS)
+    with pytest.raises(SystemExit) as exc:
+        main(["identify", "--design", str(design), "--counts", str(counts), "--mode", mode,
+              flag, "0.5", "--out-partition", str(tmp_path / "p.json")])
+    assert exc.value.code == 2
+    assert f"{flag} has no effect in {mode} mode" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()

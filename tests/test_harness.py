@@ -19,12 +19,17 @@ from nestlab.harness import (
     config_from_dict,
     default_two_nest_partition,
     load_config,
-    point_estimate_baseline,
     run_pipeline,
     _worker_count,
 )
+from nestlab.metrics import rmse_soft_restricted
 from nestlab.model import NestPartition, generate_ground_truth
-from nestlab.sampling import allocate_customers, sample_choices
+from nestlab.sampling import (
+    allocate_customers,
+    empirical_probabilities,
+    exact_count_table,
+    sample_choices,
+)
 
 
 def tiny_config(**over):
@@ -92,15 +97,17 @@ def test_build_design_schemes():
     assert [len(s) for s in inc.experiments] == list(range(1, 9))
 
 
-def test_point_estimate_baseline_replays_frequencies():
-    model = generate_ground_truth(6, np.random.default_rng(7))
-    design = slice_design(balanced_enumeration(6, 2))
-    table = sample_choices(model, design, allocate_customers(700, 7), seed=1)
-    predictor = point_estimate_baseline(table)
-    cp = predictor.probabilities(design.control)
-    assert cp.prob(1) == table.counts[0][1] / table.sizes[0]
-    with pytest.raises(ValueError):
-        predictor.probabilities((1, 2))  # never offered
+@pytest.mark.parametrize("n, b", [(6, 2), (2, 3)])
+def test_point_estimate_scores_empirical_frequencies(n, b):
+    """Row for row, control included, even where an experiment repeats the control"""
+    config = tiny_config(n=n, b=b, schemes=("slice", "point_estimate"))
+    truth = generate_ground_truth(n, np.random.default_rng(7))
+    result = run_pipeline(truth, "point_estimate", 700, config, seed=1)
+    design = slice_design(balanced_enumeration(n, b))
+    table = sample_choices(truth, design, allocate_customers(700, design.num_experiments + 1), seed=1)
+    assert result.rmse_soft_restricted == rmse_soft_restricted(
+        exact_count_table(truth, design), empirical_probabilities(table)
+    )
 
 
 def test_run_pipeline_exact_mode_is_perfect():

@@ -168,7 +168,7 @@ def test_exact_identification_without_outside_preserves_choice():
         table = boost_factors(rows[0], rows[1:], labels=design.labels)
         _, partition = exact_identify_without_outside(table, design)
         merged += partition != model.partition
-        recovered = recover_all(rows, partition, design, balanced_enumeration(n, 2))
+        recovered = recover_all(rows, partition, design)
         est = exact_count_table(recovered, design)
         assert rmse_soft_restricted(rows, est) < 1e-9
     # the ambiguity is real: some suites do merge singleton nests
@@ -544,7 +544,7 @@ def reference_resolve_low_group(edges, group, offered):
 def reference_exact_with_outside(table, tol=EXACT_TOLERANCE):
     """Exact identification with an outside option as scalar pair loops."""
     n = table.n
-    edges = EdgeMatrix(values=np.full((n, n), np.nan), mode="exact")
+    edges = EdgeMatrix(values=np.full((n, n), np.nan))
     for items, bf in zip(table.assortments, table.factors):
         base = bf[0]
         for a, i in enumerate(items):
@@ -563,7 +563,7 @@ def reference_exact_with_outside(table, tol=EXACT_TOLERANCE):
 def reference_exact_without_outside(table, tol=EXACT_TOLERANCE):
     """Exact identification without an outside option as scalar pair loops."""
     n = table.n
-    edges = EdgeMatrix(values=np.full((n, n), np.nan), mode="exact")
+    edges = EdgeMatrix(values=np.full((n, n), np.nan))
     for items, bf in zip(table.assortments, table.factors):
         if not items:
             continue
@@ -588,7 +588,7 @@ def reference_threshold_identify(table, threshold):
     """z-theorem identification as scalar pair loops over the z kernel."""
     outside = table.outside
     n = table.n
-    edges = EdgeMatrix(values=np.full((n, n), np.nan), mode="exact")
+    edges = EdgeMatrix(values=np.full((n, n), np.nan))
     low_groups = []
     for s, items in enumerate(table.assortments[1:]):
         offered = set(items)

@@ -1,11 +1,20 @@
 """Tests for parameter recovery from choice probabilities and counts."""
 
+import contextlib
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from nestlab.designs import balanced_enumeration, slice_design
+from nestlab import recovery
+from nestlab.designs import (
+    balanced_enumeration,
+    code_length,
+    leave_one_out_design,
+    randomized_design,
+    slice_design,
+)
 from nestlab.metrics import rmse_soft
 from nestlab.model import (
     NestPartition,
@@ -17,8 +26,6 @@ from nestlab.model import (
 from nestlab.recovery import (
     RecoveryError,
     SingularSystemError,
-    find_assortment_pair,
-    intersection_log_determinant,
     recover_all,
     recover_least_squares,
     within_nest_weights,
@@ -52,7 +59,7 @@ def test_round_trip_exact_probabilities():
             enc = balanced_enumeration(n, 2)
             design = slice_design(enc)
             rows = exact_count_table(model, design)
-            recovered = recover_all(rows, model.partition, design, enc)
+            recovered = recover_all(rows, model.partition, design)
             assert rmse_soft(model, recovered) < 1e-10, (n, outside)
 
 
@@ -62,7 +69,7 @@ def test_round_trip_recovers_parameters_up_to_normalization():
     enc = balanced_enumeration(9, 2)
     design = slice_design(enc)
     rows = exact_count_table(model, design)
-    recovered = recover_all(rows, model.partition, design, enc)
+    recovered = recover_all(rows, model.partition, design)
     norm = normalize_identifiable(model)
     assert recovered.partition == norm.partition
     for i in range(1, 10):
@@ -83,7 +90,7 @@ def test_degenerate_nest_round_trip():
     enc = balanced_enumeration(6, 2)
     design = slice_design(enc)
     rows = exact_count_table(model, design)
-    recovered = recover_all(rows, model.partition, design, enc)
+    recovered = recover_all(rows, model.partition, design)
     k = recovered.partition.nest_of(1)
     assert recovered.lambdas[k] == 0.0
     assert recovered.degenerate_weights[k] == pytest.approx(3.7, rel=1e-7)
@@ -101,58 +108,129 @@ def test_single_nest_without_outside_falls_back_to_flat_weights():
     enc = balanced_enumeration(3, 2)
     design = slice_design(enc)
     rows = exact_count_table(model, design)
-    recovered = recover_all(rows, NestPartition([(1, 2, 3)]), design, enc)
+    recovered = recover_all(rows, NestPartition([(1, 2, 3)]), design)
     got = choice_probabilities(recovered, (1, 2, 3))
     want = choice_probabilities(model, (1, 2, 3))
     for i in (1, 2, 3):
         assert got.prob(i) == pytest.approx(want.prob(i), abs=1e-12)
 
 
-def test_find_assortment_pair_cuts_both_nests_distinctly():
-    rng = np.random.default_rng(52)
-    for _ in range(30):
-        n = int(rng.integers(4, 20))
-        model = generate_ground_truth(n, rng)
-        multi = [
-            idx
-            for idx, nest in enumerate(model.partition.nests)
-            if len(nest) >= 2
-        ]
-        if len(multi) < 2:
-            continue
-        enc = balanced_enumeration(n, 2)
-        design = slice_design(enc)
-        a, b = multi[0], multi[1]
-        nest_a = model.partition.nests[a]
-        nest_b = model.partition.nests[b]
-        s_idx, t_idx = find_assortment_pair(design, nest_a, nest_b, enc)
-        s = set(design.experiments[s_idx])
-        t = set(design.experiments[t_idx])
-        for nest in (nest_a, nest_b):
-            assert set(nest) & s and set(nest) & t
-        assert (set(nest_a) & s, set(nest_b) & s) != (set(nest_a) & t, set(nest_b) & t)
-        # at least one assortment cuts each nest properly
-        assert set(nest_a) - s or set(nest_a) - t
-        assert set(nest_b) - s or set(nest_b) - t
+@pytest.mark.parametrize(
+    "scheme, n, first_seed", [("slice", 16, 1000), ("slice", 32, 1000), ("loo", 8, 2000)]
+)
+def test_true_partition_recovers_without_outside(scheme, n, first_seed):
+    """Every no-outside truth here has a nonsingular system; the chooser finds it"""
+    if scheme == "slice":
+        design = slice_design(balanced_enumeration(n, 2))
+    else:
+        design = leave_one_out_design(n)
+    for seed in range(first_seed, first_seed + 30):
+        truth = generate_ground_truth(n, seed, outside=False)
+        rows = exact_count_table(truth, design)
+        fitted = recover_all(rows, truth.partition, design)
+        for want, got in zip(rows, exact_count_table(fitted, design)):
+            for item, p in want.probs.items():
+                assert abs(p - got.probs[item]) <= 1e-12, (seed, want.assortment, item)
 
 
-def test_intersection_determinant_nonzero_for_generic_weights():
-    rng = np.random.default_rng(53)
-    for _ in range(20):
-        n = 8
-        model = generate_ground_truth(n, rng)
-        multi = [nest for nest in model.partition.nests if len(nest) >= 2]
-        if len(multi) < 2:
-            continue
-        enc = balanced_enumeration(n, 2)
-        design = slice_design(enc)
-        weights = {i: model.weight(i) for i in range(1, n + 1)}
-        s_idx, t_idx = find_assortment_pair(design, multi[0], multi[1], enc)
-        det = intersection_log_determinant(
-            weights, multi[0], multi[1],
-            design.experiments[s_idx], design.experiments[t_idx],
-        )
-        assert abs(det) > 1e-12
+def reference_pair_is_usable(anchor, target, s_items, sp_items):
+    """Both experiments offer both nests, cut them differently, and the second
+    does not offer both whole."""
+    s, sp = set(s_items), set(sp_items)
+    cuts = (
+        tuple(sorted(set(anchor) & s)),
+        tuple(sorted(set(target) & s)),
+        tuple(sorted(set(anchor) & sp)),
+        tuple(sorted(set(target) & sp)),
+    )
+    if any(len(c) == 0 for c in cuts):
+        return False
+    if (cuts[0], cuts[1]) == (cuts[2], cuts[3]):
+        return False
+    if (cuts[2], cuts[3]) == (anchor, target):
+        return False
+    return True
+
+
+def reference_log_fraction(weights, nest, items):
+    inside = sum(weights[i] for i in nest if i in set(items))
+    return math.log(inside / sum(weights[i] for i in nest))
+
+
+def reference_log_determinant(weights, anchor, target, s_items, sp_items):
+    """Scalar 2x2 minor of log offered-weight fractions, the 3-row system's |det|."""
+    return reference_log_fraction(weights, anchor, s_items) * reference_log_fraction(
+        weights, target, sp_items
+    ) - reference_log_fraction(weights, anchor, sp_items) * reference_log_fraction(
+        weights, target, s_items
+    )
+
+
+def recover_recording_reads(monkeypatch, rows, partition, design):
+    """Experiments (-1 for the control) whose rows each nest's system reads."""
+    reads: dict[tuple[int, ...], list[int]] = {}
+    real_row = recovery._row
+
+    def spy(cp, weights, anchor, target):
+        index = next(t for t, p in enumerate(rows) if p is cp) - 1
+        reads.setdefault(target, []).append(index)
+        return real_row(cp, weights, anchor, target)
+
+    monkeypatch.setattr(recovery, "_row", spy)
+    with contextlib.suppress(RecoveryError):
+        recover_all(rows, partition, design)
+    monkeypatch.undo()
+    return reads
+
+
+@pytest.mark.parametrize("scheme", ["slice", "random", "loo"])
+def test_chosen_experiments_reach_the_largest_determinant(monkeypatch, scheme):
+    """Each nest's experiments reach the reference maximum |det| of its system"""
+    checked = {"pair": 0, "single": 0}
+    for seed in range(3000, 3020):
+        n = 8 + seed % 9
+        truth = generate_ground_truth(n, seed, outside=False)
+        if scheme == "slice":
+            design = slice_design(balanced_enumeration(n, 2))
+        elif scheme == "random":
+            design = randomized_design(n, 2 * code_length(n, 2), size_rule="half", rng=seed)
+        else:
+            design = leave_one_out_design(n)
+        exps = design.experiments
+        rows = exact_count_table(truth, design)
+        weights = within_nest_weights(rows[0], truth.partition)
+        anchor = truth.partition.nests[0]
+        for target, chosen in recover_recording_reads(
+            monkeypatch, rows, truth.partition, design
+        ).items():
+            assert chosen[0] == -1
+            if len(anchor) > 1 and len(target) > 1:
+                best = max(
+                    (
+                        abs(reference_log_determinant(weights, anchor, target, exps[a], exps[c]))
+                        for a, c in itertools.permutations(range(len(exps)), 2)
+                        if reference_pair_is_usable(anchor, target, exps[a], exps[c])
+                    ),
+                    default=0.0,
+                )
+                got = abs(reference_log_determinant(
+                    weights, anchor, target, exps[chosen[1]], exps[chosen[2]]
+                ))
+                checked["pair"] += 1
+            elif len(anchor) > 1 or len(target) > 1:
+                free = anchor if len(anchor) > 1 else target
+                best = max(
+                    abs(reference_log_fraction(weights, free, items))
+                    for items in exps
+                    if set(anchor) & set(items) and set(target) & set(items)
+                )
+                got = abs(reference_log_fraction(weights, free, exps[chosen[1]]))
+                checked["single"] += 1
+            else:
+                assert chosen == [-1]
+                continue
+            assert got >= best * (1.0 - 1e-12), (seed, target, chosen)
+    assert checked["pair"] >= 10 and checked["single"] >= 10, checked
 
 
 def test_recovery_raises_on_degenerate_geometry():
@@ -167,7 +245,7 @@ def test_recovery_raises_on_degenerate_geometry():
     design = slice_design(enc)
     rows = exact_count_table(model, design)
     with pytest.raises(SingularSystemError):
-        recover_all(rows, model.partition, design, enc)
+        recover_all(rows, model.partition, design)
 
 
 def test_recover_all_validates_row_count():
@@ -176,7 +254,7 @@ def test_recover_all_validates_row_count():
     design = slice_design(enc)
     rows = exact_count_table(model, design)
     with pytest.raises(ValueError):
-        recover_all(rows[:-1], model.partition, design, enc)
+        recover_all(rows[:-1], model.partition, design)
 
 
 def test_least_squares_recovery_approaches_truth():
