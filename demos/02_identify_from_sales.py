@@ -15,8 +15,8 @@ from nestlab.identify import (
     noisy_identify_with_outside,
 )
 from nestlab.metrics import rand_index
-from nestlab.model import generate_ground_truth
-from nestlab.sampling import allocate_customers, exact_count_table, sample_choices
+from nestlab.model import design_probabilities, generate_ground_truth
+from nestlab.sampling import allocate_customers, sample_choices
 
 n = 8
 rng = np.random.default_rng(6)
@@ -28,10 +28,10 @@ design = slice_design(balanced_enumeration(n, 2))
 
 # --- exact probabilities
 
-rows = exact_count_table(truth, design)
+rows = design_probabilities(truth, design)
 table = boost_factors(rows[0], rows[1:], labels=design.labels)
-for label, factors in zip(table.labels, table.factors):
-    boosted = sorted(i for i in factors if i != 0 and factors[i] > factors[0] + 1e-12)
+for label, items, factors in zip(table.labels, table.assortments, table.factors):
+    boosted = [i for i in items if factors[i] > factors[0] + 1e-12]
     print(f"  {label}: boosted items {boosted}")
 
 edges, partition = exact_identify_with_outside(table, design)

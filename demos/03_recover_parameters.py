@@ -4,9 +4,9 @@ import numpy as np
 
 from nestlab.designs import balanced_enumeration, slice_design
 from nestlab.metrics import rmse_soft
-from nestlab.model import generate_ground_truth, normalize_identifiable
+from nestlab.model import design_probabilities, generate_ground_truth, normalize_identifiable
 from nestlab.recovery import recover_all, recover_least_squares
-from nestlab.sampling import allocate_customers, exact_count_table, sample_choices
+from nestlab.sampling import allocate_customers, sample_choices
 
 n = 8
 rng = np.random.default_rng(42)
@@ -16,7 +16,7 @@ encoding = balanced_enumeration(n, 2)
 design = slice_design(encoding)
 
 # From exact probabilities the log-linear systems solve to machine precision.
-rows = exact_count_table(truth, design)
+rows = design_probabilities(truth, design)
 fitted = recover_all(rows, truth.partition, design)
 print(f"round trip from exact probabilities: rmse_soft {rmse_soft(truth, fitted):.2e}")
 

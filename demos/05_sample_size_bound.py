@@ -21,8 +21,8 @@ from nestlab.identify import (
     theorem_z_threshold,
     z_statistic,
 )
-from nestlab.model import generate_ground_truth
-from nestlab.sampling import exact_count_table, sample_choices
+from nestlab.model import design_probabilities, generate_ground_truth
+from nestlab.sampling import sample_choices
 
 n = 8
 truth = generate_ground_truth(n, np.random.default_rng(5))
@@ -37,7 +37,7 @@ print(f"smallest conditional-share gap:     {gap:.4f}")
 print(f"union bound over {pairs} statistics: tau = {tau:.2f}")
 print(f"prescribed customers per assortment: m = {m:.2e}")
 
-rows = exact_count_table(truth, design)
+rows = design_probabilities(truth, design)
 bf = boost_factors(rows[0], rows[1:], labels=design.labels)
 
 

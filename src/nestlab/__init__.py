@@ -51,9 +51,9 @@ from .model import (
     NestedLogitModel,
     check_general_position,
     choice_probabilities,
+    design_probabilities,
     generate_ground_truth,
     load_model,
-    nest_weight,
     normalize_identifiable,
     save_model,
 )
@@ -66,6 +66,7 @@ from .recovery import (
 from .sampling import (
     ChoiceCountTable,
     allocate_customers,
+    draw_counts,
     empirical_probabilities,
     load_counts,
     sample_choices,

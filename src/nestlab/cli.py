@@ -74,10 +74,12 @@ IDENTIFY_DELTA = 0.1
 
 def _reject_ignored_flags(parser: argparse.ArgumentParser, args) -> None:
     # These flags default to None, so a flag that is set was given.
-    ignored = ("threshold", "alpha", "beta", "delta") if args.mode == "exact" else ("tol",)
-    for name in ignored:
-        if getattr(args, name) is not None:
+    reads = {"exact": ("tol",), "noisy": ("alpha", "beta"), "ztheorem": ("threshold", "delta")}
+    for name in ("threshold", "alpha", "beta", "delta", "tol"):
+        if name not in reads[args.mode] and getattr(args, name) is not None:
             parser.error(f"identify: --{name} has no effect in {args.mode} mode")
+    if args.threshold is not None and args.delta is not None:
+        parser.error("identify: --delta has no effect in ztheorem mode with --threshold")
 
 
 def _cmd_identify(args) -> int:
@@ -100,7 +102,7 @@ def _cmd_identify(args) -> int:
         config = identify.TestConfig(
             alpha=IDENTIFY_ALPHA if args.alpha is None else args.alpha,
             beta=args.beta,
-            z_threshold=threshold if args.mode == "ztheorem" else None,
+            z_threshold=threshold,
         )
         if table.outside:
             edges, partition = identify.noisy_identify_with_outside(table, design, config)
@@ -152,7 +154,7 @@ def _cmd_evaluate(args) -> int:
     if args.design:
         design = designs.load_design(args.design)
         report["rmse_soft_restricted"] = metrics.rmse_soft_restricted(
-            sampling.exact_count_table(truth, design), sampling.exact_count_table(estimate, design)
+            model.design_probabilities(truth, design), model.design_probabilities(estimate, design)
         )
     print(json.dumps(report, indent=2))
     return 0

@@ -52,15 +52,11 @@ from .model import (
     NestPartition,
     NestedLogitModel,
     check_general_position,
+    design_probabilities,
     generate_ground_truth,
 )
 from .recovery import recover_all, recover_least_squares
-from .sampling import (
-    allocate_customers,
-    empirical_probabilities,
-    exact_count_table,
-    sample_choices,
-)
+from .sampling import allocate_customers, draw_counts, empirical_probabilities
 
 DESIGN_SCHEMES = ("slice", "slice_naive", "random", "loo", "incremental")
 BASELINE_SCHEMES = ("default_two_nest", "point_estimate")
@@ -193,6 +189,9 @@ def run_pipeline(
 ) -> PipelineResult:
     """Design, sample, identify, recover, and score one grid cell.
 
+    The truth's design probabilities are computed once: counts are drawn
+    from them, and exact identification, recover_all and the restricted
+    score read them.
     Baseline schemes reuse the slice design's data: default_two_nest skips
     identification in favor of a fixed half split, and point_estimate skips
     modeling entirely, so it only gets the restricted score.  truth_table is
@@ -203,8 +202,8 @@ def run_pipeline(
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD5)))
     design = build_design(scheme, n, config.b, config, rng)
     allocation = allocate_customers(T, design.num_experiments + 1)
-    table = sample_choices(truth, design, allocation, seed)
-    true_probs = exact_count_table(truth, design)
+    true_probs = design_probabilities(truth, design)
+    table = draw_counts(true_probs, design, allocation, seed)
     flags: list[str] = []
 
     if scheme == "point_estimate":
@@ -254,7 +253,7 @@ def run_pipeline(
         partition=partition,
         rmse_soft=soft,
         rand_index=rand_index(truth.partition, partition),
-        rmse_soft_restricted=rmse_soft_restricted(true_probs, exact_count_table(estimate, design)),
+        rmse_soft_restricted=rmse_soft_restricted(true_probs, design_probabilities(estimate, design)),
         flags=tuple(flags),
     )
 

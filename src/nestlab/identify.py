@@ -22,34 +22,36 @@ import numpy as np
 
 from .communities import community_detect
 from .designs import ExperimentDesign
-from .model import ChoiceProbabilities, NestPartition, choice_probabilities
+from .model import ChoiceProbabilities, NestPartition, choice_probabilities, offered_mask
 from .sampling import ChoiceCountTable, empirical_probabilities
 
 EXACT_TOLERANCE = 1e-9  # relative; exact inputs only carry roundoff noise
 NOISY_NULL = 2.0  # above any attainable p-value, so min() absorbs it
+SAMPLE_SIZE_CONSTANT = 25.0  # the absolute constant C of the finite-sample bound
 
 
 class ZeroEvidenceError(ValueError):
     """Raised when a z-test's pooled counts vanish on either assortment."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoostTable:
-    """Boost factors for each experiment, key 0 being the outside option."""
+    """Boost factors as rows: factors[e, i] for item i in experiment e, NaN where not offered."""
 
     n: int
     outside: bool
     labels: tuple[str, ...]
     assortments: tuple[tuple[int, ...], ...]
-    factors: tuple[dict[int, float], ...]
+    factors: np.ndarray
 
     def __post_init__(self):
-        if not (len(self.labels) == len(self.assortments) == len(self.factors)):
+        factors = np.asarray(self.factors, dtype=np.float64)
+        object.__setattr__(self, "factors", factors)
+        if not len(self.labels) == len(self.assortments) == len(factors):
             raise ValueError("misaligned boost table")
-        for items, bf in zip(self.assortments, self.factors):
-            expect = set(items) | ({0} if self.outside else set())
-            if set(bf) != expect:
-                raise ValueError("boost rows must cover exactly the offered items")
+        offered = offered_mask(self.n, self.outside, self.assortments, self.labels)
+        if not np.array_equal(offered, ~np.isnan(factors)):
+            raise ValueError("boost rows must cover exactly the offered items")
 
 
 def boost_factors(
@@ -66,23 +68,22 @@ def boost_factors(
         raise ValueError("control probabilities must cover items 1..n")
     if labels is None:
         labels = tuple(f"S{k + 1}" for k in range(len(experiments)))
-    factors = []
-    for cp in experiments:
-        if cp.outside != control.outside:
-            raise ValueError("outside-option flag differs between assortments")
-        row = {}
-        for i in cp.probs:
-            base = control.probs[i]
-            if base == 0.0:
-                raise ValueError(f"zero control probability for item {i}")
-            row[i] = cp.probs[i] / base
-        factors.append(row)
+    if any(cp.outside != control.outside for cp in experiments):
+        raise ValueError("outside-option flag differs between assortments")
+    assortments = tuple(cp.assortment for cp in experiments)
+    offered = offered_mask(n, control.outside, assortments, labels)
+    dead = np.argwhere(offered & (control.probs == 0.0))
+    if dead.size:
+        raise ValueError(f"zero control probability for item {dead[0, 1]}")
+    probs = np.array([cp.probs for cp in experiments]).reshape(len(experiments), n + 1)
+    factors = np.full(probs.shape, np.nan)
+    np.divide(probs, control.probs, out=factors, where=offered)
     return BoostTable(
         n=n,
         outside=control.outside,
         labels=tuple(labels),
-        assortments=tuple(cp.assortment for cp in experiments),
-        factors=tuple(factors),
+        assortments=assortments,
+        factors=factors,
     )
 
 
@@ -242,7 +243,7 @@ def _exact_comparisons(table: BoostTable, tol: float):
     for items, bf in zip(table.assortments, table.factors):
         if not items:
             continue
-        factors = np.array([bf[i] for i in ((0,) if table.outside else ()) + items])
+        factors = bf[list(((0,) if table.outside else ()) + items)]
         differ = _boosts_differ(factors, tol)
         ref = 0 if table.outside else int(np.argmin(factors))
         boosted = np.where(
@@ -283,14 +284,6 @@ def exact_identify_without_outside(
     return _deduce(table.n, _exact_comparisons(table, tol), outside=False)
 
 
-def _support_counts(table: ChoiceCountTable, row: int, support) -> np.ndarray:
-    counts = table.counts[row]
-    try:
-        return np.array([counts[i] for i in support], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"item {exc.args[0]} not offered in {table.labels[row]}") from None
-
-
 def _pairwise_z(
     xs: np.ndarray, xc: np.ndarray, m_s: int, m_c: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -325,10 +318,9 @@ def _support_z(
     table: ChoiceCountTable, experiment: int, support: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """_pairwise_z over the given items (0: outside option) of one experiment."""
-    row = experiment + 1
+    row, cols = experiment + 1, list(support)
     return _pairwise_z(
-        _support_counts(table, row, support), _support_counts(table, 0, support),
-        table.sizes[row], table.sizes[0],
+        table.counts[row, cols], table.counts[0, cols], table.sizes[row], table.sizes[0]
     )
 
 
@@ -342,6 +334,10 @@ def z_statistic(table: ChoiceCountTable, i: int, j: int, experiment: int) -> flo
     """
     if i == j:
         raise ValueError("z statistic needs two distinct choices")
+    for row in (0, experiment + 1):
+        for item in (i, j):
+            if not (table.outside if item == 0 else item in table.assortments[row]):
+                raise ValueError(f"item {item} not offered in {table.labels[row]}")
     z, evidence = _support_z(table, experiment, (i, j))
     if not evidence[0, 1]:
         raise ZeroEvidenceError(
@@ -499,8 +495,8 @@ def _threshold_comparisons(table: ChoiceCountTable, threshold: float):
     """
     skip = int(table.outside)
     for s, items in enumerate(table.assortments[1:]):
-        support = ((0,) if table.outside else ()) + items
-        xs, xc = _support_counts(table, s + 1, support), _support_counts(table, 0, support)
+        support = list(((0,) if table.outside else ()) + items)
+        xs, xc = table.counts[s + 1, support], table.counts[0, support]
         m_s, m_c = table.sizes[s + 1], table.sizes[0]
         ref = 0
         if not table.outside:
@@ -533,11 +529,10 @@ def theorem_z_threshold(pair_count: int, delta: float) -> float:
     return 8.0 * math.sqrt(3.0 * math.log(2.0 * pair_count / delta))
 
 
-def theorem_sample_size(
-    rho: float, margin: float, pair_count: int, delta: float, C: float = 25.0
-) -> int:
+def theorem_sample_size(rho: float, margin: float, pair_count: int, delta: float) -> int:
     """Per-assortment samples sufficient for the cutoff to classify every pair."""
-    return math.ceil(3.0 * C * C * math.log(2.0 * pair_count / delta) / (rho * margin * margin))
+    c2 = SAMPLE_SIZE_CONSTANT**2
+    return math.ceil(3.0 * c2 * math.log(2.0 * pair_count / delta) / (rho * margin * margin))
 
 
 def theorem_margins(model, design: ExperimentDesign, tol: float = EXACT_TOLERANCE) -> tuple[float, float]:
@@ -547,16 +542,16 @@ def theorem_margins(model, design: ExperimentDesign, tol: float = EXACT_TOLERANC
     smallest |conditional share difference| over experiment pairs whose
     boosts genuinely differ; with no such pair it defaults to 1.
     """
-    control = choice_probabilities(model, design.control)
-    rho = min(control.probs.values())
+    lead = (0,) if model.outside else ()
+    control = choice_probabilities(model, design.control).probs
+    rho = float(control[list(lead + design.control)].min())
     delta = 1.0
     for items in design.experiments:
         if not items:
             continue
-        cp = choice_probabilities(model, items)
-        support = ((0,) if model.outside else ()) + tuple(items)
-        ps = np.array([cp.probs[i] for i in support])
-        pc = np.array([control.probs[i] for i in support])
+        support = list(lead + tuple(items))
+        ps = choice_probabilities(model, items).probs[support]
+        pc = control[support]
         a, c = np.nonzero(np.triu(_boosts_differ(ps / pc, tol) == 1.0, 1))
         if a.size:
             gaps = np.abs(ps[a] / (ps[a] + ps[c]) - pc[a] / (pc[a] + pc[c]))

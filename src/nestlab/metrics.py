@@ -5,13 +5,13 @@ assortment (the restricted variant over a fixed list); rand_index scores a
 recovered partition by pairwise co-membership agreement; confidence
 intervals are Student-t over independent instances.
 
-The all-subset table behind rmse_soft is built column by column: the bool
-offer mask for the last n is cached, per-nest offered weights come from a
-doubling pass over the bitmasks, and each item column is its nest's
-per-unit-weight share times the item weight, zeroed where the item is not
-offered.  A caller
-scoring many estimates of one truth (the comparison grid) builds the
-truth's table once and passes it to rmse_soft.
+The all-subset table behind rmse_soft comes from the model's one
+probability kernel: the bool offer mask for the last n is cached and the
+per-nest offered weights come from a doubling pass over the bitmasks.  A
+caller scoring many estimates of one truth (the comparison grid) builds the
+truth's table once and passes it to rmse_soft.  Probability rows are
+item-indexed arrays (see model.ChoiceProbabilities), so the restricted score
+is one array difference.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy import stats
 
-from .model import ChoiceProbabilities, NestPartition, NestedLogitModel
+from .model import ChoiceProbabilities, NestPartition, NestedLogitModel, probability_table
 
 EXHAUSTIVE_LIMIT = 20  # 2**n probability table; past this use the restricted form
 
@@ -42,58 +42,36 @@ def _subset_masks(n: int) -> np.ndarray:
     return masks
 
 
+def _subset_weights(model: NestedLogitModel) -> np.ndarray:
+    """Per-nest offered weights W_N(S) of every nonempty subset, shape (K, 2**n - 1).
+
+    Built by doubling: the subsets with top bit t are those below 2**t plus
+    item t + 1, so each sum adds its nest's items in increasing order.
+    """
+    n = model.n
+    weights = model.weights
+    sums = np.zeros((model.partition.num_nests, 1 << n))  # column s: subset s, 0 included
+    for t, k in enumerate(model.partition.labels()):
+        top = sums[:, 1 << t : 2 << t]
+        top[...] = sums[:, : 1 << t]
+        top[k] += weights[t]
+    return sums[:, 1:]
+
+
 def all_subset_probabilities(model: NestedLogitModel) -> np.ndarray:
     """Choice probabilities for every nonempty assortment, vectorized.
 
-    Row s - 1 (s = 1..2**n - 1) covers the assortment whose bitmask is s,
-    with columns 0..n; column 0 is the outside option (all zero when the
-    model has none) and column i the probability of item i, zero when not
-    offered.  The table is column-major, so each column is contiguous.
-
-    Per-nest offered weights W_N over all subsets are built by doubling
-    (the subsets with top bit t are those below 2**t plus item t + 1).
-    Nest values, the denominator and one per-nest factor
-    v_N / (denom * W_N) are whole-array operations; item column i is
-    factor[nest(i)] * v_i, written straight into the table, and one in-place
-    multiply by the cached bool offer mask zeroes the items not offered.
-    Entries match choice_probabilities to roundoff.
+    Row s - 1 (s = 1..2**n - 1) covers the assortment whose bitmask is s, in
+    the item-indexed row format: column 0 is the outside option (all zero
+    when the model has none) and column i the probability of item i, zero
+    when not offered.  The table is column-major, so each column is
+    contiguous.  The doubled per-nest sums feed probability_table, which
+    frees them before it allocates the table.
     """
     n = model.n
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_LIMIT}")
-    masks = _subset_masks(n)
-    labels = model.partition.labels()
-    weights = np.asarray(model.weights)
-    sums = np.zeros((model.partition.num_nests, 1 << n))  # column s: subset s, 0 included
-    for t, k in enumerate(labels):
-        top = sums[:, 1 << t : 2 << t]
-        top[...] = sums[:, : 1 << t]
-        top[k] += weights[t]
-    within = sums[:, 1:]
-    present = within > 0.0
-    # v_N(S) = W_N(S) ** lambda_N in log space; absent nests stay 0
-    factor = np.zeros_like(within)
-    np.log(within, out=factor, where=present)
-    factor *= np.asarray(model.lambdas)[:, None]
-    np.exp(factor, out=factor, where=present)
-    for k, v in model.degenerate_weights.items():
-        factor[k] = present[k] * v
-    denom = factor.sum(axis=0)
-    if model.outside:
-        denom += 1.0
-    # per-nest factor v_N(S) / (denom(S) * W_N(S)), in place; absent nests stay 0
-    factor /= denom
-    np.divide(factor, within, out=factor, where=present)
-    del sums, within, present  # free before the table is allocated
-    probs = np.empty((n + 1, masks.shape[1]))  # transposed: one contiguous row per column
-    if model.outside:
-        np.divide(1.0, denom, out=probs[0])
-    else:
-        probs[0] = 0.0
-    for i, k in enumerate(labels, start=1):
-        np.multiply(factor[k], weights[i - 1], out=probs[i])
-    probs[1:] *= masks
-    return probs.T
+    return probability_table(model, _subset_weights(model), _subset_masks(n))
 
 
 def rmse_soft(
@@ -128,7 +106,15 @@ def rmse_soft(
     return math.sqrt(total / cells)
 
 
-def _aligned(true_probs: list[ChoiceProbabilities], est_probs: list[ChoiceProbabilities]):
+def rmse_soft_restricted(
+    true_probs: list[ChoiceProbabilities], est_probs: list[ChoiceProbabilities]
+) -> float:
+    """rmse_soft over a fixed assortment list instead of all subsets.
+
+    Rows hold 0 where an item is not offered, so the squared difference of
+    the two stacked tables covers exactly the offered items (and the
+    outside option when present).
+    """
     if len(true_probs) != len(est_probs):
         raise ValueError("probability lists differ in length")
     for t, e in zip(true_probs, est_probs):
@@ -138,23 +124,11 @@ def _aligned(true_probs: list[ChoiceProbabilities], est_probs: list[ChoiceProbab
             )
         if t.outside != e.outside:
             raise ValueError("outside-option flag mismatch")
-        yield t, e
-
-
-def rmse_soft_restricted(
-    true_probs: list[ChoiceProbabilities], est_probs: list[ChoiceProbabilities]
-) -> float:
-    """rmse_soft over a fixed assortment list instead of all subsets."""
-    total = 0.0
-    cells = 0
-    for t, e in _aligned(true_probs, est_probs):
-        support = list(t.assortment) + ([0] if t.outside else [])
-        for i in support:
-            total += (t.probs[i] - e.probs[i]) ** 2
-        cells += len(support)
+    cells = sum(len(t.assortment) + t.outside for t in true_probs)
     if cells == 0:
         raise ValueError("no assortments to score")
-    return math.sqrt(total / cells)
+    diff = np.array([t.probs for t in true_probs]) - np.array([e.probs for e in est_probs])
+    return math.sqrt(float(np.vdot(diff, diff)) / cells)
 
 
 def rand_index(first: NestPartition, second: NestPartition) -> float:

@@ -5,6 +5,12 @@ contributes weight (sum of member item weights in the assortment)**lambda_N,
 except lambda_N = 0 nests, which contribute a fixed weight v_N whenever any
 member is offered.  An optional outside option (id 0) sits in its own nest
 with weight 1.
+
+Per-assortment values share one row format: an item-indexed vector of
+length n + 1, column 0 the outside option and column i item i, 0 where
+absent.  Every choice probability comes from one kernel, probability_table,
+fed per-nest offered weights (from offer masks here, by doubling over all
+subsets in metrics).
 """
 
 from __future__ import annotations
@@ -119,69 +125,122 @@ class NestedLogitModel:
         return self.weights[item - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiceProbabilities:
-    """Choice distribution over one assortment; key 0 is the outside option."""
+    """Choice distribution over one assortment as a row of length n + 1.
+
+    probs[i] is item i's probability (0 if not offered), probs[0] the outside option's.
+    """
 
     assortment: tuple[int, ...]
-    probs: dict[int, float]
+    probs: np.ndarray
     outside: bool
 
     def prob(self, item: int) -> float:
-        return self.probs[item]
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.probs))
+        return float(self.probs[item])
 
 
-def nest_weight(model: NestedLogitModel, nest_index: int, assortment: Sequence[int]) -> float:
-    """Aggregated weight v_N(S) of one nest under an assortment.
+def offered_mask(
+    n: int, outside: bool, assortments: Sequence[Sequence[int]], labels: Sequence[str]
+) -> np.ndarray:
+    """Bool (len(assortments), n + 1) mask of the offered entries of each row.
 
-    Computed in log space so large within-nest sums cannot overflow under the
-    exponent.  Returns 0 when the nest does not intersect the assortment.
+    Column 0, the outside option, is set on every row when present.  Items
+    outside 1..n are rejected, naming the row's label.
     """
-    nest = model.partition.nests[nest_index]
-    offered = set(assortment)
-    total = sum(model.weight(i) for i in nest if i in offered)
-    if total == 0.0:
-        return 0.0
-    lam = model.lambdas[nest_index]
-    if lam == 0.0:
-        return model.degenerate_weights[nest_index]
-    return math.exp(lam * math.log(total))
+    mask = np.zeros((len(assortments), n + 1), dtype=bool)
+    for label, row, items in zip(labels, mask, assortments):
+        cols = np.asarray(items, dtype=np.int64)
+        bad = cols[(cols < 1) | (cols > n)]
+        if bad.size:
+            raise ValueError(f"item {bad[0]} of {label} lies outside 1..{n}")
+        row[cols] = True
+    mask[:, 0] = outside
+    return mask
+
+
+def nest_sums(partition: NestPartition, values: np.ndarray) -> np.ndarray:
+    """Per-nest column sums: out[k, r] sums values[t, r] over the items t + 1 of nest k.
+
+    values is item-major, shape (n, R).  Each sum adds the nest's items in
+    increasing order, as a scalar loop over the nest would.
+    """
+    rows = values.shape[1]
+    bins = partition.labels()[:, None] * rows + np.arange(rows)
+    return np.bincount(bins.ravel(), values.ravel(), partition.num_nests * rows).reshape(-1, rows)
+
+
+def probability_table(
+    model: NestedLogitModel, within: np.ndarray, offered: np.ndarray
+) -> np.ndarray:
+    """The one probability kernel: R assortments from their per-nest offered weights.
+
+    within[k, r] is nest k's offered weight W_N(S_r), offered[t, r] whether
+    assortment r offers item t + 1.  Nest values W_N ** lambda_N (in log
+    space; the fixed weight when lambda_N = 0, 0 for an absent nest), the
+    denominator (summed nest by nest, so no row depends on the others) and
+    one per-nest factor v_N / denom / W_N are whole-array operations; item
+    column i is factor[nest(i)] * v_i, zeroed where not offered.  Returns
+    the (R, n + 1) row-format table, column-major, allocated only after
+    within is dropped, so a temporary passed in is freed first.
+    """
+    present = within > 0.0
+    factor = np.zeros_like(within)
+    np.log(within, out=factor, where=present)
+    factor *= np.asarray(model.lambdas)[:, None]
+    np.exp(factor, out=factor, where=present)
+    for k, v in model.degenerate_weights.items():
+        factor[k] = present[k] * v
+    denom = np.zeros(within.shape[1])
+    for values in factor:
+        denom += values
+    if model.outside:
+        denom += 1.0
+    # per-nest factor v_N(S) / (denom(S) * W_N(S)), in place; absent nests stay 0
+    factor /= denom
+    np.divide(factor, within, out=factor, where=present)
+    del within, present  # free before the table is allocated
+    probs = np.empty((model.n + 1, offered.shape[1]))  # one contiguous row per column
+    if model.outside:
+        np.divide(1.0, denom, out=probs[0])
+    else:
+        probs[0] = 0.0
+    for i, k in enumerate(model.partition.labels().tolist(), start=1):
+        np.multiply(factor[k], model.weights[i - 1], out=probs[i])
+    probs[1:] *= offered
+    return probs.T
 
 
 def _check_assortment(model: NestedLogitModel, assortment: Sequence[int]) -> tuple[int, ...]:
     items = tuple(sorted(set(int(i) for i in assortment)))
     if not items:
         raise ValueError("assortment must be nonempty")
-    if items[0] < 1 or items[-1] > model.n:
-        raise ValueError(f"assortment contains items outside 1..{model.n}")
     return items
+
+
+def _assortment_probabilities(
+    model: NestedLogitModel, assortments: Sequence[Sequence[int]]
+) -> list[ChoiceProbabilities]:
+    rows = [_check_assortment(model, items) for items in assortments]
+    offered = offered_mask(model.n, False, rows, rows)[:, 1:].T  # item-major
+    within = nest_sums(model.partition, offered * np.asarray(model.weights)[:, None])
+    table = probability_table(model, within, offered)
+    return [
+        ChoiceProbabilities(assortment=items, probs=row, outside=model.outside)
+        for items, row in zip(rows, table)
+    ]
 
 
 def choice_probabilities(
     model: NestedLogitModel, assortment: Sequence[int]
 ) -> ChoiceProbabilities:
     """Choice probability of every offered item (and the outside option if present)."""
-    items = _check_assortment(model, assortment)
-    offered = set(items)
-    nest_values = [
-        nest_weight(model, k, items) for k in range(model.partition.num_nests)
-    ]
-    denom = (1.0 if model.outside else 0.0) + sum(nest_values)
-    probs: dict[int, float] = {}
-    if model.outside:
-        probs[0] = 1.0 / denom
-    for k, nest in enumerate(model.partition.nests):
-        members = [i for i in nest if i in offered]
-        if not members:
-            continue
-        within_total = sum(model.weight(i) for i in members)
-        nest_share = nest_values[k] / denom
-        for i in members:
-            probs[i] = nest_share * model.weight(i) / within_total
-    return ChoiceProbabilities(assortment=items, probs=probs, outside=model.outside)
+    return _assortment_probabilities(model, [assortment])[0]
+
+
+def design_probabilities(model: NestedLogitModel, design) -> list[ChoiceProbabilities]:
+    """Exact choice probabilities for the control and every experiment, in one kernel call."""
+    return _assortment_probabilities(model, (design.control, *design.experiments))
 
 
 def normalize_identifiable(model: NestedLogitModel) -> NestedLogitModel:

@@ -30,6 +30,8 @@ from .model import (
     ChoiceProbabilities,
     NestPartition,
     NestedLogitModel,
+    nest_sums,
+    offered_mask,
     singleton_partition,
 )
 
@@ -50,24 +52,24 @@ class SingularSystemError(RecoveryError):
 
 def within_nest_weights(
     control: ChoiceProbabilities, partition: NestPartition
-) -> dict[int, float]:
+) -> np.ndarray:
     """Item weights relative to the lowest-index member of each nest.
 
     Control probabilities of same-nest items have the same nest factor, so
-    their ratio is the weight ratio.  Items with zero control probability
+    their ratio is the weight ratio.  Returns an item-indexed vector of
+    length n + 1 (entry 0 unused, 0).  Items with zero control probability
     are rejected; they carry no weight information.
     """
     n = partition.n
     if control.assortment != tuple(range(1, n + 1)):
         raise ValueError("control probabilities must cover items 1..n")
-    dead = [i for i in range(1, n + 1) if control.probs[i] == 0.0]
+    probs = control.probs
+    dead = (np.flatnonzero(probs[1:] == 0.0) + 1).tolist()
     if dead:
         raise ValueError(f"zero control probability for items {dead}")
-    weights = {}
-    for nest in partition.nests:
-        base = control.probs[nest[0]]
-        for i in nest:
-            weights[i] = control.probs[i] / base
+    first = np.array([nest[0] for nest in partition.nests])
+    weights = np.zeros(n + 1)
+    weights[1:] = probs[1:] / probs[first[partition.labels()]]
     return weights
 
 
@@ -157,65 +159,44 @@ def solve_nest_params(
     return NestSolution(lambda_anchor, lam, math.exp(s_n / lam), False)
 
 
-def _nest_prob(cp: ChoiceProbabilities, nest: tuple[int, ...]) -> float:
-    return sum(cp.probs.get(i, 0.0) for i in nest)
+def _row_terms(
+    probs: np.ndarray, offered: np.ndarray, weights: np.ndarray, partition: NestPartition
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, Y): the system terms of every assortment t (rows, control first) at once.
 
-
-def _log_weight_sum(weights: dict[int, float], nest: tuple[int, ...], items: set[int]) -> float:
-    total = sum(weights[i] for i in nest if i in items)
-    return math.log(total) if total > 0.0 else math.nan
-
-
-def _log_fractions(
-    weights: dict[int, float], nests: tuple[tuple[int, ...], ...], design: ExperimentDesign
-) -> np.ndarray:
-    """F[k, e]: log of the share of nest k's weight that experiment e offers.
-
-    -inf where e offers no member of nest k, exactly 0 where it offers all.
-    Relative to the control row, each nest's recovery determinant is a 2x2
-    minor or a single entry of F.
+    B[k, t] is nest k's log offered weight, A[t] the anchor's (0 for the
+    outside option, else nest 0's) and Y[k, t] = log(P(anchor|t) / P(k|t));
+    Y is NaN where either side is missing.
     """
-    offered = design.membership_matrix()
-    fractions = np.empty((len(nests), design.num_experiments))
-    for k, nest in enumerate(nests):
-        inside = offered[:, np.asarray(nest) - 1]
-        w = np.array([weights[i] for i in nest])
-        with np.errstate(divide="ignore"):
-            fractions[k] = np.log(inside @ w / w.sum())
-        fractions[k, inside.all(axis=1)] = 0.0
-    return fractions
+    outside = bool(offered[0, 0])
+    nest_probs = nest_sums(partition, probs[:, 1:].T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offered_weight = nest_sums(partition, (offered[:, 1:] * weights[1:]).T)
+        b = np.where(offered_weight > 0.0, np.log(offered_weight), np.nan)
+        if outside:
+            a, p_anchor = np.zeros(len(probs)), probs[:, 0]
+        else:
+            a, p_anchor = b[0], nest_probs[0]
+        usable = (p_anchor > 0.0) & (nest_probs > 0.0) & ~np.isnan(a) & ~np.isnan(b)
+        y = np.where(usable, np.log(p_anchor / nest_probs), np.nan)
+    return a, b, y
 
 
-def _row(
-    cp: ChoiceProbabilities,
-    weights: dict[int, float],
-    anchor: tuple[int, ...] | None,
-    target: tuple[int, ...],
-) -> tuple[float, float, float] | None:
-    """(A_T, B_T, y_T) for one assortment, or None if either side is missing."""
-    items = set(cp.assortment)
-    if anchor is None:
-        p_anchor = cp.probs.get(0, 0.0)
-        a_t = 0.0
-    else:
-        p_anchor = _nest_prob(cp, anchor)
-        a_t = _log_weight_sum(weights, anchor, items)
-    p_target = _nest_prob(cp, target)
-    if p_anchor <= 0.0 or p_target <= 0.0 or math.isnan(a_t):
-        return None
-    b_t = _log_weight_sum(weights, target, items)
-    if math.isnan(b_t):
-        return None
-    return a_t, b_t, math.log(p_anchor / p_target)
+def _system_rows(terms, k: int, chosen: list[int]) -> list[tuple[float, float, float]]:
+    """(A_T, B_T, y_T) of nest k on the chosen experiments (-1: the control)."""
+    a, b, y = terms
+    missing = [e for e in chosen if np.isnan(y[k, e + 1])]
+    if missing:
+        raise RecoveryError(f"assortment {missing[0]} misses the anchor or nest {k}")
+    return [(float(a[e + 1]), float(b[k, e + 1]), float(y[k, e + 1])) for e in chosen]
 
 
 def _mnl_from_control(control: ChoiceProbabilities, n: int, outside: bool) -> NestedLogitModel:
     # A lone nest covering [n] with no outside option leaves lambda free;
     # any value induces the same choices, so report the flat-logit form.
-    weights = [control.probs[i] / control.probs[1] for i in range(1, n + 1)]
     return NestedLogitModel(
         partition=singleton_partition(n),
-        weights=tuple(weights),
+        weights=tuple(control.probs[1:] / control.probs[1]),
         lambdas=tuple([1.0] * n),
         outside=outside,
     )
@@ -246,30 +227,18 @@ def recover_all(
     if not outside and len(nests) == 1:
         return _mnl_from_control(control, n, outside)
 
-    def rows_for(target_idx: int, assortment_indices: list[int], anchor_items):
-        out = []
-        for t in assortment_indices:
-            cp = control if t < 0 else probs[t + 1]
-            row = _row(cp, weights, anchor_items, nests[target_idx])
-            if row is None:
-                raise RecoveryError(
-                    f"assortment {t} misses the anchor or nest {target_idx}"
-                )
-            out.append(row)
-        return out
-
+    offered = offered_mask(n, outside, [cp.assortment for cp in probs], ("control", *design.labels))
+    terms = _row_terms(np.array([cp.probs for cp in probs]), offered, weights, partition)
     solutions: dict[int, NestSolution] = {}
-    anchor_idx: int | None = None
-    anchor_items: tuple[int, ...] | None = None
-    if not outside:
-        anchor_idx = 0
-        anchor_items = nests[0]
-    anchor_free = anchor_items is not None and len(anchor_items) > 1
+    anchor_idx = None if outside else 0
+    anchor_free = anchor_idx is not None and len(nests[anchor_idx]) > 1
     anchor_estimates: list[float] = []
-    fractions = _log_fractions(weights, nests, design)
-    offers_anchor = np.ones(design.num_experiments, dtype=bool)
-    if anchor_idx is not None:
-        offers_anchor = np.isfinite(fractions[anchor_idx])
+    # F[k, e]: log of the share of nest k's weight that experiment e offers
+    # (B minus the control's B, which offers every item); NaN where e offers
+    # no member, exactly 0 where it offers all.  Relative to the control
+    # row, each nest's recovery determinant is a 2x2 minor or one entry of F.
+    fractions = terms[1][:, 1:] - terms[1][:, :1]
+    offers_anchor = np.isfinite(terms[0][1:])  # A: 0 for the outside option
 
     for k, nest in enumerate(nests):
         if k == anchor_idx:
@@ -297,7 +266,7 @@ def recover_all(
         else:
             chosen = [-1]
         sol = solve_nest_params(
-            rows_for(k, chosen, anchor_items),
+            _system_rows(terms, k, chosen),
             anchor_free=anchor_free,
             target_free=target_free,
             context=f"nest {k}",
@@ -314,26 +283,19 @@ def recover_all(
             )
 
     lambdas = [1.0] * len(nests)
-    item_weights = [0.0] * n
+    scales = np.ones(len(nests))  # c_N; the anchor and degenerate nests keep 1
     degenerate: dict[int, float] = {}
-    if anchor_idx is not None:
-        if anchor_free:
-            lambdas[anchor_idx] = float(np.mean(anchor_estimates))
-        for i in nests[anchor_idx]:
-            item_weights[i - 1] = weights[i]
+    if anchor_free:
+        lambdas[anchor_idx] = float(np.mean(anchor_estimates))
     for k, sol in solutions.items():
         if sol.degenerate:
             lambdas[k] = 0.0
             degenerate[k] = sol.scale
-            for i in nests[k]:
-                item_weights[i - 1] = weights[i]
         else:
-            lambdas[k] = sol.lam
-            for i in nests[k]:
-                item_weights[i - 1] = sol.scale * weights[i]
+            lambdas[k], scales[k] = sol.lam, sol.scale
     return NestedLogitModel(
         partition=partition,
-        weights=tuple(item_weights),
+        weights=tuple(scales[partition.labels()] * weights[1:]),
         lambdas=tuple(lambdas),
         outside=outside,
         degenerate_weights=degenerate,
@@ -346,18 +308,6 @@ class LeastSquaresRecovery:
     flags: list[str] = field(default_factory=list)
 
 
-def _floored_probabilities(table) -> list[ChoiceProbabilities]:
-    # Zero cells get a half-count so logs and ratios stay finite; the small
-    # bias washes out at the sample sizes where recovery is meaningful.
-    out = []
-    for items, cnt, m in zip(table.assortments, table.counts, table.sizes):
-        if m == 0:
-            raise ValueError("assortment with no customers")
-        probs = {i: max(c, COUNT_FLOOR) / m for i, c in cnt.items()}
-        out.append(ChoiceProbabilities(assortment=items, probs=probs, outside=table.outside))
-    return out
-
-
 def recover_least_squares(
     table, partition: NestPartition, design: ExperimentDesign
 ) -> LeastSquaresRecovery:
@@ -368,9 +318,14 @@ def recover_least_squares(
     scales are re-fit given the clamped values, so the result is always a
     valid model; flags record any degraded step.
     """
-    probs = _floored_probabilities(table)
-    control = probs[0]
+    if (table.sizes == 0).any():
+        raise ValueError("assortment with no customers")
+    offered = offered_mask(table.n, table.outside, table.assortments, table.labels)
+    # Zero cells get a half-count so logs and ratios stay finite; the small
+    # bias washes out at the sample sizes where recovery is meaningful.
+    probs = np.where(offered, np.maximum(table.counts, COUNT_FLOOR), 0.0) / table.sizes[:, None]
     outside = table.outside
+    control = ChoiceProbabilities(assortment=table.assortments[0], probs=probs[0], outside=outside)
     n = partition.n
     flags: list[str] = []
     weights = within_nest_weights(control, partition)
@@ -379,23 +334,18 @@ def recover_least_squares(
     if not outside and len(nests) == 1:
         return LeastSquaresRecovery(_mnl_from_control(control, n, outside), ["single-nest-mnl"])
 
-    anchor_idx: int | None = None
-    anchor_items: tuple[int, ...] | None = None
-    if not outside:
-        anchor_idx = 0
-        anchor_items = nests[0]
-    anchor_free = anchor_items is not None and len(anchor_items) > 1
+    anchor_idx = None if outside else 0
+    anchor_free = anchor_idx is not None and len(nests[anchor_idx]) > 1
 
-    rows: list[tuple[int, float, float, float]] = []
-    for k, nest in enumerate(nests):
-        if k == anchor_idx:
-            continue
-        for cp in probs:
-            row = _row(cp, weights, anchor_items, nest)
-            if row is not None:
-                rows.append((k, *row))
+    # One row per (nest, assortment) with both sides present, nest-major.
+    a_all, b_all, y_all = _row_terms(probs, offered, weights, partition)
+    usable = ~np.isnan(y_all)
+    if anchor_idx is not None:
+        usable[anchor_idx] = False
+    kk, tt = np.nonzero(usable)
+    a_t, b_t, y_t = a_all[tt], b_all[kk, tt], y_all[kk, tt]
 
-    targets = sorted({k for k, *_ in rows})
+    targets = np.unique(kk).tolist()
     missing = [k for k in range(len(nests)) if k != anchor_idx and k not in targets]
     if missing:
         raise RecoveryError(f"no usable assortment rows for nests {missing}")
@@ -405,8 +355,8 @@ def recover_least_squares(
     lam_free: dict[int, int] = {}
     col = 1 if anchor_free else 0
     for k in targets:
-        b_vals = [b for kk, _, b, _ in rows if kk == k]
-        varies = len(b_vals) >= 2 and max(b_vals) - min(b_vals) > 1e-12
+        b_vals = b_t[kk == k]
+        varies = b_vals.size >= 2 and b_vals.max() - b_vals.min() > 1e-12
         if len(nests[k]) > 1 and varies:
             lam_free[k] = col
             col += 1
@@ -415,25 +365,19 @@ def recover_least_squares(
     num_lam = col
     scale_col = {k: num_lam + pos for pos, k in enumerate(targets)}
 
-    design_mat = np.zeros((len(rows), num_lam + len(targets)))
-    rhs = np.zeros(len(rows))
+    design_mat = np.zeros((kk.size, num_lam + len(targets)))
+    rhs = y_t.copy()
     anchor_varies = False
-    for r, (k, a_t, b_t, y_t) in enumerate(rows):
-        y = y_t
-        if anchor_free:
-            design_mat[r, 0] = a_t
-            if abs(a_t - rows[0][1]) > 1e-12:
-                anchor_varies = True
-        else:
-            y -= a_t
-        if k in lam_free:
-            design_mat[r, lam_free[k]] = -b_t
-        elif len(nests[k]) > 1:
-            y += b_t  # defaulted lambda = 1
-        else:
-            y += b_t  # singleton: lambda = 1, B_T = log w_i
-        design_mat[r, scale_col[k]] = -1.0
-        rhs[r] = y
+    if anchor_free:
+        design_mat[:, 0] = a_t
+        anchor_varies = bool((np.abs(a_t - a_t[0]) > 1e-12).any())
+    else:
+        rhs -= a_t
+    lam_col = np.array([lam_free.get(k, -1) for k in kk.tolist()], dtype=np.intp)
+    free = lam_col >= 0
+    design_mat[np.flatnonzero(free), lam_col[free]] = -b_t[free]
+    rhs[~free] += b_t[~free]  # lambda = 1: a singleton, or a defaulted nest
+    design_mat[np.arange(kk.size), [scale_col[k] for k in kk.tolist()]] = -1.0
 
     if anchor_free and not anchor_varies:
         flags.append("anchor-lambda-defaulted")
@@ -449,33 +393,23 @@ def recover_least_squares(
         lambdas[k] = min(1.0, max(0.0, float(sol[c])))
 
     # Re-fit each scale as the mean residual under the final lambdas.
-    item_weights = [0.0] * n
+    scales = np.ones(len(nests))  # the anchor and degenerate nests keep 1
     degenerate: dict[int, float] = {}
-    if anchor_idx is not None:
-        for i in nests[anchor_idx]:
-            item_weights[i - 1] = weights[i]
     lam_anchor_eff = lambdas[anchor_idx] if anchor_idx is not None else 0.0
     for k in targets:
-        resid = [
-            lam_anchor_eff * a_t - lambdas[k] * b_t - y_t
-            for kk, a_t, b_t, y_t in rows
-            if kk == k
-        ]
-        s_n = float(np.mean(resid))
+        sel = kk == k
+        s_n = float(np.mean(lam_anchor_eff * a_t[sel] - lambdas[k] * b_t[sel] - y_t[sel]))
         if lambdas[k] == 0.0:
             degenerate[k] = math.exp(min(s_n, LOG_CAP))
-            scale = 1.0
         else:
             log_c = s_n / lambdas[k]
             if abs(log_c) > LOG_CAP:
                 flags.append(f"nest-{k}-scale-capped")
                 log_c = math.copysign(LOG_CAP, log_c)
-            scale = math.exp(log_c)
-        for i in nests[k]:
-            item_weights[i - 1] = scale * weights[i]
+            scales[k] = math.exp(log_c)
     model = NestedLogitModel(
         partition=partition,
-        weights=tuple(item_weights),
+        weights=tuple(scales[partition.labels()] * weights[1:]),
         lambdas=tuple(lambdas),
         outside=outside,
         degenerate_weights=degenerate,

@@ -31,10 +31,11 @@ from nestlab.model import (
     NestPartition,
     check_general_position,
     choice_probabilities,
+    design_probabilities,
     generate_ground_truth,
 )
 from nestlab.recovery import recover_all
-from nestlab.sampling import exact_count_table, sample_choices
+from nestlab.sampling import sample_choices
 
 SUITE_SIZES = (4, 8, 16, 32)  # 50 instances each, 200 total
 
@@ -52,7 +53,7 @@ def test_criterion_01_exact_identification_with_outside():
     hits = 0
     for n, truth in generated_suite(rng, outside=True):
         design = slice_design(balanced_enumeration(n, 2))
-        rows = exact_count_table(truth, design)
+        rows = design_probabilities(truth, design)
         table = boost_factors(rows[0], rows[1:], labels=design.labels)
         _, partition = exact_identify_with_outside(table, design)
         assert rand_index(partition, truth.partition) == 1.0, (n, partition.nests)
@@ -69,13 +70,13 @@ def test_criterion_02_without_outside_choice_function_matches():
     for n, truth in generated_suite(rng, outside=False):
         encoding = balanced_enumeration(n, 2)
         design = slice_design(encoding)
-        rows = exact_count_table(truth, design)
+        rows = design_probabilities(truth, design)
         table = boost_factors(rows[0], rows[1:], labels=design.labels)
         _, partition = exact_identify_without_outside(table, design)
         fitted = recover_all(rows, partition, design)
-        est = exact_count_table(fitted, design)
+        est = design_probabilities(fitted, design)
         for want, got in zip(rows, est):
-            for item in want.probs:
+            for item in want.assortment:
                 assert abs(want.probs[item] - got.probs[item]) <= 1e-9, (n, item)
         hits += 1
     assert hits == 200
@@ -143,7 +144,7 @@ def test_criterion_05_finite_sample_z_classification():
         tau = theorem_z_threshold(pairs, delta)
         m = theorem_sample_size(rho, margin, pairs, delta)
 
-        rows = exact_count_table(truth, design)
+        rows = design_probabilities(truth, design)
         bf = boost_factors(rows[0], rows[1:], labels=design.labels)
         for trial in range(20):
             table = sample_choices(
@@ -220,7 +221,7 @@ def test_criterion_07_exact_recovery_round_trip():
         design = slice_design(encoding)
         if check_general_position(truth, design):
             continue  # coincidental multiplier tie; draw another instance
-        rows = exact_count_table(truth, design)
+        rows = design_probabilities(truth, design)
         fitted = recover_all(rows, truth.partition, design)
         diff = all_subset_probabilities(truth) - all_subset_probabilities(fitted)
         assert np.max(np.abs(diff)) <= 1e-8, n
@@ -234,7 +235,7 @@ def brute_force_rmse(truth, estimate):
         for items in itertools.combinations(range(1, n + 1), size):
             a = choice_probabilities(truth, items)
             b = choice_probabilities(estimate, items)
-            for i in a.probs:
+            for i in ((0,) if a.outside else ()) + a.assortment:
                 total += (a.probs[i] - b.probs[i]) ** 2
                 cells += 1
     return math.sqrt(total / cells)
@@ -275,17 +276,14 @@ def test_criterion_08_metric_oracles():
 def random_count_table(rng):
     k = int(rng.integers(2, 7))
     items = tuple(range(1, k + 1))
-    counts = []
-    for _ in range(2):
-        row = {i: int(rng.integers(1, 500)) for i in (0, *items)}
-        counts.append(row)
+    counts = np.array([[int(rng.integers(1, 500)) for _ in (0, *items)] for _ in range(2)])
     return ChoiceCountTable(
         n=k,
         outside=True,
         labels=("control", "S"),
         assortments=(items, items),
-        counts=tuple(counts),
-        sizes=tuple(sum(row.values()) for row in counts),
+        counts=counts,
+        sizes=counts.sum(axis=1),
     )
 
 

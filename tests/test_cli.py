@@ -179,7 +179,9 @@ def test_identify_reports_contradictory_deductions(tmp_path, capsys, mode):
 
 @pytest.mark.parametrize("mode, flag", [
     ("exact", "--threshold"), ("exact", "--alpha"), ("exact", "--beta"), ("exact", "--delta"),
-    ("noisy", "--tol"), ("ztheorem", "--tol"),
+    ("noisy", "--tol"), ("noisy", "--threshold"), ("noisy", "--delta"),
+    ("ztheorem", "--tol"), ("ztheorem", "--alpha"), ("ztheorem", "--beta"),
+    ("ztheorem", "--threshold 3 --delta"),  # an explicit cutoff leaves delta unread
 ])
 def test_identify_rejects_flags_its_mode_ignores(tmp_path, capsys, mode, flag):
     design = tmp_path / "design.json"
@@ -188,7 +190,7 @@ def test_identify_rejects_flags_its_mode_ignores(tmp_path, capsys, mode, flag):
     counts.write_text(CONTRADICTORY_COUNTS)
     with pytest.raises(SystemExit) as exc:
         main(["identify", "--design", str(design), "--counts", str(counts), "--mode", mode,
-              flag, "0.5", "--out-partition", str(tmp_path / "p.json")])
+              *flag.split(), "0.5", "--out-partition", str(tmp_path / "p.json")])
     assert exc.value.code == 2
-    assert f"{flag} has no effect in {mode} mode" in capsys.readouterr().err
+    assert f"{flag.split()[-1]} has no effect in {mode} mode" in capsys.readouterr().err
     assert not (tmp_path / "p.json").exists()

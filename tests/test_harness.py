@@ -23,13 +23,8 @@ from nestlab.harness import (
     _worker_count,
 )
 from nestlab.metrics import rmse_soft_restricted
-from nestlab.model import NestPartition, generate_ground_truth
-from nestlab.sampling import (
-    allocate_customers,
-    empirical_probabilities,
-    exact_count_table,
-    sample_choices,
-)
+from nestlab.model import NestPartition, design_probabilities, generate_ground_truth
+from nestlab.sampling import allocate_customers, empirical_probabilities, sample_choices
 
 
 def tiny_config(**over):
@@ -106,7 +101,7 @@ def test_point_estimate_scores_empirical_frequencies(n, b):
     design = slice_design(balanced_enumeration(n, b))
     table = sample_choices(truth, design, allocate_customers(700, design.num_experiments + 1), seed=1)
     assert result.rmse_soft_restricted == rmse_soft_restricted(
-        exact_count_table(truth, design), empirical_probabilities(table)
+        design_probabilities(truth, design), empirical_probabilities(table)
     )
 
 

@@ -37,10 +37,11 @@ from nestlab.model import (
     NestPartition,
     NestedLogitModel,
     choice_probabilities,
+    design_probabilities,
     generate_ground_truth,
 )
 from nestlab.recovery import recover_all
-from nestlab.sampling import ChoiceCountTable, allocate_customers, exact_count_table, sample_choices
+from nestlab.sampling import ChoiceCountTable, allocate_customers, sample_choices
 
 
 def test_boost_factors_from_drink_sales():
@@ -49,14 +50,14 @@ def test_boost_factors_from_drink_sales():
     # 500 visitors per day, the remainder walks away.
     control = ChoiceProbabilities(
         assortment=(1, 2, 3, 4),
-        probs={0: 0.0, 1: 0.4, 2: 0.2, 3: 0.2, 4: 0.2},
+        probs=np.array([0.0, 0.4, 0.2, 0.2, 0.2]),
         outside=True,
     )
     day2 = ChoiceProbabilities(
-        assortment=(1, 2), probs={0: 0.28, 1: 0.48, 2: 0.24}, outside=True
+        assortment=(1, 2), probs=np.array([0.28, 0.48, 0.24, 0.0, 0.0]), outside=True
     )
     day3 = ChoiceProbabilities(
-        assortment=(2, 3, 4), probs={0: 0.12, 2: 0.4, 3: 0.24, 4: 0.24}, outside=True
+        assortment=(2, 3, 4), probs=np.array([0.12, 0.0, 0.4, 0.24, 0.24]), outside=True
     )
     # item 1's control share would divide by zero if it were never chosen
     with pytest.raises(ValueError):
@@ -64,14 +65,14 @@ def test_boost_factors_from_drink_sales():
 
     control = ChoiceProbabilities(
         assortment=(1, 2, 3, 4),
-        probs={0: 0.1, 1: 0.36, 2: 0.18, 3: 0.18, 4: 0.18},
+        probs=np.array([0.1, 0.36, 0.18, 0.18, 0.18]),
         outside=True,
     )
     day2 = ChoiceProbabilities(
-        assortment=(1, 2), probs={0: 0.352, 1: 0.432, 2: 0.216}, outside=True
+        assortment=(1, 2), probs=np.array([0.352, 0.432, 0.216, 0.0, 0.0]), outside=True
     )
     day3 = ChoiceProbabilities(
-        assortment=(2, 3, 4), probs={0: 0.208, 2: 0.36, 3: 0.216, 4: 0.216}, outside=True
+        assortment=(2, 3, 4), probs=np.array([0.208, 0.0, 0.36, 0.216, 0.216]), outside=True
     )
     table = boost_factors(control, [day2, day3], labels=("day2", "day3"))
     # juices rise together by 20% when the other drinks vanish
@@ -81,6 +82,15 @@ def test_boost_factors_from_drink_sales():
     assert table.factors[1][2] == pytest.approx(2.0)
     assert table.factors[1][3] == pytest.approx(1.2)
     assert table.factors[1][4] == pytest.approx(1.2)
+
+
+def boost_matrix(n, rows):
+    """Item-indexed boost rows from {item: factor} literals, NaN where not offered."""
+    out = np.full((len(rows), n + 1), np.nan)
+    for r, row in enumerate(rows):
+        for i, factor in row.items():
+            out[r, i] = factor
+    return out
 
 
 def test_single_experiment_deductions():
@@ -94,7 +104,7 @@ def test_single_experiment_deductions():
         outside=True,
         labels=("S",),
         assortments=((1, 2, 3, 4),),
-        factors=({0: 1.3, 1: 1.3, 2: 1.6, 3: 1.9, 4: 1.9},),
+        factors=boost_matrix(n, [{0: 1.3, 1: 1.3, 2: 1.6, 3: 1.9, 4: 1.9}]),
     )
     edges, _ = exact_identify_with_outside(table, design)
     assert edges.get(3, 4) == 1.0  # same boost above the outside's joins
@@ -120,7 +130,7 @@ def test_boost_pattern_on_eight_items():
     """The qualitative boosted-vs-flat pattern across all six slices"""
     model = eight_item_model()
     design = slice_design(naive_encoding(8, 2))
-    rows = exact_count_table(model, design)
+    rows = design_probabilities(model, design)
     table = boost_factors(rows[0], rows[1:], labels=design.labels)
 
     flat = {
@@ -150,7 +160,7 @@ def test_exact_identification_recovers_generated_truths():
         n = int(rng.integers(2, 20))
         model = generate_ground_truth(n, rng)
         design = slice_design(balanced_enumeration(n, 2))
-        rows = exact_count_table(model, design)
+        rows = design_probabilities(model, design)
         table = boost_factors(rows[0], rows[1:], labels=design.labels)
         _, partition = exact_identify_with_outside(table, design)
         assert partition == model.partition, n
@@ -164,12 +174,12 @@ def test_exact_identification_without_outside_preserves_choice():
         n = int(rng.integers(3, 14))
         model = generate_ground_truth(n, rng, outside=False)
         design = slice_design(balanced_enumeration(n, 2))
-        rows = exact_count_table(model, design)
+        rows = design_probabilities(model, design)
         table = boost_factors(rows[0], rows[1:], labels=design.labels)
         _, partition = exact_identify_without_outside(table, design)
         merged += partition != model.partition
         recovered = recover_all(rows, partition, design)
-        est = exact_count_table(recovered, design)
+        est = design_probabilities(recovered, design)
         assert rmse_soft_restricted(rows, est) < 1e-9
     # the ambiguity is real: some suites do merge singleton nests
     assert merged >= 1
@@ -185,10 +195,10 @@ def test_edge_matrix_records_exact_contradictions():
         outside=True,
         labels=("A", "B"),
         assortments=((1, 2, 3), (1, 2, 4)),
-        factors=(
+        factors=boost_matrix(n, [
             {0: 1.0, 1: 1.5, 2: 1.5, 3: 1.0},  # joins 1-2
             {0: 1.0, 1: 1.2, 2: 1.7, 4: 1.0},  # splits 1-2
-        ),
+        ]),
     )
     edges, _ = exact_identify_with_outside(table, design)
     assert edges.inconsistencies, "conflicting deductions should be recorded"
@@ -199,17 +209,14 @@ def random_count_tables(num, seed, n_items=3):
     rng = np.random.default_rng(seed)
     items = tuple(range(1, n_items + 1))
     for _ in range(num):
-        counts = []
-        for _ in range(2):
-            row = {i: int(rng.integers(1, 200)) for i in (0, *items)}
-            counts.append(row)
+        counts = np.array([[int(rng.integers(1, 200)) for _ in (0, *items)] for _ in range(2)])
         yield ChoiceCountTable(
             n=n_items,
             outside=True,
             labels=("control", "S"),
             assortments=(items, items),
-            counts=tuple(counts),
-            sizes=tuple(sum(row.values()) for row in counts),
+            counts=counts,
+            sizes=counts.sum(axis=1),
         )
 
 
@@ -244,7 +251,7 @@ def test_z_statistic_zero_when_shares_match():
         outside=True,
         labels=("control", "S"),
         assortments=((1, 2), (1, 2)),
-        counts=({0: 10, 1: 30, 2: 60}, {0: 40, 1: 10, 2: 20}),
+        counts=([10, 30, 60], [40, 10, 20]),
         sizes=(100, 70),
     )
     assert z_statistic(table, 1, 2, 0) == 0.0
@@ -256,7 +263,7 @@ def test_z_statistic_rejects_empty_evidence():
         outside=True,
         labels=("control", "S"),
         assortments=((1, 2), (1, 2)),
-        counts=({0: 10, 1: 30, 2: 60}, {0: 70, 1: 0, 2: 0}),
+        counts=([10, 30, 60], [70, 0, 0]),
         sizes=(100, 70),
     )
     with pytest.raises(ZeroEvidenceError):
@@ -365,7 +372,7 @@ def test_theorem_margins_on_symmetric_instance():
     design = ExperimentDesign(n=2, experiments=[(1, 2)], labels=("S",), scheme="manual")
     rho, margin = theorem_margins(model, design)
     cp = choice_probabilities(model, (1, 2))
-    assert rho == pytest.approx(min(cp.probs.values()))
+    assert rho == pytest.approx(min(cp.probs))
     assert margin == 1.0
 
 
@@ -383,8 +390,8 @@ def test_boost_factors_from_counts_matches_ratio():
     design = slice_design(naive_encoding(8, 2))
     table = sample_choices(model, design, [5000] * 7, seed=3)
     boosts = boost_factors_from_counts(table)
-    emp_control = {i: c / table.sizes[0] for i, c in table.counts[0].items()}
-    emp_s = {i: c / table.sizes[1] for i, c in table.counts[1].items()}
+    emp_control = table.counts[0] / table.sizes[0]
+    emp_s = table.counts[1] / table.sizes[1]
     for i in table.assortments[1]:
         assert boosts.factors[0][i] == pytest.approx(emp_s[i] / emp_control[i])
 
@@ -669,7 +676,7 @@ def test_exact_identification_matches_scalar_reference():
     for n, outside, _ in itertools.product((4, 8, 16, 32, 64), (True, False), range(3)):
         truth = generate_ground_truth(n, rng, outside=outside)
         design = slice_design(balanced_enumeration(n, int(rng.integers(2, 4))))
-        rows = exact_count_table(truth, design)
+        rows = design_probabilities(truth, design)
         table = boost_factors(rows[0], rows[1:], labels=design.labels)
         assert_same_identification(exact_identify(table), reference_exact_identify(table))
         # sampled boosts under a loose tolerance contradict each other often
@@ -689,10 +696,10 @@ def test_exact_contradictions_match_scalar_reference():
         outside=True,
         labels=("A", "B"),
         assortments=((1, 2, 3), (1, 2, 4)),
-        factors=(
+        factors=boost_matrix(n, [
             {0: 1.0, 1: 1.5, 2: 1.5, 3: 1.0},
             {0: 1.0, 1: 1.2, 2: 1.7, 4: 1.0},
-        ),
+        ]),
     )
     got = exact_identify(table)
     assert got[0].inconsistencies == [(1, 2, 1.0, 0.0)]
@@ -725,7 +732,7 @@ def near_tie_tables():
             outside=outside,
             labels=tuple(f"S{k}" for k in range(4)),
             assortments=tuple(assortments),
-            factors=tuple(factors),
+            factors=boost_matrix(n, factors),
         )
 
 
@@ -746,7 +753,7 @@ def test_near_tie_joins_need_both_items_boosted():
     up, near = 1.0 + 1.5 * EXACT_TOLERANCE, 1.0 + 0.5 * EXACT_TOLERANCE
     table = BoostTable(
         n=4, outside=True, labels=("S",), assortments=((1, 2, 3),),
-        factors=({0: 1.0, 1: up, 2: near, 3: up},),
+        factors=boost_matrix(4, [{0: 1.0, 1: up, 2: near, 3: up}]),
     )
     flipped = by_boost(table)  # lists item 2 first
     assert reference_exact_identify(table)[0].get(1, 2) == 1.0
@@ -788,7 +795,7 @@ def test_threshold_identification_matches_scalar_reference():
 
 def reference_theorem_margins(model, design, tol=EXACT_TOLERANCE):
     control = choice_probabilities(model, design.control)
-    rho = min(control.probs.values())
+    rho = min(control.probs[i] for i in ((0,) if model.outside else ()) + control.assortment)
     delta = 1.0
     for items in design.experiments:
         if not items:

@@ -18,10 +18,10 @@ from nestlab.model import (
     NestPartition,
     NestedLogitModel,
     choice_probabilities,
+    design_probabilities,
     generate_ground_truth,
     singleton_partition,
 )
-from nestlab.sampling import exact_count_table
 
 
 def brute_force_rmse(truth, estimate):
@@ -32,7 +32,7 @@ def brute_force_rmse(truth, estimate):
         for items in itertools.combinations(range(1, n + 1), size):
             a = choice_probabilities(truth, items)
             b = choice_probabilities(estimate, items)
-            for i in a.probs:
+            for i in ((0,) if a.outside else ()) + a.assortment:
                 total += (a.probs[i] - b.probs[i]) ** 2
                 cells += 1
     return math.sqrt(total / cells)
@@ -87,9 +87,7 @@ def test_all_subset_probabilities_match_choice_probabilities(outside):
         assert table.shape == (2**n - 1, n + 1)
         for s in range(1, 2**n):
             items = [t + 1 for t in range(n) if s >> t & 1]
-            want = np.zeros(n + 1)
-            for i, p in choice_probabilities(model, items).probs.items():
-                want[i] = p
+            want = choice_probabilities(model, items).probs
             np.testing.assert_allclose(table[s - 1], want, rtol=0, atol=1e-14)
 
 
@@ -152,12 +150,12 @@ def test_rmse_soft_restricted_on_design_assortments():
     truth = generate_ground_truth(6, rng)
     other = generate_ground_truth(6, rng)
     design = slice_design(balanced_enumeration(6, 2))
-    rows_a = exact_count_table(truth, design)
-    rows_b = exact_count_table(other, design)
+    rows_a = design_probabilities(truth, design)
+    rows_b = design_probabilities(other, design)
 
     total, cells = 0.0, 0
     for cp_a, cp_b in zip(rows_a, rows_b):
-        for i in cp_a.probs:
+        for i in ((0,) if cp_a.outside else ()) + cp_a.assortment:
             total += (cp_a.probs[i] - cp_b.probs[i]) ** 2
             cells += 1
     want = math.sqrt(total / cells)
@@ -168,7 +166,7 @@ def test_rmse_soft_restricted_on_design_assortments():
 def test_rmse_soft_restricted_requires_alignment():
     truth = generate_ground_truth(6, np.random.default_rng(67))
     design = slice_design(balanced_enumeration(6, 2))
-    rows = exact_count_table(truth, design)
+    rows = design_probabilities(truth, design)
     with pytest.raises(ValueError):
         rmse_soft_restricted(rows, rows[:-1])
     shuffled = [rows[0], *rows[2:], rows[1]]

@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 
 from nestlab.designs import balanced_enumeration, slice_design
+from nestlab.metrics import all_subset_probabilities
 from nestlab.model import (
     NestPartition,
     NestedLogitModel,
     check_general_position,
     choice_probabilities,
+    design_probabilities,
     generate_ground_truth,
     load_model,
     model_from_dict,
     model_to_dict,
     nest_multiplier,
-    nest_weight,
     normalize_identifiable,
     save_model,
     singleton_partition,
@@ -90,7 +91,7 @@ def test_probabilities_without_outside_drop_the_one():
     vN1 = 3.0 ** 0.5
     denom = vN1 + 4.0
     assert cp.prob(3) == pytest.approx(4.0 / denom, abs=1e-15)
-    assert 0 not in cp.probs
+    assert cp.prob(0) == 0.0
 
 
 def test_probabilities_sum_to_one():
@@ -102,8 +103,8 @@ def test_probabilities_sum_to_one():
             if not items:
                 items = [1]
             cp = choice_probabilities(model, items)
-            assert sum(cp.probs.values()) == pytest.approx(1.0, abs=1e-12)
-            assert (0 in cp.probs) == outside
+            assert cp.probs.sum() == pytest.approx(1.0, abs=1e-12)
+            assert (cp.prob(0) > 0.0) == outside
 
 
 def test_degenerate_nest_uses_fixed_weight():
@@ -115,14 +116,109 @@ def test_degenerate_nest_uses_fixed_weight():
         outside=True,
         degenerate_weights={0: 3.7},
     )
-    assert nest_weight(model, 0, (1, 2)) == pytest.approx(3.7)
-    assert nest_weight(model, 0, (1,)) == pytest.approx(3.7)
+    # the nest's value is 3.7 whichever members are offered
+    assert choice_probabilities(model, (1, 2)).prob(0) == pytest.approx(1.0 / 4.7)
+    assert choice_probabilities(model, (1,)).prob(0) == pytest.approx(1.0 / 4.7)
     cp_full = choice_probabilities(model, (1, 2, 3))
     cp_part = choice_probabilities(model, (1, 3))
     # the nest's total share is unchanged by dropping a member
     assert cp_full.prob(1) + cp_full.prob(2) == pytest.approx(cp_part.prob(1), abs=1e-12)
     # within the nest the split follows the item weights
     assert cp_full.prob(2) / cp_full.prob(1) == pytest.approx(3.0, abs=1e-12)
+
+
+def reference_choice_probabilities(model, items):
+    """The closed form as a scalar loop over nests, the reference for the array kernel.
+
+    Returns {item: probability}, key 0 being the outside option when present.
+    """
+    offered = set(items)
+    values, members = [], []
+    for k, nest in enumerate(model.partition.nests):
+        inside = [i for i in nest if i in offered]
+        total = sum(model.weight(i) for i in inside)
+        lam = model.lambdas[k]
+        if total == 0.0:
+            value = 0.0
+        elif lam == 0.0:
+            value = model.degenerate_weights[k]
+        else:
+            value = math.exp(lam * math.log(total))
+        values.append(value)
+        members.append((inside, total))
+    denom = (1.0 if model.outside else 0.0) + sum(values)
+    probs = {0: 1.0 / denom} if model.outside else {}
+    for value, (inside, total) in zip(values, members):
+        for i in inside:
+            probs[i] = value / denom * model.weight(i) / total
+    return probs
+
+
+def assert_matches_reference(model, items, row):
+    want = np.zeros(model.n + 1)
+    for i, p in reference_choice_probabilities(model, items).items():
+        want[i] = p
+    np.testing.assert_allclose(row, want, rtol=0, atol=1e-15)
+
+
+def with_extreme_lambdas(model):
+    """The model with lambda = 0 on its first multi-item nest and 1 on its second."""
+    multi = [k for k, nest in enumerate(model.partition.nests) if len(nest) > 1]
+    lambdas = list(model.lambdas)
+    lambdas[multi[0]] = 0.0
+    lambdas[multi[1]] = 1.0
+    return NestedLogitModel(
+        partition=model.partition,
+        weights=model.weights,
+        lambdas=tuple(lambdas),
+        outside=model.outside,
+        degenerate_weights={multi[0]: 2.5},
+    )
+
+
+@pytest.mark.parametrize("outside", [True, False])
+def test_kernel_matches_scalar_reference_on_every_subset(outside):
+    """n <= 7, every subset, single rows and the all-subset table: within 1e-15"""
+    rng = np.random.default_rng(12)
+    models = [NestedLogitModel(  # a lambda = 0 nest, a lambda = 1 nest, two singletons
+        partition=NestPartition([(1, 4), (2, 6, 7), (3,), (5,)]),
+        weights=(2.0, 0.5, 3.0, 1.5, 0.25, 4.0, 1.0),
+        lambdas=(0.0, 1.0, 1.0, 0.35),
+        outside=outside,
+        degenerate_weights={0: 1.75},
+    )]
+    models += [generate_ground_truth(n, rng, outside=outside) for n in range(2, 8)]
+    for model in models:
+        n = model.n
+        table = all_subset_probabilities(model)
+        for s in range(1, 2**n):
+            items = tuple(t + 1 for t in range(n) if s >> t & 1)
+            assert_matches_reference(model, items, choice_probabilities(model, items).probs)
+            assert_matches_reference(model, items, table[s - 1])
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("outside", [True, False])
+def test_kernel_matches_scalar_reference_on_slice_designs(n, outside):
+    design = slice_design(balanced_enumeration(n, 2))
+    truth = generate_ground_truth(n, np.random.default_rng(n), outside=outside)
+    for model in (truth, with_extreme_lambdas(truth)):
+        for cp in design_probabilities(model, design):
+            assert_matches_reference(model, cp.assortment, cp.probs)
+
+
+def test_design_probabilities_match_choice_probabilities():
+    """Bitwise: a row's probabilities do not depend on the other rows computed with it"""
+    rng = np.random.default_rng(13)
+    for n, outside in itertools.product((3, 16, 64, 512), (True, False)):
+        model = generate_ground_truth(n, rng, outside=outside)
+        design = slice_design(balanced_enumeration(n, 2))
+        rows = design_probabilities(model, design)
+        assert rows[0].assortment == design.control
+        for cp, items in zip(rows, (design.control, *design.experiments)):
+            want = choice_probabilities(model, items)
+            assert cp.assortment == want.assortment
+            assert np.array_equal(cp.probs, want.probs)
 
 
 def test_degenerate_weight_required_exactly_for_zero_lambda():
@@ -219,8 +315,7 @@ def test_normalize_identifiable_preserves_choice_function():
             for items in itertools.combinations(range(1, n + 1), size):
                 a = choice_probabilities(rough, items)
                 b = choice_probabilities(norm, items)
-                for i in a.probs:
-                    assert a.probs[i] == pytest.approx(b.probs[i], abs=1e-12)
+                np.testing.assert_allclose(a.probs, b.probs, rtol=0, atol=1e-12)
 
 
 def test_generated_truth_satisfies_published_constraints():

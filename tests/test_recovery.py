@@ -20,6 +20,7 @@ from nestlab.model import (
     NestPartition,
     NestedLogitModel,
     choice_probabilities,
+    design_probabilities,
     generate_ground_truth,
     normalize_identifiable,
 )
@@ -30,7 +31,7 @@ from nestlab.recovery import (
     recover_least_squares,
     within_nest_weights,
 )
-from nestlab.sampling import allocate_customers, exact_count_table, sample_choices
+from nestlab.sampling import allocate_customers, sample_choices
 
 
 def test_within_nest_weights_normalizes_lowest_index():
@@ -58,7 +59,7 @@ def test_round_trip_exact_probabilities():
             model = generate_ground_truth(n, rng, outside=outside)
             enc = balanced_enumeration(n, 2)
             design = slice_design(enc)
-            rows = exact_count_table(model, design)
+            rows = design_probabilities(model, design)
             recovered = recover_all(rows, model.partition, design)
             assert rmse_soft(model, recovered) < 1e-10, (n, outside)
 
@@ -68,7 +69,7 @@ def test_round_trip_recovers_parameters_up_to_normalization():
     model = generate_ground_truth(9, rng)
     enc = balanced_enumeration(9, 2)
     design = slice_design(enc)
-    rows = exact_count_table(model, design)
+    rows = design_probabilities(model, design)
     recovered = recover_all(rows, model.partition, design)
     norm = normalize_identifiable(model)
     assert recovered.partition == norm.partition
@@ -89,7 +90,7 @@ def test_degenerate_nest_round_trip():
     )
     enc = balanced_enumeration(6, 2)
     design = slice_design(enc)
-    rows = exact_count_table(model, design)
+    rows = design_probabilities(model, design)
     recovered = recover_all(rows, model.partition, design)
     k = recovered.partition.nest_of(1)
     assert recovered.lambdas[k] == 0.0
@@ -107,7 +108,7 @@ def test_single_nest_without_outside_falls_back_to_flat_weights():
     )
     enc = balanced_enumeration(3, 2)
     design = slice_design(enc)
-    rows = exact_count_table(model, design)
+    rows = design_probabilities(model, design)
     recovered = recover_all(rows, NestPartition([(1, 2, 3)]), design)
     got = choice_probabilities(recovered, (1, 2, 3))
     want = choice_probabilities(model, (1, 2, 3))
@@ -126,11 +127,12 @@ def test_true_partition_recovers_without_outside(scheme, n, first_seed):
         design = leave_one_out_design(n)
     for seed in range(first_seed, first_seed + 30):
         truth = generate_ground_truth(n, seed, outside=False)
-        rows = exact_count_table(truth, design)
+        rows = design_probabilities(truth, design)
         fitted = recover_all(rows, truth.partition, design)
-        for want, got in zip(rows, exact_count_table(fitted, design)):
-            for item, p in want.probs.items():
-                assert abs(p - got.probs[item]) <= 1e-12, (seed, want.assortment, item)
+        for want, got in zip(rows, design_probabilities(fitted, design)):
+            for item in want.assortment:
+                error = abs(want.probs[item] - got.probs[item])
+                assert error <= 1e-12, (seed, want.assortment, item)
 
 
 def reference_pair_is_usable(anchor, target, s_items, sp_items):
@@ -169,14 +171,13 @@ def reference_log_determinant(weights, anchor, target, s_items, sp_items):
 def recover_recording_reads(monkeypatch, rows, partition, design):
     """Experiments (-1 for the control) whose rows each nest's system reads."""
     reads: dict[tuple[int, ...], list[int]] = {}
-    real_row = recovery._row
+    real_rows = recovery._system_rows
 
-    def spy(cp, weights, anchor, target):
-        index = next(t for t, p in enumerate(rows) if p is cp) - 1
-        reads.setdefault(target, []).append(index)
-        return real_row(cp, weights, anchor, target)
+    def spy(terms, k, chosen):
+        reads.setdefault(partition.nests[k], []).extend(chosen)
+        return real_rows(terms, k, chosen)
 
-    monkeypatch.setattr(recovery, "_row", spy)
+    monkeypatch.setattr(recovery, "_system_rows", spy)
     with contextlib.suppress(RecoveryError):
         recover_all(rows, partition, design)
     monkeypatch.undo()
@@ -197,7 +198,7 @@ def test_chosen_experiments_reach_the_largest_determinant(monkeypatch, scheme):
         else:
             design = leave_one_out_design(n)
         exps = design.experiments
-        rows = exact_count_table(truth, design)
+        rows = design_probabilities(truth, design)
         weights = within_nest_weights(rows[0], truth.partition)
         anchor = truth.partition.nests[0]
         for target, chosen in recover_recording_reads(
@@ -243,7 +244,7 @@ def test_recovery_raises_on_degenerate_geometry():
     )
     enc = balanced_enumeration(4, 2)
     design = slice_design(enc)
-    rows = exact_count_table(model, design)
+    rows = design_probabilities(model, design)
     with pytest.raises(SingularSystemError):
         recover_all(rows, model.partition, design)
 
@@ -252,7 +253,7 @@ def test_recover_all_validates_row_count():
     model = generate_ground_truth(4, np.random.default_rng(3))
     enc = balanced_enumeration(4, 2)
     design = slice_design(enc)
-    rows = exact_count_table(model, design)
+    rows = design_probabilities(model, design)
     with pytest.raises(ValueError):
         recover_all(rows[:-1], model.partition, design)
 

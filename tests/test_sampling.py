@@ -6,12 +6,18 @@ import numpy as np
 import pytest
 
 from nestlab.designs import balanced_enumeration, slice_design
-from nestlab.model import NestPartition, NestedLogitModel, choice_probabilities, generate_ground_truth
+from nestlab.model import (
+    NestPartition,
+    NestedLogitModel,
+    choice_probabilities,
+    design_probabilities,
+    generate_ground_truth,
+)
 from nestlab.sampling import (
     ChoiceCountTable,
     allocate_customers,
+    draw_counts,
     empirical_probabilities,
-    exact_count_table,
     load_counts,
     sample_choices,
     save_counts,
@@ -55,8 +61,8 @@ def test_sample_counts_sum_to_allocation():
     table = sample_choices(model, design, alloc, seed=0)
     assert table.labels[0] == "control"
     for cnt, m, items in zip(table.counts, table.sizes, table.assortments):
-        assert sum(cnt.values()) == m
-        assert set(cnt) == {0, *items}
+        assert cnt.sum() == m
+        assert set(np.flatnonzero(cnt)) <= {0, *items}
 
 
 def test_sample_choices_is_seed_deterministic():
@@ -66,8 +72,18 @@ def test_sample_choices_is_seed_deterministic():
     a = sample_choices(model, design, alloc, seed=42)
     b = sample_choices(model, design, alloc, seed=42)
     c = sample_choices(model, design, alloc, seed=43)
-    assert a.counts == b.counts
-    assert a.counts != c.counts
+    assert np.array_equal(a.counts, b.counts)
+    assert not np.array_equal(a.counts, c.counts)
+
+
+def test_draw_counts_samples_given_design_probabilities():
+    model = small_model()
+    design = slice_design(balanced_enumeration(3, 2))
+    alloc = allocate_customers(900, design.num_experiments + 1)
+    probs = design_probabilities(model, design)
+    assert draw_counts(probs, design, alloc, seed=5) == sample_choices(model, design, alloc, seed=5)
+    with pytest.raises(ValueError, match="every experiment"):
+        draw_counts(probs[:-1], design, alloc, seed=5)
 
 
 def test_sampled_frequencies_approach_exact_probabilities():
@@ -78,8 +94,7 @@ def test_sampled_frequencies_approach_exact_probabilities():
     emp = empirical_probabilities(table)
     for cp_hat, items in zip(emp, table.assortments):
         cp = choice_probabilities(model, items)
-        for i in cp.probs:
-            assert cp_hat.probs[i] == pytest.approx(cp.probs[i], abs=0.01)
+        np.testing.assert_allclose(cp_hat.probs, cp.probs, rtol=0, atol=0.01)
 
 
 def test_empirical_probabilities_need_customers():
@@ -92,24 +107,25 @@ def test_empirical_probabilities_need_customers():
         empirical_probabilities(table)
 
 
-def test_exact_count_table_matches_model():
-    model = small_model()
-    design = slice_design(balanced_enumeration(3, 2))
-    rows = exact_count_table(model, design)
-    assert rows[0].assortment == design.control
-    for cp, items in zip(rows[1:], design.experiments):
-        want = choice_probabilities(model, items)
-        assert cp.probs == want.probs
-
-
 def test_count_table_rows_must_match_assortments():
-    with pytest.raises(ValueError):
+    # a nonzero count on an item the assortment does not offer
+    with pytest.raises(ValueError, match="offered items"):
+        ChoiceCountTable(
+            n=3,
+            outside=True,
+            labels=("control",),
+            assortments=((1, 2),),
+            counts=([1, 2, 3, 4],),
+            sizes=(10,),
+        )
+    # a matrix with one column too few
+    with pytest.raises(ValueError, match="shape"):
         ChoiceCountTable(
             n=3,
             outside=True,
             labels=("control",),
             assortments=((1, 2, 3),),
-            counts=({0: 1, 1: 2, 2: 3},),  # item 3 count missing
+            counts=([1, 2, 3],),
             sizes=(6,),
         )
 
@@ -121,7 +137,7 @@ def test_count_table_validates_sums():
             outside=True,
             labels=("control",),
             assortments=((1, 2),),
-            counts=({0: 1, 1: 2, 2: 3},),
+            counts=([1, 2, 3],),
             sizes=(7,),
         )
 
@@ -137,9 +153,10 @@ def test_counts_csv_round_trip(tmp_path):
     loaded = load_counts(path, n=5)
     assert loaded.labels == table.labels
     assert loaded.assortments == table.assortments
-    assert loaded.counts == table.counts
-    assert loaded.sizes == table.sizes
+    assert np.array_equal(loaded.counts, table.counts)
+    assert np.array_equal(loaded.sizes, table.sizes)
     assert loaded.outside
+    assert loaded == table
 
 
 def test_load_counts_detects_missing_outside(tmp_path):
@@ -164,14 +181,14 @@ def test_load_counts_requires_control_first(tmp_path):
 
 
 def test_count_table_rejects_negative_counts():
-    # {1: -1, 2: 6} sums to the sample size, so only the sign check catches it
+    # -1 and 6 sum to the sample size, so only the sign check catches it
     with pytest.raises(ValueError, match="item 1 in control"):
         ChoiceCountTable(
             n=2,
             outside=False,
             labels=("control",),
             assortments=((1, 2),),
-            counts=({1: -1, 2: 6},),
+            counts=([0, -1, 6],),
             sizes=(5,),
         )
 
@@ -183,7 +200,7 @@ def test_count_table_rejects_items_outside_range():
             outside=False,
             labels=("control", "S"),
             assortments=((1, 2), (1, 7)),
-            counts=({1: 2, 2: 3}, {1: 1, 7: 4}),
+            counts=([0, 2, 3], [0, 1, 4]),
             sizes=(5, 5),
         )
 
@@ -195,4 +212,14 @@ def test_load_counts_rejects_conflicting_sample_sizes(tmp_path):
         "control,1,3,9\ncontrol,2,2,5\n"  # sums to the last size listed
     )
     with pytest.raises(ValueError, match="control lists sample sizes 9 and 5"):
+        load_counts(path, n=2)
+
+
+def test_load_counts_rejects_repeated_items(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_text(
+        "assortment_label,item_id,count,sample_size\n"
+        "control,1,3,5\ncontrol,1,3,5\ncontrol,2,2,5\n"
+    )
+    with pytest.raises(ValueError, match="control lists item 1 twice"):
         load_counts(path, n=2)
