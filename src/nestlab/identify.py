@@ -10,11 +10,14 @@ tolerance on exact boost factors, or a |z| cutoff on counts.  The noisy
 identifiers replace equality with two-proportion z-tests, run per experiment
 as array operations over every pair of offered items (outside option
 included), merge each experiment by elementwise minimum and hand the soft
-evidence matrix to community detection.
+evidence matrix to community detection.  A p-value is evaluated only where it
+sets an edge weight: pairs clearly past the alpha cutoff are rejected from
+|z| alone, and math.erfc decides exactly near the cutoff.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -384,16 +387,52 @@ class TestConfig:
 
 # math.erfc elementwise: scipy.special.erfc differs from it in the last bit.
 _erfc = np.frompyfunc(math.erfc, 1, 1)
+SCREEN_BAND = 1e-3  # relative half-width of the zone where math.erfc decides exactly
 
 
-def _tested_pairs(
-    z: np.ndarray, evidence: np.ndarray
+@functools.lru_cache(maxsize=16)
+def _rejection_band(alpha: float) -> tuple[float, float]:
+    """(low, high) in u = |z| / sqrt 2: erfc(u) > alpha below low, <= alpha above high.
+
+    Bisects math.erfc itself for where it crosses alpha (erfc(30) is 0),
+    then widens the crossing by SCREEN_BAND relative plus 1e-12 absolute
+    (the crossing nears 0 as alpha nears 1), far past erfc's last-bit error.
+    """
+    lo, hi = 0.0, 30.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if math.erfc(mid) <= alpha:
+            hi = mid
+        else:
+            lo = mid
+    return lo * (1.0 - SCREEN_BAND) - 1e-12, hi * (1.0 + SCREEN_BAND) + 1e-12
+
+
+def _pair_weights(
+    z: np.ndarray, evidence: np.ndarray, alpha: float, boosted: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Upper-triangle pairs (a, b) with evidence and their two-sided p-values."""
+    """Upper-triangle pairs (a, b) with evidence and their edge weights.
+
+    A pair whose two-sided p-value is at most alpha is rejected (weight 0).
+    A kept pair weighs 1 when boosted is given and marks both items, else
+    its p-value.  The p-value is computed only where it sets the weight or,
+    inside the rejection band, decides the rejection.
+    """
     a, b = np.triu_indices(z.shape[0], 1)
     keep = evidence[a, b]
     a, b = a[keep], b[keep]
-    return a, b, _erfc(np.abs(z[a, b]) / math.sqrt(2.0)).astype(np.float64)
+    u = np.abs(z[a, b]) / math.sqrt(2.0)
+    low, high = _rejection_band(alpha)
+    kept = u <= high
+    near = kept & (u >= low)
+    kept[near] = _erfc(u[near]).astype(np.float64) > alpha
+    weight = np.zeros(len(u))
+    if boosted is not None:
+        sure = kept & boosted[a] & boosted[b]
+        weight[sure] = 1.0
+        kept &= ~sure
+    weight[kept] = _erfc(u[kept]).astype(np.float64)
+    return a, b, weight
 
 
 def _merge_min(values: np.ndarray, rows, cols, weight) -> None:
@@ -440,10 +479,7 @@ def noisy_identify_with_outside(
         tested = evidence[1:, 0]
         p_leq[tested] = 0.5 * _erfc(z[1:, 0][tested] / math.sqrt(2.0)).astype(np.float64)
         boosted = p_leq <= config.alpha
-        a, b, p_eq = _tested_pairs(z[1:, 1:], evidence[1:, 1:])
-        weight = np.where(
-            p_eq <= config.alpha, 0.0, np.where(boosted[a] & boosted[b], 1.0, p_eq)
-        )
+        a, b, weight = _pair_weights(z[1:, 1:], evidence[1:, 1:], config.alpha, boosted)
         _merge_min(values, offered[a], offered[b], weight)
         unboosted = p_leq > config.beta
         if unboosted.any():
@@ -478,8 +514,8 @@ def noisy_identify_without_outside(
     values = np.full((n, n), NOISY_NULL)
     for s, items in enumerate(table.assortments[1:]):
         offered = np.asarray(items, dtype=np.intp) - 1
-        a, b, p_eq = _tested_pairs(*_support_z(table, s, items))
-        _merge_min(values, offered[a], offered[b], np.where(p_eq <= config.alpha, 0.0, p_eq))
+        a, b, weight = _pair_weights(*_support_z(table, s, items), config.alpha)
+        _merge_min(values, offered[a], offered[b], weight)
     values[values == NOISY_NULL] = 0.0
     np.fill_diagonal(values, 0.0)
     return EdgeMatrix(values=values), community_detect(values)

@@ -3,7 +3,8 @@
 rmse_soft averages squared choice-probability error over every nonempty
 assortment (the restricted variant over a fixed list); rand_index scores a
 recovered partition by pairwise co-membership agreement; confidence
-intervals are Student-t over independent instances.
+intervals are Student-t over independent instances (the only use of
+scipy, imported on first call so that importing nestlab stays light).
 
 The all-subset table behind rmse_soft comes from the model's one
 probability kernel: the bool offer mask for the last n is cached and the
@@ -20,7 +21,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import stats
 
 from .model import ChoiceProbabilities, NestPartition, NestedLogitModel, probability_table
 
@@ -151,6 +151,8 @@ def confidence_interval(
     values: list[float] | np.ndarray, level: float = 0.95
 ) -> tuple[float, float, float]:
     """(mean, low, high) Student-t interval treating values as iid draws."""
+    from scipy import stats  # slow to import, and only needed here
+
     arr = np.asarray(values, dtype=np.float64)
     k = arr.size
     if k < 2:

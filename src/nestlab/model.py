@@ -47,31 +47,34 @@ class NestPartition:
         n = len(items)
         if sorted(items) != list(range(1, n + 1)):
             raise ValueError("nests must partition 1..n exactly")
-        lookup = {}
-        for idx, nest in enumerate(self.nests):
-            for i in nest:
-                lookup[i] = idx
-        object.__setattr__(self, "_nest_of", lookup)
+        labels = np.empty(n, dtype=np.int64)
+        labels[np.array(items, dtype=np.intp) - 1] = np.repeat(
+            np.arange(len(self.nests)), [len(nest) for nest in self.nests]
+        )
+        labels.flags.writeable = False
+        object.__setattr__(self, "_labels", labels)
+
+    def __reduce__(self):
+        # rebuilt from the nests, so an unpickled copy's labels stay read-only
+        return NestPartition, (self.nests,)
 
     @property
     def n(self) -> int:
-        return sum(len(nest) for nest in self.nests)
+        return len(self._labels)
 
     @property
     def num_nests(self) -> int:
         return len(self.nests)
 
     def nest_of(self, item: int) -> int:
-        """Index of the nest containing an item."""
-        return self._nest_of[item]
+        """Index of the nest containing an item; KeyError outside 1..n."""
+        if not 1 <= item <= len(self._labels):
+            raise KeyError(item)
+        return int(self._labels[item - 1])
 
     def labels(self) -> np.ndarray:
-        """Per-item nest indices, position i-1 for item i."""
-        out = np.empty(self.n, dtype=np.int64)
-        for idx, nest in enumerate(self.nests):
-            for i in nest:
-                out[i - 1] = idx
-        return out
+        """Per-item nest indices, position i-1 for item i; read-only."""
+        return self._labels
 
 
 def singleton_partition(n: int) -> NestPartition:

@@ -10,6 +10,7 @@ design probabilities, so a caller that has them does not compute them again.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,11 +155,14 @@ def empirical_probabilities(table: ChoiceCountTable) -> list[ChoiceProbabilities
     ]
 
 
+COUNT_COLUMNS = ("assortment_label", "item_id", "count", "sample_size")
+
+
 def save_counts(table: ChoiceCountTable, path: str) -> None:
     lead = (0,) if table.outside else ()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["assortment_label", "item_id", "count", "sample_size"])
+        writer.writerow(COUNT_COLUMNS)
         for label, items, row, m in zip(
             table.labels, table.assortments, table.counts.tolist(), table.sizes.tolist()
         ):
@@ -172,9 +176,17 @@ def load_counts(path: str, n: int) -> ChoiceCountTable:
     listed: list[set[int]] = []  # items listed per row
     entries: list[tuple[int, int, int]] = []  # (row, item, count)
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            label, item = rec["assortment_label"], int(rec["item_id"])
-            size = int(rec["sample_size"])
+        reader = csv.reader(fh)
+        header = next(reader, COUNT_COLUMNS)  # an empty file fails the control check below
+        missing = [name for name in COUNT_COLUMNS if name not in header]
+        if missing:
+            raise ValueError(f"count file has no {missing[0]} column")
+        fields = operator.itemgetter(*(header.index(name) for name in COUNT_COLUMNS))
+        for rec in reader:
+            if not rec:  # blank line
+                continue
+            label, item, count, size = fields(rec)
+            item, size = int(item), int(size)
             r = index.setdefault(label, len(index))
             if r == len(sizes):
                 sizes.append(size)
@@ -184,7 +196,7 @@ def load_counts(path: str, n: int) -> ChoiceCountTable:
             if item in listed[r]:
                 raise ValueError(f"{label} lists item {item} twice")
             listed[r].add(item)
-            entries.append((r, item, int(rec["count"])))
+            entries.append((r, item, int(count)))
     labels = tuple(index)
     if not labels or labels[0] != "control":
         raise ValueError("count file must start with the control assortment")

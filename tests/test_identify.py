@@ -28,6 +28,7 @@ from nestlab.identify import (
     theorem_z_threshold,
     z_statistic,
     _finalize_exact,
+    _pair_weights,
     _support_z,
 )
 from nestlab.communities import community_detect
@@ -476,7 +477,7 @@ def reference_tables():
     rng = np.random.default_rng(77)
     configs = [
         TestConfig(alpha=alpha, beta=beta)
-        for alpha, beta in itertools.product((0.0, 0.05, 1.0), (None, 0.0, 1.0))
+        for alpha, beta in itertools.product((0.0, 1e-8, 1e-4, 0.05, 1.0), (None, 0.0, 1.0))
     ]
     for n, outside in itertools.product((6, 16, 64), (True, False)):
         design = slice_design(balanced_enumeration(n, 2))
@@ -505,8 +506,66 @@ def test_noisy_identification_matches_scalar_reference():
             for i, j in itertools.combinations(items, 2)
         )
         checked += 1
-    assert checked >= 200
-    assert zero_evidence >= 50  # thin budgets exercise the no-evidence skips
+    assert checked >= 360
+    assert zero_evidence >= 80  # thin budgets exercise the no-evidence skips
+
+
+def test_noisy_identification_with_alpha_tied_to_a_p_value():
+    """alpha equal to a pair's exact p-value rejects that pair; one float less keeps it"""
+    identify = {True: noisy_identify_with_outside, False: noisy_identify_without_outside}
+    rng = np.random.default_rng(79)
+    design = slice_design(balanced_enumeration(16, 2))
+    for outside in (True, False):
+        model = generate_ground_truth(16, rng, outside=outside)
+        alloc = allocate_customers(30000, design.num_experiments + 1)
+        table = sample_choices(model, design, alloc, seed=int(rng.integers(2**31)))
+        for s, items in enumerate(table.assortments[1:]):
+            z, evidence = _support_z(table, s, items)
+            a, b = np.nonzero(np.triu(evidence, 1))
+            p = sorted(math.erfc(abs(z[i, j]) / math.sqrt(2.0)) for i, j in zip(a, b))
+            tied = p[len(p) // 2]
+            pair = [k for k, (i, j) in enumerate(zip(a, b))
+                    if math.erfc(abs(z[i, j]) / math.sqrt(2.0)) == tied]
+            assert _pair_weights(z, evidence, tied)[2][pair].tolist() == [0.0] * len(pair)
+            below = float(np.nextafter(tied, 0.0))
+            assert _pair_weights(z, evidence, below)[2][pair].tolist() == [tied] * len(pair)
+            for alpha in (tied, below, float(np.nextafter(tied, 1.0))):
+                config = TestConfig(alpha=alpha)
+                edges, _ = identify[outside](table, design, config)
+                assert np.array_equal(edges.values, reference_noisy_identify(table, config))
+
+
+def test_pair_weights_screen_agrees_with_exact_p_values():
+    """Screened weights equal exact erfc decisions on dense sweeps around each cutoff"""
+    rng = np.random.default_rng(80)
+    alphas = (0.0, 5e-324, 1e-310, 1e-300, 1e-8, 1e-4, 0.05, 0.5, 1 - 1e-12,
+              float(np.nextafter(1.0, 0.0)), 1.0)
+    for alpha in alphas:
+        lo, hi = 0.0, 30.0  # u where math.erfc crosses alpha
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if math.erfc(mid) <= alpha else (mid, hi)
+        cut = hi * math.sqrt(2.0)
+        steps = np.arange(-3000, 3001)
+        near = np.abs(cut + steps * np.spacing(max(cut, 1e-300)))
+        z = np.concatenate([
+            near, cut * (1.0 + np.linspace(-0.02, 0.02, 4001)), rng.uniform(0.0, 45.0, 3000),
+            [0.0, 1e-300, 1e-17, 1e-12, 40.0],
+        ])
+        side = math.ceil((1.0 + math.sqrt(1.0 + 8.0 * len(z))) / 2.0)
+        a, b = np.triu_indices(side, 1)
+        for sign in (1.0, -1.0):
+            matrix = np.zeros((side, side))
+            matrix[a[: len(z)], b[: len(z)]] = sign * z
+            evidence = np.ones(matrix.shape, dtype=bool)
+            boosted = rng.random(side) < 0.5
+            p = np.array([math.erfc(abs(v) / math.sqrt(2.0)) for v in matrix[a, b]])
+            want = np.where(p <= alpha, 0.0, np.where(boosted[a] & boosted[b], 1.0, p))
+            got_a, got_b, weight = _pair_weights(matrix, evidence, alpha, boosted)
+            assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
+            assert np.array_equal(weight, want), alpha
+            _, _, weight = _pair_weights(matrix, evidence, alpha)
+            assert np.array_equal(weight, np.where(p <= alpha, 0.0, p)), alpha
 
 
 # The scalar deduction loops of exact and z-threshold identification, kept as

@@ -2,10 +2,14 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nestlab
 from nestlab.designs import balanced_enumeration, slice_design
 from nestlab.metrics import (
     all_subset_probabilities,
@@ -237,3 +241,11 @@ def test_confidence_interval_shrinks_with_samples():
 def test_confidence_interval_needs_two_values():
     with pytest.raises(ValueError):
         confidence_interval([1.0])
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats loads on the first confidence interval, not with nestlab"""
+    src = os.path.dirname(os.path.dirname(nestlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, nestlab; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

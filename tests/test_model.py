@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -59,6 +60,38 @@ def test_partition_labels():
     assert labels[0] == labels[2]
     assert labels[1] == labels[3]
     assert labels[0] != labels[1]
+
+
+def test_partition_nest_of_rejects_items_outside_range():
+    """Items 0, -1 and n+1 raise KeyError; an array index would wrap for 0 and -1"""
+    p = NestPartition([(2, 4), (1, 3)])
+    for item in (0, -1, 5):
+        with pytest.raises(KeyError):
+            p.nest_of(item)
+
+
+def test_partition_labels_are_read_only():
+    p = NestPartition([(2, 4), (1, 3)])
+    with pytest.raises(ValueError):
+        p.labels()[0] = 1
+    assert p.labels().tolist() == [0, 1, 0, 1]
+
+
+def test_partition_equality_and_hash_follow_the_grouping():
+    p = NestPartition([(3,), (2, 1)])
+    q = NestPartition([[1, 2], [3]])
+    assert p == q and hash(p) == hash(q)
+    assert p != NestPartition([(1,), (2, 3)])
+    assert len({p, q, NestPartition([(1,), (2,), (3,)])}) == 2
+
+
+def test_partition_pickle_round_trip():
+    p = NestPartition([(2, 5), (1, 3), (4,)])
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and hash(q) == hash(p)
+    assert np.array_equal(q.labels(), p.labels())
+    assert not q.labels().flags.writeable
+    assert [q.nest_of(i) for i in range(1, 6)] == [0, 1, 0, 2, 1]
 
 
 def test_singleton_partition():

@@ -1,5 +1,6 @@
 """Tests for customer allocation, choice sampling, and count tables."""
 
+import csv
 import re
 
 import numpy as np
@@ -222,4 +223,31 @@ def test_load_counts_rejects_repeated_items(tmp_path):
         "control,1,3,5\ncontrol,1,3,5\ncontrol,2,2,5\n"
     )
     with pytest.raises(ValueError, match="control lists item 1 twice"):
+        load_counts(path, n=2)
+
+
+def test_load_counts_reads_columns_by_header(tmp_path):
+    model = generate_ground_truth(5, np.random.default_rng(6))
+    design = slice_design(balanced_enumeration(5, 2))
+    table = sample_choices(model, design, allocate_customers(700, 7), seed=3)
+    path = tmp_path / "counts.csv"
+    save_counts(table, path)
+    order = (2, 0, 3, 1)  # count, assortment_label, sample_size, item_id
+    shuffled = tmp_path / "shuffled.csv"
+    with open(path, newline="") as src, open(shuffled, "w", newline="") as dst:
+        csv.writer(dst).writerows([row[k] for k in order] for row in csv.reader(src))
+    assert shuffled.read_text().startswith("count,assortment_label,sample_size,item_id\n")
+    assert load_counts(shuffled, n=5) == table
+
+
+@pytest.mark.parametrize("column", ["assortment_label", "item_id", "count", "sample_size"])
+def test_load_counts_names_a_missing_column(tmp_path, column):
+    header = ["assortment_label", "item_id", "count", "sample_size"]
+    rows = [["control", "1", "3", "5"], ["control", "2", "2", "5"]]
+    keep = [k for k, name in enumerate(header) if name != column]
+    path = tmp_path / "counts.csv"
+    path.write_text(
+        "".join(",".join(row[k] for k in keep) + "\n" for row in [header, *rows])
+    )
+    with pytest.raises(ValueError, match=f"no {column} column"):
         load_counts(path, n=2)
