@@ -60,7 +60,6 @@ from .model import (
 from .recovery import (
     recover_all,
     recover_least_squares,
-    solve_nest_params,
     within_nest_weights,
 )
 from .sampling import (

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 
@@ -82,9 +83,33 @@ def _reject_ignored_flags(parser: argparse.ArgumentParser, args) -> None:
         parser.error("identify: --delta has no effect in ztheorem mode with --threshold")
 
 
-def _cmd_identify(args) -> int:
+def _load_design_and_counts(args):
+    """The --design and --counts files, rejecting counts of other assortments.
+
+    The count rows must offer the design's control and then its experiments,
+    in order; the first row that differs is named.
+    """
     design = designs.load_design(args.design)
     table = sampling.load_counts(args.counts, design.n)
+    planned = zip(("control", *design.labels), (design.control, *design.experiments))
+    counted = zip(table.labels, table.assortments)
+    for r, ((name, items), (label, offered)) in enumerate(
+        itertools.zip_longest(planned, counted, fillvalue=(None, None))
+    ):
+        if items == offered:
+            continue
+        if label is None:
+            detail = f"the counts end before the design's {name}"
+        elif name is None:
+            detail = f"the design ends before the counts' {label}"
+        else:
+            detail = f"the design's {name} and the counts' {label} offer different items"
+        sys.exit(f"nestlab {args.command}: counts do not match the design at row {r}: {detail}")
+    return design, table
+
+
+def _cmd_identify(args) -> int:
+    design, table = _load_design_and_counts(args)
     if args.mode == "exact":
         tol = identify.EXACT_TOLERANCE if args.tol is None else args.tol
         bf = identify.boost_factors_from_counts(table)
@@ -127,8 +152,7 @@ def _load_partition(path: str) -> model.NestPartition:
 
 
 def _cmd_recover(args) -> int:
-    design = designs.load_design(args.design)
-    table = sampling.load_counts(args.counts, design.n)
+    design, table = _load_design_and_counts(args)
     partition = _load_partition(args.partition)
     if args.exact:
         probs = sampling.empirical_probabilities(table)

@@ -132,7 +132,6 @@ class ExperimentDesign:
     n: int
     experiments: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
-    scheme: str = "custom"
     b: int | None = None
     control: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
 
@@ -187,7 +186,6 @@ def slice_design(encoding: BaseBEncoding) -> ExperimentDesign:
         n=encoding.n,
         experiments=tuple(experiments),
         labels=tuple(labels),
-        scheme="slice",
         b=encoding.b,
     )
 
@@ -223,9 +221,7 @@ def randomized_design(
         items = rng.choice(n, size=int(s), replace=False) + 1
         experiments.append(tuple(sorted(int(x) for x in items)))
     labels = tuple(f"RAND({k + 1})" for k in range(num_assortments))
-    return ExperimentDesign(
-        n=n, experiments=tuple(experiments), labels=labels, scheme="random"
-    )
+    return ExperimentDesign(n=n, experiments=tuple(experiments), labels=labels)
 
 
 def leave_one_out_design(n: int) -> ExperimentDesign:
@@ -236,7 +232,7 @@ def leave_one_out_design(n: int) -> ExperimentDesign:
     full = range(1, n + 1)
     experiments = tuple(tuple(i for i in full if i != k) for k in range(1, n + 1))
     labels = tuple(f"LOO({k})" for k in range(1, n + 1))
-    return ExperimentDesign(n=n, experiments=experiments, labels=labels, scheme="loo")
+    return ExperimentDesign(n=n, experiments=experiments, labels=labels)
 
 
 def incremental_design(
@@ -254,9 +250,7 @@ def incremental_design(
         tuple(sorted(int(x) for x in perm[:k])) for k in range(1, n + 1)
     )
     labels = tuple(f"INC({k})" for k in range(1, n + 1))
-    return ExperimentDesign(
-        n=n, experiments=experiments, labels=labels, scheme="incremental"
-    )
+    return ExperimentDesign(n=n, experiments=experiments, labels=labels)
 
 
 def verify_separation(design: ExperimentDesign) -> list[tuple[int, int]]:
@@ -290,20 +284,10 @@ def design_to_dict(design: ExperimentDesign) -> dict:
 def design_from_dict(data: dict) -> ExperimentDesign:
     experiments = tuple(tuple(e["items"]) for e in data["experiments"])
     labels = tuple(e["label"] for e in data["experiments"])
-    scheme = "custom"
-    if labels and all(lab.startswith("S(") for lab in labels):
-        scheme = "slice"
-    elif labels and all(lab.startswith("RAND(") for lab in labels):
-        scheme = "random"
-    elif labels and all(lab.startswith("LOO(") for lab in labels):
-        scheme = "loo"
-    elif labels and all(lab.startswith("INC(") for lab in labels):
-        scheme = "incremental"
     return ExperimentDesign(
         n=data["n"],
         experiments=experiments,
         labels=labels,
-        scheme=scheme,
         b=data.get("b"),
         control=tuple(data["control"]),
     )

@@ -14,7 +14,7 @@ those experiments are the ones whose system has the largest |determinant|.
 Relative to the control row it is a 2x2 minor (or one entry) of the log
 fractions of each nest's weight that each experiment offers, so nonzero
 means solvable.  Noisy inputs use every usable assortment in one
-least-squares fit.
+least-squares fit.  Both paths build their rows with _log_linear_system.
 """
 
 from __future__ import annotations
@@ -73,14 +73,6 @@ def within_nest_weights(
     return weights
 
 
-@dataclass
-class NestSolution:
-    lambda_anchor: float | None
-    lam: float
-    scale: float  # c_N, or v_N for a degenerate nest
-    degenerate: bool
-
-
 def _check_determinant(matrix: np.ndarray) -> None:
     det = float(np.linalg.det(matrix))
     scale = float(np.prod(np.linalg.norm(matrix, axis=1)))
@@ -102,61 +94,30 @@ def _clamp_lambda(lam: float, context: str) -> float:
     return lam
 
 
-def solve_nest_params(
-    rows: list[tuple[float, float, float]],
-    anchor_free: bool,
-    target_free: bool,
-    context: str = "nest",
-) -> NestSolution:
-    """Solve rows of (A_T, B_T, y_T) for the free parameters by elimination.
+def _log_linear_system(
+    a: np.ndarray, b: np.ndarray, y: np.ndarray,
+    lam_col: np.ndarray, scale_col: np.ndarray, anchor_free: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix, rhs) of the rows lambda_anchor * A - lambda_N * B - s_N = y.
 
-    anchor_free and target_free say whether lambda_anchor and the target's
-    lambda are unknown (multi-item nests) or pinned at 1 (singletons or the
-    outside option).  Uses as many leading rows as there are unknowns and
-    rejects numerically singular systems.
+    Column 0 is lambda_anchor when anchor_free; otherwise that lambda is 1
+    and A moves to the right-hand side.  Row r puts lambda_N in column
+    lam_col[r], or moves B to the right-hand side where lam_col[r] = -1
+    (lambda_N pinned at 1), and s_N in column scale_col[r]; the scale
+    columns come last.
     """
-    columns = []
+    rows = np.arange(len(y))
+    matrix = np.zeros((len(y), int(scale_col.max()) + 1))
+    rhs = np.array(y, dtype=float)
     if anchor_free:
-        columns.append(0)
-    if target_free:
-        columns.append(1)
-    unknowns = len(columns) + 1
-    if len(rows) < unknowns:
-        raise RecoveryError(f"{context}: {len(rows)} rows cannot pin {unknowns} unknowns")
-    used = rows[:unknowns]
-    mat = np.zeros((unknowns, unknowns))
-    rhs = np.zeros(unknowns)
-    for r, (a_t, b_t, y_t) in enumerate(used):
-        y = y_t
-        col = 0
-        if anchor_free:
-            mat[r, col] = a_t
-            col += 1
-        else:
-            y -= a_t  # lambda_anchor = 1 contributes directly
-        if target_free:
-            mat[r, col] = -b_t
-            col += 1
-        else:
-            y += b_t  # lambda_N = 1
-        mat[r, col] = -1.0
-        rhs[r] = y
-    _check_determinant(mat)
-    sol = np.linalg.solve(mat, rhs)
-    col = 0
-    lambda_anchor = None
-    if anchor_free:
-        lambda_anchor = _clamp_lambda(float(sol[col]), context + " anchor")
-        col += 1
-    lam = 1.0
-    if target_free:
-        lam = _clamp_lambda(float(sol[col]), context)
-        col += 1
-    s_n = float(sol[col])
-    if target_free and lam < DEGENERATE_LAMBDA:
-        # Heuristic: a vanishing exponent reads as a fixed-weight nest.
-        return NestSolution(lambda_anchor, 0.0, math.exp(s_n), True)
-    return NestSolution(lambda_anchor, lam, math.exp(s_n / lam), False)
+        matrix[:, 0] = a
+    else:
+        rhs -= a
+    free = lam_col >= 0
+    matrix[rows[free], lam_col[free]] = -b[free]
+    rhs[~free] += b[~free]
+    matrix[rows, scale_col] = -1.0
+    return matrix, rhs
 
 
 def _row_terms(
@@ -182,13 +143,14 @@ def _row_terms(
     return a, b, y
 
 
-def _system_rows(terms, k: int, chosen: list[int]) -> list[tuple[float, float, float]]:
-    """(A_T, B_T, y_T) of nest k on the chosen experiments (-1: the control)."""
+def _system_rows(terms, k: int, chosen: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, y) of nest k on the chosen experiments (-1: the control)."""
     a, b, y = terms
+    cols = np.array(chosen) + 1
     missing = [e for e in chosen if np.isnan(y[k, e + 1])]
     if missing:
         raise RecoveryError(f"assortment {missing[0]} misses the anchor or nest {k}")
-    return [(float(a[e + 1]), float(b[k, e + 1]), float(y[k, e + 1])) for e in chosen]
+    return a[cols], b[k, cols], y[k, cols]
 
 
 def _mnl_from_control(control: ChoiceProbabilities, n: int, outside: bool) -> NestedLogitModel:
@@ -199,6 +161,26 @@ def _mnl_from_control(control: ChoiceProbabilities, n: int, outside: bool) -> Ne
         weights=tuple(control.probs[1:] / control.probs[1]),
         lambdas=tuple([1.0] * n),
         outside=outside,
+    )
+
+
+def _fitted_model(
+    partition: NestPartition, weights: np.ndarray, lambdas: list[float],
+    scales: np.ndarray, degenerate: dict[int, float], outside: bool,
+) -> NestedLogitModel:
+    """Item weights are within-nest weights times their nest's scale c_N.
+
+    Without an outside option, an anchor whose lambda came out 0 has nest
+    value W^0 = 1 under the scale normalization: a fixed weight of 1.
+    """
+    if not outside and lambdas[0] == 0.0:
+        degenerate[0] = 1.0
+    return NestedLogitModel(
+        partition=partition,
+        weights=tuple(scales[partition.labels()] * weights[1:]),
+        lambdas=tuple(lambdas),
+        outside=outside,
+        degenerate_weights=degenerate,
     )
 
 
@@ -229,10 +211,12 @@ def recover_all(
 
     offered = offered_mask(n, outside, [cp.assortment for cp in probs], ("control", *design.labels))
     terms = _row_terms(np.array([cp.probs for cp in probs]), offered, weights, partition)
-    solutions: dict[int, NestSolution] = {}
     anchor_idx = None if outside else 0
     anchor_free = anchor_idx is not None and len(nests[anchor_idx]) > 1
     anchor_estimates: list[float] = []
+    lambdas = [1.0] * len(nests)
+    scales = np.ones(len(nests))  # c_N; the anchor and degenerate nests keep 1
+    degenerate: dict[int, float] = {}
     # F[k, e]: log of the share of nest k's weight that experiment e offers
     # (B minus the control's B, which offers every item); NaN where e offers
     # no member, exactly 0 where it offers all.  Relative to the control
@@ -265,15 +249,26 @@ def recover_all(
             chosen = [-1, int(both[np.argmax(np.abs(fractions[free, both]))])]
         else:
             chosen = [-1]
-        sol = solve_nest_params(
-            _system_rows(terms, k, chosen),
+        # One row per chosen assortment, one unknown each: lambda_anchor
+        # (if free), lambda_N (if free), then s_N.
+        last = len(chosen) - 1
+        matrix, rhs = _log_linear_system(
+            *_system_rows(terms, k, chosen),
+            lam_col=np.full(len(chosen), last - 1 if target_free else -1),
+            scale_col=np.full(len(chosen), last),
             anchor_free=anchor_free,
-            target_free=target_free,
-            context=f"nest {k}",
         )
-        solutions[k] = sol
-        if sol.lambda_anchor is not None:
-            anchor_estimates.append(sol.lambda_anchor)
+        _check_determinant(matrix)
+        sol = np.linalg.solve(matrix, rhs)
+        if anchor_free:
+            anchor_estimates.append(_clamp_lambda(float(sol[0]), f"nest {k} anchor"))
+        lam = _clamp_lambda(float(sol[-2]), f"nest {k}") if target_free else 1.0
+        s_n = float(sol[-1])
+        if target_free and lam < DEGENERATE_LAMBDA:
+            # Heuristic: a vanishing exponent reads as a fixed-weight nest.
+            lambdas[k], degenerate[k] = 0.0, math.exp(s_n)
+        else:
+            lambdas[k], scales[k] = lam, math.exp(s_n / lam)
 
     if anchor_estimates:
         spread = max(anchor_estimates) - min(anchor_estimates)
@@ -281,25 +276,8 @@ def recover_all(
             raise RecoveryError(
                 f"anchor lambda estimates disagree by {spread:.3e}"
             )
-
-    lambdas = [1.0] * len(nests)
-    scales = np.ones(len(nests))  # c_N; the anchor and degenerate nests keep 1
-    degenerate: dict[int, float] = {}
-    if anchor_free:
         lambdas[anchor_idx] = float(np.mean(anchor_estimates))
-    for k, sol in solutions.items():
-        if sol.degenerate:
-            lambdas[k] = 0.0
-            degenerate[k] = sol.scale
-        else:
-            lambdas[k], scales[k] = sol.lam, sol.scale
-    return NestedLogitModel(
-        partition=partition,
-        weights=tuple(scales[partition.labels()] * weights[1:]),
-        lambdas=tuple(lambdas),
-        outside=outside,
-        degenerate_weights=degenerate,
-    )
+    return _fitted_model(partition, weights, lambdas, scales, degenerate, outside)
 
 
 @dataclass
@@ -352,33 +330,22 @@ def recover_least_squares(
 
     # Free lambda columns: the shared anchor (if multi-item) plus each
     # multi-item target whose offered-weight sums actually vary.
-    lam_free: dict[int, int] = {}
+    lam_col = np.full(len(nests), -1)
     col = 1 if anchor_free else 0
     for k in targets:
         b_vals = b_t[kk == k]
         varies = b_vals.size >= 2 and b_vals.max() - b_vals.min() > 1e-12
         if len(nests[k]) > 1 and varies:
-            lam_free[k] = col
+            lam_col[k] = col
             col += 1
         elif len(nests[k]) > 1:
             flags.append(f"nest-{k}-lambda-defaulted")
-    num_lam = col
-    scale_col = {k: num_lam + pos for pos, k in enumerate(targets)}
+    # Each target's s_N column follows the lambda columns, in nest order.
+    design_mat, rhs = _log_linear_system(
+        a_t, b_t, y_t, lam_col[kk], col + np.searchsorted(targets, kk), anchor_free
+    )
 
-    design_mat = np.zeros((kk.size, num_lam + len(targets)))
-    rhs = y_t.copy()
-    anchor_varies = False
-    if anchor_free:
-        design_mat[:, 0] = a_t
-        anchor_varies = bool((np.abs(a_t - a_t[0]) > 1e-12).any())
-    else:
-        rhs -= a_t
-    lam_col = np.array([lam_free.get(k, -1) for k in kk.tolist()], dtype=np.intp)
-    free = lam_col >= 0
-    design_mat[np.flatnonzero(free), lam_col[free]] = -b_t[free]
-    rhs[~free] += b_t[~free]  # lambda = 1: a singleton, or a defaulted nest
-    design_mat[np.arange(kk.size), [scale_col[k] for k in kk.tolist()]] = -1.0
-
+    anchor_varies = anchor_free and bool((np.abs(a_t - a_t[0]) > 1e-12).any())
     if anchor_free and not anchor_varies:
         flags.append("anchor-lambda-defaulted")
     sol, _, rank, _ = np.linalg.lstsq(design_mat, rhs, rcond=None)
@@ -389,8 +356,8 @@ def recover_least_squares(
     if anchor_free:
         raw = float(sol[0]) if anchor_varies else 1.0
         lambdas[anchor_idx] = min(1.0, max(0.0, raw))
-    for k, c in lam_free.items():
-        lambdas[k] = min(1.0, max(0.0, float(sol[c])))
+    for k in np.flatnonzero(lam_col >= 0).tolist():
+        lambdas[k] = min(1.0, max(0.0, float(sol[lam_col[k]])))
 
     # Re-fit each scale as the mean residual under the final lambdas.
     scales = np.ones(len(nests))  # the anchor and degenerate nests keep 1
@@ -407,11 +374,6 @@ def recover_least_squares(
                 flags.append(f"nest-{k}-scale-capped")
                 log_c = math.copysign(LOG_CAP, log_c)
             scales[k] = math.exp(log_c)
-    model = NestedLogitModel(
-        partition=partition,
-        weights=tuple(scales[partition.labels()] * weights[1:]),
-        lambdas=tuple(lambdas),
-        outside=outside,
-        degenerate_weights=degenerate,
+    return LeastSquaresRecovery(
+        _fitted_model(partition, weights, lambdas, scales, degenerate, outside), flags
     )
-    return LeastSquaresRecovery(model=model, flags=flags)

@@ -194,3 +194,63 @@ def test_identify_rejects_flags_its_mode_ignores(tmp_path, capsys, mode, flag):
     assert exc.value.code == 2
     assert f"{flag.split()[-1]} has no effect in {mode} mode" in capsys.readouterr().err
     assert not (tmp_path / "p.json").exists()
+
+
+@pytest.fixture
+def slice_design_with_loo_counts(tmp_path, capsys):
+    """An n = 8 slice design and counts taken on the leave-one-out design."""
+    design = tmp_path / "design.json"
+    loo = tmp_path / "loo.json"
+    counts = tmp_path / "counts.csv"
+    partition = tmp_path / "partition.json"
+    assert main(["design", "--n", "8", "--out", str(design)]) == 0
+    assert main(["design", "--n", "8", "--scheme", "loo", "--out", str(loo)]) == 0
+    assert main([
+        "simulate", "--design", str(loo), "--customers", "90000", "--out", str(counts),
+    ]) == 0
+    partition.write_text(json.dumps({"n": 8, "nests": [[1, 2, 3, 4], [5, 6, 7, 8]]}))
+    capsys.readouterr()
+    return design, counts, partition
+
+
+@pytest.mark.parametrize("command", [
+    ["identify"], ["identify", "--mode", "ztheorem"], ["recover"], ["recover", "--exact"],
+])
+def test_counts_from_another_design_are_rejected(tmp_path, slice_design_with_loo_counts, command):
+    design, counts, partition = slice_design_with_loo_counts
+    out = tmp_path / "out.json"
+    extra = ["--partition", str(partition), "--out", str(out)] if command[0] == "recover" else [
+        "--out-partition", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--design", str(design), "--counts", str(counts), *extra])
+    assert exc.value.code == (
+        f"nestlab {command[0]}: counts do not match the design at row 1:"
+        " the design's S(1,-0) and the counts' LOO(1) offer different items"
+    )
+    assert not out.exists()
+
+
+def test_counts_must_cover_every_design_row(tmp_path, capsys):
+    design = tmp_path / "design.json"
+    counts = tmp_path / "counts.csv"
+    main(["design", "--n", "6", "--out", str(design)])
+    main(["simulate", "--design", str(design), "--customers", "70000", "--out", str(counts)])
+    data = json.loads(design.read_text())
+    longer = tmp_path / "longer.json"
+    longer.write_text(json.dumps({
+        **data, "experiments": [*data["experiments"], {"label": "X", "items": [1, 2]}],
+    }))
+    shorter = tmp_path / "shorter.json"
+    shorter.write_text(json.dumps({**data, "experiments": data["experiments"][:-1]}))
+    last = data["experiments"][-1]["label"]
+    rows = len(data["experiments"])
+    for path, detail in [
+        (longer, f"row {rows + 1}: the counts end before the design's X"),
+        (shorter, f"row {rows}: the design ends before the counts' {last}"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(["identify", "--design", str(path), "--counts", str(counts),
+                  "--out-partition", str(tmp_path / "p.json")])
+        assert exc.value.code == f"nestlab identify: counts do not match the design at {detail}"
+    assert main(["identify", "--design", str(design), "--counts", str(counts),
+                 "--out-partition", str(tmp_path / "p.json")]) == 0

@@ -126,7 +126,6 @@ def test_verify_separation_reports_uncovered_pairs():
         n=3,
         experiments=[(1, 2), (2, 3)],
         labels=("A", "B"),
-        scheme="manual",
     )
     missing = verify_separation(design)
     # no experiment offers 2 without 1 and 3 simultaneously absent:
@@ -184,13 +183,13 @@ def test_membership_matrix_shape_and_content():
 
 def test_design_rejects_bad_items():
     with pytest.raises(ValueError):
-        ExperimentDesign(n=3, experiments=[(0, 1)], labels=("A",), scheme="manual")
+        ExperimentDesign(n=3, experiments=[(0, 1)], labels=("A",))
     with pytest.raises(ValueError):
-        ExperimentDesign(n=3, experiments=[(1, 4)], labels=("A",), scheme="manual")
+        ExperimentDesign(n=3, experiments=[(1, 4)], labels=("A",))
     with pytest.raises(ValueError):
-        ExperimentDesign(n=3, experiments=[(1,), (2,)], labels=("A", "A"), scheme="manual")
+        ExperimentDesign(n=3, experiments=[(1,), (2,)], labels=("A", "A"))
     # duplicate items collapse rather than error
-    design = ExperimentDesign(n=3, experiments=[(1, 1, 2)], labels=("A",), scheme="manual")
+    design = ExperimentDesign(n=3, experiments=[(1, 1, 2)], labels=("A",))
     assert design.experiments == ((1, 2),)
 
 

@@ -98,7 +98,7 @@ def test_single_experiment_deductions():
     """One experiment: unboosted items split from outside, equal boosts join"""
     n = 8
     design = ExperimentDesign(
-        n=n, experiments=[(1, 2, 3, 4)], labels=("S",), scheme="manual"
+        n=n, experiments=[(1, 2, 3, 4)], labels=("S",)
     )
     table = BoostTable(
         n=n,
@@ -189,7 +189,7 @@ def test_exact_identification_without_outside_preserves_choice():
 def test_edge_matrix_records_exact_contradictions():
     n = 4
     design = ExperimentDesign(
-        n=n, experiments=[(1, 2, 3), (1, 2, 4)], labels=("A", "B"), scheme="manual"
+        n=n, experiments=[(1, 2, 3), (1, 2, 4)], labels=("A", "B")
     )
     table = BoostTable(
         n=n,
@@ -370,7 +370,7 @@ def test_theorem_margins_on_symmetric_instance():
         lambdas=(0.5,),
         outside=True,
     )
-    design = ExperimentDesign(n=2, experiments=[(1, 2)], labels=("S",), scheme="manual")
+    design = ExperimentDesign(n=2, experiments=[(1, 2)], labels=("S",))
     rho, margin = theorem_margins(model, design)
     cp = choice_probabilities(model, (1, 2))
     assert rho == pytest.approx(min(cp.probs))

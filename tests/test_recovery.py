@@ -11,6 +11,7 @@ from nestlab import recovery
 from nestlab.designs import (
     balanced_enumeration,
     code_length,
+    incremental_design,
     leave_one_out_design,
     randomized_design,
     slice_design,
@@ -234,6 +235,147 @@ def test_chosen_experiments_reach_the_largest_determinant(monkeypatch, scheme):
     assert checked["pair"] >= 10 and checked["single"] >= 10, checked
 
 
+@pytest.mark.parametrize("seed, nests, message", [
+    (3, [(1, 2, 3), (4, 5, 6)], r"nest 1 anchor: lambda = 1\.27415905257\d* outside \[0, 1\]$"),
+    (3, [(1, 3, 5), (2, 4, 6)], r"nest 1: lambda = 1\.08895330063\d* outside \[0, 1\]$"),
+    (1, [(1, 2, 3), (4, 5), (6,)], r"anchor lambda estimates disagree by 3\.237e-01$"),
+])
+def test_wrong_partition_fails_certification(seed, nests, message):
+    """Exact no-outside probabilities fit to a wrong partition give no valid lambdas"""
+    truth = generate_ground_truth(6, seed, outside=False)
+    design = slice_design(balanced_enumeration(6, 2))
+    rows = design_probabilities(truth, design)
+    with pytest.raises(RecoveryError, match=message) as exc:
+        recover_all(rows, NestPartition(nests), design)
+    assert type(exc.value) is RecoveryError
+
+
+def reference_solve_nest_params(rows, anchor_free, target_free, context):
+    """Scalar elimination of rows (A_T, B_T, y_T): (lambda_anchor, lambda_N, scale, degenerate)."""
+    unknowns = anchor_free + target_free + 1
+    mat = np.zeros((unknowns, unknowns))
+    rhs = np.zeros(unknowns)
+    for r, (a_t, b_t, y_t) in enumerate(rows[:unknowns]):
+        y = y_t
+        col = 0
+        if anchor_free:
+            mat[r, col] = a_t
+            col += 1
+        else:
+            y -= a_t  # lambda_anchor = 1 contributes directly
+        if target_free:
+            mat[r, col] = -b_t
+            col += 1
+        else:
+            y += b_t  # lambda_N = 1
+        mat[r, col] = -1.0
+        rhs[r] = y
+    recovery._check_determinant(mat)
+    sol = np.linalg.solve(mat, rhs)
+    col = 0
+    lambda_anchor = None
+    if anchor_free:
+        lambda_anchor = recovery._clamp_lambda(float(sol[col]), context + " anchor")
+        col += 1
+    lam = 1.0
+    if target_free:
+        lam = recovery._clamp_lambda(float(sol[col]), context)
+        col += 1
+    s_n = float(sol[col])
+    if target_free and lam < recovery.DEGENERATE_LAMBDA:
+        return lambda_anchor, 0.0, math.exp(s_n), True
+    return lambda_anchor, lam, math.exp(s_n / lam), False
+
+
+def reference_recover_from_rows(calls, control, partition):
+    """The model recover_all assembles from each nest's recorded system rows."""
+    nests = partition.nests
+    anchor_free = not control.outside and len(nests[0]) > 1
+    lambdas = [1.0] * len(nests)
+    scales = np.ones(len(nests))
+    degenerate = {}
+    anchor_estimates = []
+    for k, rows in calls:
+        lambda_anchor, lam, scale, is_degenerate = reference_solve_nest_params(
+            rows, anchor_free, len(nests[k]) > 1, f"nest {k}"
+        )
+        if lambda_anchor is not None:
+            anchor_estimates.append(lambda_anchor)
+        if is_degenerate:
+            lambdas[k], degenerate[k] = 0.0, scale
+        else:
+            lambdas[k], scales[k] = lam, scale
+    if anchor_estimates:
+        spread = max(anchor_estimates) - min(anchor_estimates)
+        if spread > recovery.ANCHOR_AGREEMENT:
+            raise RecoveryError(f"anchor lambda estimates disagree by {spread:.3e}")
+        lambdas[0] = float(np.mean(anchor_estimates))
+    weights = within_nest_weights(control, partition)
+    return NestedLogitModel(
+        partition=partition,
+        weights=tuple(scales[partition.labels()] * weights[1:]),
+        lambdas=tuple(lambdas),
+        outside=control.outside,
+        degenerate_weights=degenerate,
+    )
+
+
+def outcome(fit, *args):
+    try:
+        return fit(*args)
+    except RecoveryError as exc:
+        return type(exc), str(exc)
+
+
+def test_recover_all_matches_scalar_elimination_bitwise(monkeypatch):
+    """The shared log-linear system solves exactly as a scalar row-by-row fill does"""
+    calls = []
+    real_rows = recovery._system_rows
+
+    def spy(terms, k, chosen):
+        rows = real_rows(terms, k, chosen)
+        calls.append((k, [tuple(float(v[r]) for v in rows) for r in range(len(chosen))]))
+        return rows
+
+    monkeypatch.setattr(recovery, "_system_rows", spy)
+    compared = {"model": 0, "error": 0}
+    for n in (6, 9, 16, 32):
+        for outside in (True, False):
+            for seed in range(5):
+                truth = generate_ground_truth(n, seed, outside=outside)
+                wrong = NestPartition([tuple(range(1, n // 2 + 1)), tuple(range(n // 2 + 1, n + 1))])
+                for design in (
+                    slice_design(balanced_enumeration(n, 2)),
+                    leave_one_out_design(n),
+                    randomized_design(n, 2 * code_length(n, 2), size_rule="half", rng=seed),
+                    incremental_design(n, rng=seed),
+                ):
+                    rows = design_probabilities(truth, design)
+                    for partition in (truth.partition, wrong):
+                        if not outside and partition.num_nests == 1:
+                            continue  # the flat-logit fallback solves no system
+                        calls.clear()
+                        got = outcome(recover_all, rows, partition, design)
+                        if isinstance(got, tuple) and got[1].startswith(("no experiment", "assortment")):
+                            continue  # the chooser failed before the nest's solve
+                        want = outcome(reference_recover_from_rows, calls, rows[0], partition)
+                        assert got == want, (n, outside, seed, design.labels[0], partition)
+                        compared["error" if isinstance(got, tuple) else "model"] += 1
+    assert compared["model"] >= 200 and compared["error"] >= 40, compared
+
+
+def test_least_squares_anchor_at_lambda_zero_keeps_unit_weight():
+    """A multi-item anchor clamped to lambda = 0 gets nest value W^0 = 1, not an invalid model"""
+    truth = generate_ground_truth(6, 7, outside=False)
+    design = incremental_design(6, 7)
+    table = sample_choices(truth, design, allocate_customers(3000, 7), seed=7)
+    fit = recover_least_squares(table, truth.partition, design)
+    assert len(fit.model.partition.nests[0]) > 1
+    assert fit.model.lambdas[0] == 0.0
+    assert fit.model.degenerate_weights[0] == 1.0
+    assert rmse_soft(truth, fit.model) < 0.2
+
+
 def test_recovery_raises_on_degenerate_geometry():
     """Equal weights across twin nests collapse the linear system"""
     model = NestedLogitModel(
@@ -297,7 +439,6 @@ def test_least_squares_flags_unobservable_lambda():
         n=4,
         experiments=[(1, 2, 3), (1, 2, 4)],  # nest {1,2} always offered whole
         labels=("A", "B"),
-        scheme="manual",
     )
     table = sample_choices(model, design, [5000] * 3, seed=13)
     fit = recover_least_squares(table, model.partition, design)
