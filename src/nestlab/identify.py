@@ -8,11 +8,14 @@ outside option's boost.  One rule engine turns these facts into an edge
 matrix of same-nest deductions, fed by either of two comparators: relative
 tolerance on exact boost factors, or a |z| cutoff on counts.  The noisy
 identifiers replace equality with two-proportion z-tests, run per experiment
-as array operations over every pair of offered items (outside option
-included), merge each experiment by elementwise minimum and hand the soft
-evidence matrix to community detection.  A p-value is evaluated only where it
-sets an edge weight: pairs clearly past the alpha cutoff are rejected from
-|z| alone, and math.erfc decides exactly near the cutoff.
+as array operations on one pair kernel: over the upper-triangle pairs
+(a < b) of the offered items only, and for each item against the outside
+option.  Each experiment's weights merge by elementwise minimum into one
+orientation per pair; one fold takes the minimum of the two triangles at the
+end, and the soft evidence matrix goes to community detection.  A p-value
+is evaluated only where it sets an edge weight: pairs clearly past the
+alpha cutoff are rejected from |z| alone, and math.erfc decides exactly
+near the cutoff.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .communities import community_detect
 from .designs import ExperimentDesign
-from .model import ChoiceProbabilities, NestPartition, choice_probabilities, offered_mask
+from .model import ChoiceProbabilities, NestPartition, design_probabilities, offered_mask
 from .sampling import ChoiceCountTable, empirical_probabilities
 
 EXACT_TOLERANCE = 1e-9  # relative; exact inputs only carry roundoff noise
@@ -287,30 +290,39 @@ def exact_identify_without_outside(
     return _deduce(table.n, _exact_comparisons(table, tol), outside=False)
 
 
-def _pairwise_z(
-    xs: np.ndarray, xc: np.ndarray, m_s: int, m_c: int
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair a < b of k positions, in np.triu_indices order; read-only."""
+    a, b = np.triu_indices(k, 1)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
+def _pair_z(
+    xs: np.ndarray, xc: np.ndarray, m_s: int, m_c: int, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two-proportion z scores for every ordered pair of one experiment's support.
+    """Two-proportion z scores for the pairs (a[k], b[k]) of one experiment's support.
 
     xs and xc count each support item's choices in the experiment and in the
-    control, out of m_s and m_c customers.  Returns the z matrix, NaN where
-    a pair has no evidence, and the has-evidence mask (pooled counts positive
-    on both assortments).  Exactly antisymmetric: the numerator is
-    cross-multiplied so swapping a pair negates the same float products
-    instead of rounding two different quotients.
+    control, out of m_s and m_c customers; a and b index into them.  Returns
+    z per pair, NaN where a pair has no evidence, and the has-evidence mask
+    (pooled counts positive on both assortments).  Exactly antisymmetric: the
+    numerator is cross-multiplied so swapping a pair negates the same float
+    products instead of rounding two different quotients.
     """
-    ns = xs[:, None] + xs[None, :]
-    nc = xc[:, None] + xc[None, :]
+    ns = xs[a] + xs[b]
+    nc = xc[a] + xc[b]
     evidence = (ns > 0) & (nc > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ps, pc = xs / m_s, xc / m_c
-        share_s = ps[:, None] + ps[None, :]
-        share_c = pc[:, None] + pc[None, :]
-        numerator = (ps[:, None] * pc[None, :] - pc[:, None] * ps[None, :]) / (share_s * share_c)
-        # grouped so the sum is evaluated identically with i and j swapped
+        ps_a, ps_b, pc_a, pc_b = ps[a], ps[b], pc[a], pc[b]
+        share_s = ps_a + ps_b
+        share_c = pc_a + pc_b
+        numerator = (ps_a * pc_b - pc_a * ps_b) / (share_s * share_c)
+        # grouped so the sum is evaluated identically with a and b swapped
         total = share_s + share_c
         pool = ps + pc
-        variance = ((pool[:, None] / total) * (pool[None, :] / total)) * (1.0 / ns + 1.0 / nc)
+        variance = ((pool[a] / total) * (pool[b] / total)) * (1.0 / ns + 1.0 / nc)
         z = numerator / np.sqrt(variance)
     z[numerator == 0.0] = 0.0
     z[~evidence] = np.nan
@@ -318,12 +330,12 @@ def _pairwise_z(
 
 
 def _support_z(
-    table: ChoiceCountTable, experiment: int, support: tuple[int, ...]
+    table: ChoiceCountTable, experiment: int, support: tuple[int, ...], a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_pairwise_z over the given items (0: outside option) of one experiment."""
+    """_pair_z over the pairs (a, b) of the given items (0: outside option) of one experiment."""
     row, cols = experiment + 1, list(support)
-    return _pairwise_z(
-        table.counts[row, cols], table.counts[0, cols], table.sizes[row], table.sizes[0]
+    return _pair_z(
+        table.counts[row, cols], table.counts[0, cols], table.sizes[row], table.sizes[0], a, b
     )
 
 
@@ -333,7 +345,7 @@ def z_statistic(table: ChoiceCountTable, i: int, j: int, experiment: int) -> flo
     experiment indexes into the experiment list (0-based, control excluded).
     Works for per-assortment sample sizes; with equal sizes it reduces to
     the classical pooled form.  Exactly antisymmetric in (i, j): swapping
-    the arguments negates the same float products (see _pairwise_z).
+    the arguments negates the same float products (see _pair_z).
     """
     if i == j:
         raise ValueError("z statistic needs two distinct choices")
@@ -341,12 +353,12 @@ def z_statistic(table: ChoiceCountTable, i: int, j: int, experiment: int) -> flo
         for item in (i, j):
             if not (table.outside if item == 0 else item in table.assortments[row]):
                 raise ValueError(f"item {item} not offered in {table.labels[row]}")
-    z, evidence = _support_z(table, experiment, (i, j))
-    if not evidence[0, 1]:
+    z, evidence = _support_z(table, experiment, (i, j), *_upper_pairs(2))
+    if not evidence[0]:
         raise ZeroEvidenceError(
             f"no observations of items {i},{j} in {table.labels[experiment + 1]} or control"
         )
-    return float(z[0, 1])
+    return float(z[0])
 
 
 def p_value_equal(table: ChoiceCountTable, i: int, j: int, experiment: int) -> float:
@@ -409,19 +421,18 @@ def _rejection_band(alpha: float) -> tuple[float, float]:
 
 
 def _pair_weights(
-    z: np.ndarray, evidence: np.ndarray, alpha: float, boosted: np.ndarray | None = None
+    a: np.ndarray, b: np.ndarray, z: np.ndarray, evidence: np.ndarray,
+    alpha: float, boosted: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Upper-triangle pairs (a, b) with evidence and their edge weights.
+    """The pairs (a, b) with evidence and their edge weights, given each pair's z.
 
     A pair whose two-sided p-value is at most alpha is rejected (weight 0).
     A kept pair weighs 1 when boosted is given and marks both items, else
     its p-value.  The p-value is computed only where it sets the weight or,
     inside the rejection band, decides the rejection.
     """
-    a, b = np.triu_indices(z.shape[0], 1)
-    keep = evidence[a, b]
-    a, b = a[keep], b[keep]
-    u = np.abs(z[a, b]) / math.sqrt(2.0)
+    a, b = a[evidence], b[evidence]
+    u = np.abs(z[evidence]) / math.sqrt(2.0)
     low, high = _rejection_band(alpha)
     kept = u <= high
     near = kept & (u >= low)
@@ -436,10 +447,24 @@ def _pair_weights(
 
 
 def _merge_min(values: np.ndarray, rows, cols, weight) -> None:
-    """values[r, c] = values[c, r] = min(values[r, c], weight), elementwise."""
-    merged = np.minimum(values[rows, cols], weight)
-    values[rows, cols] = merged
-    values[cols, rows] = merged
+    """values[r, c] = min(values[r, c], weight), elementwise, in that orientation only.
+
+    _fold_min merges the two orientations of every pair once, at the end.
+    Flat indices, as one gather and one scatter on the raveled matrix.
+    """
+    flat = values.reshape(-1)
+    index = rows * values.shape[1] + cols
+    flat[index] = np.minimum(flat[index], weight)
+
+
+def _fold_min(values: np.ndarray) -> None:
+    """values[i, j] = values[j, i] = the smaller of the two, for every pair.
+
+    After _merge_min writes starting from NOISY_NULL, that is the minimum of
+    every weight merged into the pair in either orientation, as if each
+    write had gone to both.
+    """
+    np.minimum(values, values.T, out=values)
 
 
 def _one_hop_transitivity_noisy(values: np.ndarray) -> None:
@@ -473,13 +498,19 @@ def noisy_identify_with_outside(
     values = np.full((n, n), NOISY_NULL)
     for s, items in enumerate(table.assortments[1:]):
         offered = np.asarray(items, dtype=np.intp) - 1
-        z, evidence = _support_z(table, s, (0, *items))
+        k = len(items)
+        # each item against the outside option (support position 0)
+        z, tested = _support_z(
+            table, s, (0, *items), np.arange(1, k + 1), np.zeros(k, dtype=np.intp)
+        )
         # one-sided p-value of 'no boost over the outside option'; NaN untested
-        p_leq = np.full(len(items), np.nan)
-        tested = evidence[1:, 0]
-        p_leq[tested] = 0.5 * _erfc(z[1:, 0][tested] / math.sqrt(2.0)).astype(np.float64)
+        p_leq = np.full(k, np.nan)
+        p_leq[tested] = 0.5 * _erfc(z[tested] / math.sqrt(2.0)).astype(np.float64)
         boosted = p_leq <= config.alpha
-        a, b, weight = _pair_weights(z[1:, 1:], evidence[1:, 1:], config.alpha, boosted)
+        a, b = _upper_pairs(k)
+        a, b, weight = _pair_weights(
+            a, b, *_support_z(table, s, items, a, b), config.alpha, boosted
+        )
         _merge_min(values, offered[a], offered[b], weight)
         unboosted = p_leq > config.beta
         if unboosted.any():
@@ -488,6 +519,7 @@ def noisy_identify_with_outside(
                 values, offered[unboosted][:, None], unoffered[None, :],
                 (1.0 - p_leq[unboosted])[:, None],
             )
+    _fold_min(values)
     _one_hop_transitivity_noisy(values)
     values[values == NOISY_NULL] = 0.0
     np.fill_diagonal(values, 0.0)
@@ -514,8 +546,10 @@ def noisy_identify_without_outside(
     values = np.full((n, n), NOISY_NULL)
     for s, items in enumerate(table.assortments[1:]):
         offered = np.asarray(items, dtype=np.intp) - 1
-        a, b, weight = _pair_weights(*_support_z(table, s, items), config.alpha)
+        a, b = _upper_pairs(len(items))
+        a, b, weight = _pair_weights(a, b, *_support_z(table, s, items, a, b), config.alpha)
         _merge_min(values, offered[a], offered[b], weight)
+    _fold_min(values)
     values[values == NOISY_NULL] = 0.0
     np.fill_diagonal(values, 0.0)
     return EdgeMatrix(values=values), community_detect(values)
@@ -542,8 +576,10 @@ def _threshold_comparisons(table: ChoiceCountTable, threshold: float):
             ratio = np.full(len(items), np.inf)
             ratio[seen] = (xs[seen] / m_s) / (xc[seen] / m_c)
             ref = int(np.lexsort((items, ratio))[0])
-        z = _pairwise_z(xs, xc, m_s, m_c)[0]
-        differ = np.where(np.isnan(z), np.nan, np.abs(z) > threshold)
+        a, b = _upper_pairs(len(support))
+        z = _pair_z(xs, xc, m_s, m_c, a, b)[0]
+        differ = np.full((len(support), len(support)), np.nan)
+        differ[a, b] = differ[b, a] = np.where(np.isnan(z), np.nan, np.abs(z) > threshold)
         boosted = differ[:, ref].copy()
         boosted[ref] = 0.0
         yield items, differ[skip:, skip:], boosted[skip:]
@@ -579,14 +615,12 @@ def theorem_margins(model, design: ExperimentDesign, tol: float = EXACT_TOLERANC
     boosts genuinely differ; with no such pair it defaults to 1.
     """
     lead = (0,) if model.outside else ()
-    control = choice_probabilities(model, design.control).probs
+    control, *rows = (cp.probs for cp in design_probabilities(model, design))
     rho = float(control[list(lead + design.control)].min())
     delta = 1.0
-    for items in design.experiments:
-        if not items:
-            continue
+    for items, probs in zip(design.experiments, rows):
         support = list(lead + tuple(items))
-        ps = choice_probabilities(model, items).probs[support]
+        ps = probs[support]
         pc = control[support]
         a, c = np.nonzero(np.triu(_boosts_differ(ps / pc, tol) == 1.0, 1))
         if a.size:

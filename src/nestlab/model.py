@@ -10,7 +10,11 @@ Per-assortment values share one row format: an item-indexed vector of
 length n + 1, column 0 the outside option and column i item i, 0 where
 absent.  Every choice probability comes from one kernel, probability_table,
 fed per-nest offered weights (from offer masks here, by doubling over all
-subsets in metrics).
+subsets in metrics).  The kernel picks its branch by shape: with fewer
+assortments than items (a design, a single assortment) it sums the nests
+and fills the item columns as whole arrays; with at least as many (the
+all-subset tables) it loops over nests and items.  Both give the same bits,
+so a row never depends on the rows computed with it.
 """
 
 from __future__ import annotations
@@ -183,9 +187,14 @@ def probability_table(
     space; the fixed weight when lambda_N = 0, 0 for an absent nest), the
     denominator (summed nest by nest, so no row depends on the others) and
     one per-nest factor v_N / denom / W_N are whole-array operations; item
-    column i is factor[nest(i)] * v_i, zeroed where not offered.  Returns
-    the (R, n + 1) row-format table, column-major, allocated only after
-    within is dropped, so a temporary passed in is freed first.
+    column i is factor[nest(i)] * v_i, zeroed where not offered.  With fewer
+    assortments than items (designs, single assortments) the denominator is
+    one cumulative sum over the nests and the item columns one gather; with
+    at least as many (the all-subset tables) both stay loops over nests and
+    items, whose long rows make an extra strided pass cost more than the
+    loop.  Both branches give every entry bit for bit, whatever R is.
+    Returns the (R, n + 1) row-format table, column-major, allocated only
+    after within is dropped, so a temporary passed in is freed first.
     """
     present = within > 0.0
     factor = np.zeros_like(within)
@@ -194,31 +203,42 @@ def probability_table(
     np.exp(factor, out=factor, where=present)
     for k, v in model.degenerate_weights.items():
         factor[k] = present[k] * v
-    denom = np.zeros(within.shape[1])
-    for values in factor:
-        denom += values
+    rows = within.shape[1]
+    labels = model.partition.labels()
+    wide = rows >= len(labels)  # many assortments: loops over nests and items cost little
+    if wide:
+        denom = np.zeros(rows)
+        for values in factor:
+            denom += values
+    else:
+        denom = np.cumsum(factor, axis=0)[-1]  # the same nest-by-nest order
     if model.outside:
         denom += 1.0
     # per-nest factor v_N(S) / (denom(S) * W_N(S)), in place; absent nests stay 0
     factor /= denom
     np.divide(factor, within, out=factor, where=present)
     del within, present  # free before the table is allocated
-    probs = np.empty((model.n + 1, offered.shape[1]))  # one contiguous row per column
+    probs = np.empty((model.n + 1, rows))  # one contiguous row per column
     if model.outside:
         np.divide(1.0, denom, out=probs[0])
     else:
         probs[0] = 0.0
-    for i, k in enumerate(model.partition.labels().tolist(), start=1):
-        np.multiply(factor[k], model.weights[i - 1], out=probs[i])
+    if wide:
+        for i, k in enumerate(labels.tolist(), start=1):
+            np.multiply(factor[k], model.weights[i - 1], out=probs[i])
+    else:
+        # mode="clip" writes straight into out; the default "raise" buffers it
+        np.take(factor, labels, axis=0, out=probs[1:], mode="clip")
+        probs[1:] *= np.asarray(model.weights)[:, None]
     probs[1:] *= offered
     return probs.T
 
 
 def _check_assortment(model: NestedLogitModel, assortment: Sequence[int]) -> tuple[int, ...]:
-    items = tuple(sorted(set(int(i) for i in assortment)))
-    if not items:
+    items = np.sort(np.fromiter(assortment, dtype=np.int64))
+    if not items.size:
         raise ValueError("assortment must be nonempty")
-    return items
+    return tuple(items[np.concatenate(([True], items[1:] != items[:-1]))].tolist())
 
 
 def _assortment_probabilities(

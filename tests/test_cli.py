@@ -254,3 +254,71 @@ def test_counts_must_cover_every_design_row(tmp_path, capsys):
         assert exc.value.code == f"nestlab identify: counts do not match the design at {detail}"
     assert main(["identify", "--design", str(design), "--counts", str(counts),
                  "--out-partition", str(tmp_path / "p.json")]) == 0
+
+
+@pytest.fixture
+def thin_counts(tmp_path, capsys):
+    """An n = 8 slice design, 70 simulated customers and the truth's partition."""
+    design = tmp_path / "design.json"
+    counts = tmp_path / "counts.csv"
+    truth = tmp_path / "truth.json"
+    partition = tmp_path / "partition.json"
+    assert main(["design", "--n", "8", "--out", str(design)]) == 0
+    assert main([
+        "simulate", "--design", str(design), "--generate-seed", "1", "--customers", "70",
+        "--seed", "1", "--save-model", str(truth), "--out", str(counts),
+    ]) == 0
+    nests = json.loads(truth.read_text())["nests"]
+    partition.write_text(json.dumps({"n": 8, "nests": nests}))
+    capsys.readouterr()
+    return design, counts, partition
+
+
+def test_data_errors_end_in_one_line(tmp_path, thin_counts):
+    """Items no control customer chose stop exact recovery and identification, without a traceback"""
+    design, counts, partition = thin_counts
+    out = tmp_path / "out.json"
+    files = ["--design", str(design), "--counts", str(counts)]
+    with pytest.raises(SystemExit) as exc:
+        main(["recover", *files, "--partition", str(partition), "--exact", "--out", str(out)])
+    assert exc.value.code.startswith("nestlab recover: zero control probability for items [")
+    assert "\n" not in exc.value.code
+    with pytest.raises(SystemExit) as exc:
+        main(["identify", *files, "--mode", "exact", "--out-partition", str(out)])
+    assert exc.value.code.startswith("nestlab identify: zero control probability for item ")
+    assert "\n" not in exc.value.code
+    assert not out.exists()
+
+
+def test_recovery_errors_end_in_one_line(tmp_path, capsys):
+    """A partition exact recovery cannot fit exits 1 with the RecoveryError's message"""
+    design = tmp_path / "design.json"
+    counts = tmp_path / "counts.csv"
+    partition = tmp_path / "partition.json"
+    out = tmp_path / "out.json"
+    main(["design", "--n", "8", "--out", str(design)])
+    main(["simulate", "--design", str(design), "--generate-seed", "1", "--customers", "700000",
+          "--seed", "1", "--out", str(counts)])
+    partition.write_text(json.dumps({"n": 8, "nests": [[1, 2], [3, 4], [5, 6], [7, 8]]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["recover", "--design", str(design), "--counts", str(counts),
+              "--partition", str(partition), "--exact", "--out", str(out)])
+    assert exc.value.code.startswith("nestlab recover: nest 1: lambda = ")
+    assert exc.value.code.endswith(" outside [0, 1]")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["identify"], ["recover"], ["recover", "--exact"]])
+def test_malformed_counts_end_in_one_line(tmp_path, thin_counts, command):
+    """A negative count in the file stops every data command at load time"""
+    design, counts, partition = thin_counts
+    header, first, *rest = counts.read_text().splitlines()
+    label, item, _, size = first.split(",")
+    counts.write_text("\n".join([header, f"{label},{item},-5,{size}", *rest]) + "\n")
+    out = tmp_path / "out.json"
+    extra = ["--partition", str(partition), "--out", str(out)] if command[0] == "recover" else [
+        "--out-partition", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--design", str(design), "--counts", str(counts), *extra])
+    assert exc.value.code == f"nestlab {command[0]}: negative count -5 for item {item} in control"
+    assert not out.exists()

@@ -520,15 +520,17 @@ def test_noisy_identification_with_alpha_tied_to_a_p_value():
         alloc = allocate_customers(30000, design.num_experiments + 1)
         table = sample_choices(model, design, alloc, seed=int(rng.integers(2**31)))
         for s, items in enumerate(table.assortments[1:]):
-            z, evidence = _support_z(table, s, items)
-            a, b = np.nonzero(np.triu(evidence, 1))
-            p = sorted(math.erfc(abs(z[i, j]) / math.sqrt(2.0)) for i, j in zip(a, b))
+            a, b = np.triu_indices(len(items), 1)
+            z, evidence = _support_z(table, s, items, a, b)
+            p = sorted(math.erfc(abs(v) / math.sqrt(2.0)) for v in z[evidence])
             tied = p[len(p) // 2]
-            pair = [k for k, (i, j) in enumerate(zip(a, b))
-                    if math.erfc(abs(z[i, j]) / math.sqrt(2.0)) == tied]
-            assert _pair_weights(z, evidence, tied)[2][pair].tolist() == [0.0] * len(pair)
+            pair = [k for k, v in enumerate(z[evidence])
+                    if math.erfc(abs(v) / math.sqrt(2.0)) == tied]
+            weights = _pair_weights(a, b, z, evidence, tied)[2]
+            assert weights[pair].tolist() == [0.0] * len(pair)
             below = float(np.nextafter(tied, 0.0))
-            assert _pair_weights(z, evidence, below)[2][pair].tolist() == [tied] * len(pair)
+            weights = _pair_weights(a, b, z, evidence, below)[2]
+            assert weights[pair].tolist() == [tied] * len(pair)
             for alpha in (tied, below, float(np.nextafter(tied, 1.0))):
                 config = TestConfig(alpha=alpha)
                 edges, _ = identify[outside](table, design, config)
@@ -561,10 +563,10 @@ def test_pair_weights_screen_agrees_with_exact_p_values():
             boosted = rng.random(side) < 0.5
             p = np.array([math.erfc(abs(v) / math.sqrt(2.0)) for v in matrix[a, b]])
             want = np.where(p <= alpha, 0.0, np.where(boosted[a] & boosted[b], 1.0, p))
-            got_a, got_b, weight = _pair_weights(matrix, evidence, alpha, boosted)
+            got_a, got_b, weight = _pair_weights(a, b, matrix[a, b], evidence[a, b], alpha, boosted)
             assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
             assert np.array_equal(weight, want), alpha
-            _, _, weight = _pair_weights(matrix, evidence, alpha)
+            _, _, weight = _pair_weights(a, b, matrix[a, b], evidence[a, b], alpha)
             assert np.array_equal(weight, np.where(p <= alpha, 0.0, p)), alpha
 
 
@@ -650,6 +652,15 @@ def reference_exact_without_outside(table, tol=EXACT_TOLERANCE):
     return _finalize_exact(edges)
 
 
+def support_z_matrix(table, s, support):
+    """_support_z over every pair of the support as an antisymmetric matrix, NaN diagonal."""
+    a, b = np.triu_indices(len(support), 1)
+    z = np.full((len(support), len(support)), np.nan)
+    z[a, b] = _support_z(table, s, support, a, b)[0]
+    z[b, a] = -z[a, b]
+    return z
+
+
 def reference_threshold_identify(table, threshold):
     """z-theorem identification as scalar pair loops over the z kernel."""
     outside = table.outside
@@ -658,7 +669,7 @@ def reference_threshold_identify(table, threshold):
     low_groups = []
     for s, items in enumerate(table.assortments[1:]):
         offered = set(items)
-        z = _support_z(table, s, ((0,) if outside else ()) + items)[0].tolist()
+        z = support_z_matrix(table, s, ((0,) if outside else ()) + items).tolist()
         if outside:
             boosted = [None if math.isnan(row[0]) else abs(row[0]) > threshold for row in z[1:]]
             z = [row[1:] for row in z[1:]]

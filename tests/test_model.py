@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from nestlab.designs import balanced_enumeration, slice_design
+from nestlab.designs import ExperimentDesign, balanced_enumeration, slice_design
 from nestlab.metrics import all_subset_probabilities
 from nestlab.model import (
     NestPartition,
@@ -252,6 +252,56 @@ def test_design_probabilities_match_choice_probabilities():
             want = choice_probabilities(model, items)
             assert cp.assortment == want.assortment
             assert np.array_equal(cp.probs, want.probs)
+
+
+@pytest.mark.parametrize("outside", [True, False])
+def test_rows_are_bitwise_independent_on_both_kernel_branches(outside):
+    """A row alone (fewer assortments than items) equals it in a batch of at least n"""
+    rng = np.random.default_rng(15)
+    mixed = NestedLogitModel(  # lambda 0 and 1 nests, two singletons, a free lambda
+        partition=NestPartition([(1, 4, 9), (2, 6, 7, 16), (3,), (5,), (8, 10, 11, 12, 13, 14, 15)]),
+        weights=tuple(rng.uniform(0.5, 8.0, size=16)),
+        lambdas=(0.0, 1.0, 1.0, 1.0, 0.45),
+        outside=outside,
+        degenerate_weights={0: 1.75},
+    )
+    truth = generate_ground_truth(16, rng, outside=outside)
+    for model in (mixed, truth, with_extreme_lambdas(truth)):
+        table = all_subset_probabilities(model)  # 65,535 rows: the loop branch
+        codes = [*rng.integers(1, 2**16, size=300).tolist(), *(1 << t for t in range(16)), 2**16 - 1]
+        subsets = [tuple(t + 1 for t in range(16) if s >> t & 1) for s in codes]
+        batch = design_probabilities(model, ExperimentDesign(  # 15 rows: the array branch
+            n=16, experiments=subsets[:14], labels=tuple(f"E{k}" for k in range(14)),
+        ))
+        for s, items in zip(codes, subsets):
+            assert np.array_equal(table[s - 1], choice_probabilities(model, items).probs)
+        for cp, items in zip(batch[1:], subsets):
+            assert np.array_equal(cp.probs, choice_probabilities(model, items).probs)
+    truth = generate_ground_truth(512, rng, outside=outside)
+    assortments = [
+        tuple(sorted((rng.choice(512, size=k, replace=False) + 1).tolist()))
+        for k in rng.integers(1, 513, size=600)
+    ]
+    design = ExperimentDesign(  # 601 rows at n = 512: the loop branch
+        n=512, experiments=assortments, labels=tuple(f"E{k}" for k in range(600)),
+    )
+    for model in (truth, with_extreme_lambdas(truth)):
+        rows = design_probabilities(model, design)
+        for cp, items in zip(rows, (design.control, *assortments)):
+            assert np.array_equal(cp.probs, choice_probabilities(model, items).probs)
+
+
+def test_assortment_items_are_normalized():
+    """Duplicates drop, items sort, numpy integers are accepted; an empty assortment is refused"""
+    model = two_nest_model()
+    want = choice_probabilities(model, (1, 3))
+    for items in ([3, 1, 3], (np.int64(3), np.int32(1)), np.array([1, 3, 1]), iter((3, 1))):
+        cp = choice_probabilities(model, items)
+        assert cp.assortment == (1, 3) and all(type(i) is int for i in cp.assortment)
+        assert np.array_equal(cp.probs, want.probs)
+    for empty in ((), [], np.array([], dtype=np.int64)):
+        with pytest.raises(ValueError, match="assortment must be nonempty"):
+            choice_probabilities(model, empty)
 
 
 def test_degenerate_weight_required_exactly_for_zero_lambda():
