@@ -65,8 +65,8 @@ def _write_edges(edges, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["item", *range(1, n + 1)])
-        for i in range(1, n + 1):
-            writer.writerow([i, *(f"{edges.get(i, j):.10g}" for j in range(1, n + 1))])
+        for i, row in enumerate(edges.values.tolist(), start=1):
+            writer.writerow([i, *(f"{v:.10g}" for v in row)])
 
 
 IDENTIFY_ALPHA = 0.05

@@ -62,14 +62,14 @@ def modularity(
     return float(q)
 
 
-def community_detect(weights: np.ndarray, walk_length: int = WALK_LENGTH) -> NestPartition:
+def community_detect(weights: np.ndarray) -> NestPartition:
     """Partition items 1..n by Walktrap agglomerative random-walk clustering.
 
     Vertices get a self-loop of weight 1 and transition matrix P = D^-1 A;
-    a community's signature is the average of its members' rows of P**t.
-    Only communities joined by positive off-diagonal weight may merge, the
-    pair at minimum walk distance merges first, and distance ties go to the
-    lexicographically lowest community index pair.
+    a community's signature is the average of its members' rows of P**t,
+    t = WALK_LENGTH.  Only communities joined by positive off-diagonal
+    weight may merge, the pair at minimum walk distance merges first, and
+    distance ties go to the lexicographically lowest community index pair.
 
     Candidate pairs sit in a min-heap of (distance, a, b) with a < b, so a
     pop yields exactly that order.  Merged communities get fresh ids, never
@@ -88,16 +88,14 @@ def community_detect(weights: np.ndarray, walk_length: int = WALK_LENGTH) -> Nes
         raise ValueError("empty weight matrix")
     if w.sum() == 0.0:
         return singleton_partition(n)
-    merges, best_step = _walktrap_merges(w, walk_length)
+    merges, best_step = _walktrap_merges(w)
     groups: dict[int, list[int]] = {i: [i + 1] for i in range(n)}
     for step, (a, b) in enumerate(merges[:best_step]):
         groups[n + step] = groups.pop(a) + groups.pop(b)
     return NestPartition(groups.values())
 
 
-def _walktrap_merges(
-    w: np.ndarray, walk_length: int
-) -> tuple[list[tuple[int, int]], int]:
+def _walktrap_merges(w: np.ndarray) -> tuple[list[tuple[int, int]], int]:
     """Walktrap's merge sequence on validated weights, and its best cut.
 
     Merge k joins communities a < b into the new community n + k.  The cut
@@ -109,7 +107,7 @@ def _walktrap_merges(
     np.fill_diagonal(loops, 1.0)
     degrees = loops.sum(axis=1)
     transition = loops / degrees[:, None]
-    walk = np.linalg.matrix_power(transition, walk_length)
+    walk = np.linalg.matrix_power(transition, WALK_LENGTH)
     inv_degree = 1.0 / degrees
 
     size: dict[int, int] = dict.fromkeys(range(n), 1)

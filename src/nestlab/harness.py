@@ -19,7 +19,7 @@ import json
 import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -92,21 +92,7 @@ class ExperimentConfig:
         return TestConfig(alpha=self.alpha, beta=self.beta)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "b": self.b,
-            "schemes": list(self.schemes),
-            "T_list": list(self.T_list),
-            "instances": self.instances,
-            "seed": self.seed,
-            "outside": self.outside,
-            "mode": self.mode,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "num_random_assortments": self.num_random_assortments,
-            "size_rule": self.size_rule,
-            "output_dir": self.output_dir,
-        }
+        return {**asdict(self), "schemes": list(self.schemes), "T_list": list(self.T_list)}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -134,18 +120,24 @@ def default_two_nest_partition(n: int) -> NestPartition:
 
 @dataclass
 class PipelineResult:
+    """One grid cell; each score stays NaN until its stage runs."""
+
     instance: int
     scheme: str
     T: int
-    partition: NestPartition | None
-    rmse_soft: float
-    rand_index: float
-    rmse_soft_restricted: float
-    failed: bool = False
+    partition: NestPartition | None = None
+    rmse_soft: float = float("nan")
+    rand_index: float = float("nan")
+    rmse_soft_restricted: float = float("nan")
     flags: tuple[str, ...] = ()
     failed_stage: str | None = None  # "identify" or "recovery" when failed
 
+    @property
+    def failed(self) -> bool:
+        return self.failed_stage is not None
 
+
+SCORES = ("rmse_soft", "rand_index", "rmse_soft_restricted")
 FAILURE_STAGES = ("identify", "recovery")
 
 
@@ -204,19 +196,11 @@ def run_pipeline(
     allocation = allocate_customers(T, design.num_experiments + 1)
     true_probs = design_probabilities(truth, design)
     table = draw_counts(true_probs, design, allocation, seed)
-    flags: list[str] = []
-
+    result = PipelineResult(instance=instance, scheme=scheme, T=T)
     if scheme == "point_estimate":
-        restricted = rmse_soft_restricted(true_probs, empirical_probabilities(table))
-        return PipelineResult(
-            instance=instance,
-            scheme=scheme,
-            T=T,
-            partition=None,
-            rmse_soft=float("nan"),
-            rand_index=float("nan"),
-            rmse_soft_restricted=restricted,
-        )
+        empirical = empirical_probabilities(table)
+        result.rmse_soft_restricted = rmse_soft_restricted(true_probs, empirical)
+        return result
 
     stage = "identify"
     try:
@@ -230,32 +214,20 @@ def run_pipeline(
         else:
             fit = recover_least_squares(table, partition, design)
             estimate = fit.model
-            flags.extend(fit.flags)
+            result.flags = tuple(fit.flags)
     except Exception as exc:  # noqa: BLE001  degraded cell, scored as a failure
-        return PipelineResult(
-            instance=instance,
-            scheme=scheme,
-            T=T,
-            partition=None,
-            rmse_soft=float("nan"),
-            rand_index=float("nan"),
-            rmse_soft_restricted=float("nan"),
-            failed=True,
-            flags=(f"{type(exc).__name__}: {exc}",),
-            failed_stage=stage,
-        )
+        result.flags = (f"{type(exc).__name__}: {exc}",)
+        result.failed_stage = stage
+        return result
 
-    soft = float("nan") if n > EXHAUSTIVE_LIMIT else rmse_soft(truth, estimate, truth_table)
-    return PipelineResult(
-        instance=instance,
-        scheme=scheme,
-        T=T,
-        partition=partition,
-        rmse_soft=soft,
-        rand_index=rand_index(truth.partition, partition),
-        rmse_soft_restricted=rmse_soft_restricted(true_probs, design_probabilities(estimate, design)),
-        flags=tuple(flags),
+    result.partition = partition
+    if n <= EXHAUSTIVE_LIMIT:
+        result.rmse_soft = rmse_soft(truth, estimate, truth_table)
+    result.rand_index = rand_index(truth.partition, partition)
+    result.rmse_soft_restricted = rmse_soft_restricted(
+        true_probs, design_probabilities(estimate, design)
     )
+    return result
 
 
 def _cell_seed(master: int, instance: int, scheme: str, T: int) -> int:
@@ -319,7 +291,7 @@ class CompareReport:
                         for stage in FAILURE_STAGES
                     },
                 }
-                for name in ("rmse_soft", "rand_index", "rmse_soft_restricted"):
+                for name in SCORES:
                     vals = [getattr(r, name) for r in rows if not np.isnan(getattr(r, name))]
                     if len(vals) >= 2:
                         mean, low, high = confidence_interval(vals)
@@ -387,17 +359,7 @@ def write_report(report: CompareReport, output_dir: str) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
-                [
-                    "instance",
-                    "scheme",
-                    "T",
-                    "rmse_soft",
-                    "rand_index",
-                    "rmse_soft_restricted",
-                    "failed",
-                    "failed_stage",
-                    "partition",
-                ]
+                ["instance", "scheme", "T", *SCORES, "failed", "failed_stage", "partition"]
             )
             for r in report.results:
                 if r.T != T:
@@ -407,19 +369,10 @@ def write_report(report: CompareReport, output_dir: str) -> None:
                     if r.partition is not None
                     else ""
                 )
-                writer.writerow(
-                    [
-                        r.instance,
-                        r.scheme,
-                        r.T,
-                        f"{r.rmse_soft:.10g}",
-                        f"{r.rand_index:.10g}",
-                        f"{r.rmse_soft_restricted:.10g}",
-                        int(r.failed),
-                        r.failed_stage or "",
-                        groups,
-                    ]
-                )
+                writer.writerow([
+                    r.instance, r.scheme, r.T, *(f"{getattr(r, name):.10g}" for name in SCORES),
+                    int(r.failed), r.failed_stage or "", groups,
+                ])
     with open(os.path.join(output_dir, "summary.json"), "w") as fh:
         json.dump(report.summary(), fh, indent=2)
         fh.write("\n")

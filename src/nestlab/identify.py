@@ -474,6 +474,48 @@ def _one_hop_transitivity_noisy(values: np.ndarray) -> None:
     values[promote] = 1.0
 
 
+def _noisy_identify(
+    table: ChoiceCountTable, config: TestConfig
+) -> tuple[EdgeMatrix, NestPartition]:
+    """Both noisy identifiers; the outside-option tests and one-hop transitivity need one."""
+    if config.z_threshold is not None:
+        return _deduce(table.n, _threshold_comparisons(table, config.z_threshold), table.outside)
+    n = table.n
+    values = np.full((n, n), NOISY_NULL)
+    for s, items in enumerate(table.assortments[1:]):
+        offered = np.asarray(items, dtype=np.intp) - 1
+        k = len(items)
+        boosted = None
+        if table.outside:
+            # each item against the outside option (support position 0)
+            z, tested = _support_z(
+                table, s, (0, *items), np.arange(1, k + 1), np.zeros(k, dtype=np.intp)
+            )
+            # one-sided p-value of 'no boost over the outside option'; NaN untested
+            p_leq = np.full(k, np.nan)
+            p_leq[tested] = 0.5 * _erfc(z[tested] / math.sqrt(2.0)).astype(np.float64)
+            boosted = p_leq <= config.alpha
+        a, b = _upper_pairs(k)
+        a, b, weight = _pair_weights(
+            a, b, *_support_z(table, s, items, a, b), config.alpha, boosted
+        )
+        _merge_min(values, offered[a], offered[b], weight)
+        if table.outside:
+            unboosted = p_leq > config.beta
+            if unboosted.any():
+                unoffered = np.setdiff1d(np.arange(n), offered)
+                _merge_min(
+                    values, offered[unboosted][:, None], unoffered[None, :],
+                    (1.0 - p_leq[unboosted])[:, None],
+                )
+    _fold_min(values)
+    if table.outside:
+        _one_hop_transitivity_noisy(values)
+    values[values == NOISY_NULL] = 0.0
+    np.fill_diagonal(values, 0.0)
+    return EdgeMatrix(values=values), community_detect(values)
+
+
 def noisy_identify_with_outside(
     table: ChoiceCountTable, design: ExperimentDesign, config: TestConfig | None = None
 ) -> tuple[EdgeMatrix, NestPartition]:
@@ -487,43 +529,9 @@ def noisy_identify_with_outside(
     purely soft.  Each experiment's tests run as one array computation and
     every update is a minimum, so experiments combine in any order.
     """
-    if config is None:
-        config = TestConfig()
     if not table.outside:
         raise ValueError("count table has no outside option")
-    if config.z_threshold is not None:
-        comparisons = _threshold_comparisons(table, config.z_threshold)
-        return _deduce(table.n, comparisons, outside=True)
-    n = table.n
-    values = np.full((n, n), NOISY_NULL)
-    for s, items in enumerate(table.assortments[1:]):
-        offered = np.asarray(items, dtype=np.intp) - 1
-        k = len(items)
-        # each item against the outside option (support position 0)
-        z, tested = _support_z(
-            table, s, (0, *items), np.arange(1, k + 1), np.zeros(k, dtype=np.intp)
-        )
-        # one-sided p-value of 'no boost over the outside option'; NaN untested
-        p_leq = np.full(k, np.nan)
-        p_leq[tested] = 0.5 * _erfc(z[tested] / math.sqrt(2.0)).astype(np.float64)
-        boosted = p_leq <= config.alpha
-        a, b = _upper_pairs(k)
-        a, b, weight = _pair_weights(
-            a, b, *_support_z(table, s, items, a, b), config.alpha, boosted
-        )
-        _merge_min(values, offered[a], offered[b], weight)
-        unboosted = p_leq > config.beta
-        if unboosted.any():
-            unoffered = np.setdiff1d(np.arange(n), offered)
-            _merge_min(
-                values, offered[unboosted][:, None], unoffered[None, :],
-                (1.0 - p_leq[unboosted])[:, None],
-            )
-    _fold_min(values)
-    _one_hop_transitivity_noisy(values)
-    values[values == NOISY_NULL] = 0.0
-    np.fill_diagonal(values, 0.0)
-    return EdgeMatrix(values=values), community_detect(values)
+    return _noisy_identify(table, config or TestConfig())
 
 
 def noisy_identify_without_outside(
@@ -535,24 +543,9 @@ def noisy_identify_without_outside(
     pairs harden to 0 and surviving pairs keep their smallest p-value as soft
     same-nest evidence for community detection.
     """
-    if config is None:
-        config = TestConfig()
     if table.outside:
         raise ValueError("count table carries an outside option")
-    if config.z_threshold is not None:
-        comparisons = _threshold_comparisons(table, config.z_threshold)
-        return _deduce(table.n, comparisons, outside=False)
-    n = table.n
-    values = np.full((n, n), NOISY_NULL)
-    for s, items in enumerate(table.assortments[1:]):
-        offered = np.asarray(items, dtype=np.intp) - 1
-        a, b = _upper_pairs(len(items))
-        a, b, weight = _pair_weights(a, b, *_support_z(table, s, items, a, b), config.alpha)
-        _merge_min(values, offered[a], offered[b], weight)
-    _fold_min(values)
-    values[values == NOISY_NULL] = 0.0
-    np.fill_diagonal(values, 0.0)
-    return EdgeMatrix(values=values), community_detect(values)
+    return _noisy_identify(table, config or TestConfig())
 
 
 def _threshold_comparisons(table: ChoiceCountTable, threshold: float):

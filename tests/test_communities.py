@@ -131,7 +131,7 @@ def assert_matches_reference(weights):
     merges, cuts, qs = reference_walktrap(weights)
     w = np.array(weights, dtype=np.float64)
     np.fill_diagonal(w, 0.0)
-    assert _walktrap_merges(w, WALK_LENGTH)[0] == merges
+    assert _walktrap_merges(w)[0] == merges
     tied = [cut for cut, q in zip(cuts, qs) if q >= max(qs) - 1e-12]
     got = community_detect(weights)
     assert got in tied, (got, cuts[int(np.argmax(qs))])

@@ -1,6 +1,7 @@
 """Tests for the benchmarking harness and its baselines."""
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -275,3 +276,43 @@ def test_failed_cells_report_their_stage(monkeypatch, tmp_path, target, stage):
     assert [r["failed_stage"] for r in rows] == [stage, stage]
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["cells"][0]["failures_by_stage"][stage] == 2
+
+
+def test_report_columns_and_config_keys_are_pinned(tmp_path):
+    config = tiny_config(output_dir=str(tmp_path))
+    report = compare_designs(config)
+    with open(tmp_path / "results_T7000.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header == [
+        "instance", "scheme", "T", "rmse_soft", "rand_index", "rmse_soft_restricted",
+        "failed", "failed_stage", "partition",
+    ]
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert list(report.summary()["config"]) == fields
+    assert list(json.loads((tmp_path / "summary.json").read_text())["config"]) == fields
+
+
+@pytest.mark.parametrize("target", ["_identify", "recover_least_squares"])
+def test_unreached_scores_stay_nan(monkeypatch, tmp_path, target):
+    """A failed cell reaches no score and a point estimate only the restricted one"""
+    def broken(*args, **kwargs):
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setattr(harness, target, broken)
+    config = tiny_config(
+        schemes=("slice", "point_estimate"), instances=1, output_dir=str(tmp_path)
+    )
+    failed, estimate = compare_designs(config).results
+    assert failed.failed and not estimate.failed
+    assert failed.partition is None and estimate.partition is None
+    assert failed.flags == ("RuntimeError: forced failure",) and estimate.flags == ()
+    assert all(np.isnan(getattr(failed, name)) for name in harness.SCORES)
+    assert np.isnan(estimate.rmse_soft) and np.isnan(estimate.rand_index)
+    assert np.isfinite(estimate.rmse_soft_restricted)
+    with open(tmp_path / "results_T7000.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["rmse_soft"] for r in rows] == ["nan", "nan"]
+    assert [r["rand_index"] for r in rows] == ["nan", "nan"]
+    assert rows[0]["rmse_soft_restricted"] == "nan"
+    assert [r["failed"] for r in rows] == ["1", "0"]
+    assert [r["partition"] for r in rows] == ["", ""]
