@@ -264,20 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Subcommands whose input files can hold data the estimators reject.
-READS_DATA = ("identify", "recover")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "identify":
         _reject_ignored_flags(parser, args)
-    if args.command not in READS_DATA:
-        return args.func(args)
     try:
         return args.func(args)
-    except ValueError as exc:  # RecoveryError and SingularSystemError among them
+    except ValueError as exc:  # RecoveryError, SingularSystemError and JSONDecodeError among them
         sys.exit(f"nestlab {args.command}: {exc}")
 
 

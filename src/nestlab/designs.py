@@ -16,12 +16,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-def _as_generator(rng: np.random.Generator | int | None) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _check_items(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"number of items must be a positive integer, got {n!r}")
@@ -205,7 +199,7 @@ def randomized_design(
     _check_items(n)
     if num_assortments < 1:
         raise ValueError("need at least one assortment")
-    rng = _as_generator(rng)
+    rng = np.random.default_rng(rng)
     if size_rule == "uniform_3_6":
         if n < 6:
             raise ValueError("size rule uniform_3_6 needs n >= 6")
@@ -244,7 +238,7 @@ def incremental_design(
     design has exactly n experiments.
     """
     _check_items(n)
-    rng = _as_generator(rng)
+    rng = np.random.default_rng(rng)
     perm = rng.permutation(n) + 1
     experiments = tuple(
         tuple(sorted(int(x) for x in perm[:k])) for k in range(1, n + 1)

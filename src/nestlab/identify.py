@@ -28,10 +28,16 @@ import numpy as np
 
 from .communities import community_detect
 from .designs import ExperimentDesign
-from .model import ChoiceProbabilities, NestPartition, design_probabilities, offered_mask
+from .model import (
+    EXACT_TOLERANCE,
+    ChoiceProbabilities,
+    NestPartition,
+    design_probabilities,
+    offered_mask,
+    relative_differ,
+)
 from .sampling import ChoiceCountTable, empirical_probabilities
 
-EXACT_TOLERANCE = 1e-9  # relative; exact inputs only carry roundoff noise
 NOISY_NULL = 2.0  # above any attainable p-value, so min() absorbs it
 SAMPLE_SIZE_CONSTANT = 25.0  # the absolute constant C of the finite-sample bound
 
@@ -128,19 +134,17 @@ class EdgeMatrix:
         self.values[cols, rows] = value
 
 
-def _shares_definite_one(values: np.ndarray) -> np.ndarray:
-    """(i, j) pairs with some k where values[i, k] == values[k, j] == 1.
+def _one_hop_transitivity(values: np.ndarray, open_: np.ndarray) -> None:
+    """The one-hop rule: an open pair (i, j) with a shared definite-1 neighbour becomes 1.
 
-    The product runs in float64 so BLAS computes it; path counts stay far
-    below 2**53, so the result is exact.
+    A neighbour k has values[i, k] == values[k, j] == 1; only full-confidence
+    edges transport membership, and the diagonal stays as it is.  Snapshot
+    semantics: all such pairs flip at once.  The product runs in float64 so
+    BLAS computes it; path counts stay far below 2**53, so the result is exact.
     """
     ones = (values == 1.0).astype(np.float64)
-    return (ones @ ones) > 0.0
-
-
-def _one_hop_transitivity_exact(values: np.ndarray) -> None:
-    # Snapshot semantics: all (i,j) with a shared definite-1 neighbor flip at once.
-    promote = np.isnan(values) & _shares_definite_one(values)
+    promote = open_ & ((ones @ ones) > 0.0)
+    np.fill_diagonal(promote, False)
     values[promote] = 1.0
 
 
@@ -177,7 +181,7 @@ def _components_of_ones(values: np.ndarray) -> NestPartition:
 
 
 def _finalize_exact(edges: EdgeMatrix) -> tuple[EdgeMatrix, NestPartition]:
-    _one_hop_transitivity_exact(edges.values)
+    _one_hop_transitivity(edges.values, np.isnan(edges.values))
     _identify_missing_pairs_exact(edges.values)
     edges.values[np.isnan(edges.values)] = 0.0
     np.fill_diagonal(edges.values, 0.0)
@@ -232,13 +236,6 @@ def _deduce(n: int, comparisons, outside: bool) -> tuple[EdgeMatrix, NestPartiti
     return _finalize_exact(edges)
 
 
-def _boosts_differ(factors: np.ndarray, tol: float) -> np.ndarray:
-    """1.0 where two boost factors differ beyond relative tolerance tol, else 0.0."""
-    size = np.abs(factors)
-    bound = tol * np.maximum(size[:, None], size[None, :])
-    return (~(np.abs(factors[:, None] - factors[None, :]) <= bound)).astype(np.float64)
-
-
 def _exact_comparisons(table: BoostTable, tol: float):
     """_deduce comparisons from exact boosts, equal within relative tolerance tol.
 
@@ -250,7 +247,7 @@ def _exact_comparisons(table: BoostTable, tol: float):
         if not items:
             continue
         factors = bf[list(((0,) if table.outside else ()) + items)]
-        differ = _boosts_differ(factors, tol)
+        differ = relative_differ(factors, tol)
         ref = 0 if table.outside else int(np.argmin(factors))
         boosted = np.where(
             differ[:, ref] == 0.0, 0.0, np.where(factors > factors[ref], 1.0, np.nan)
@@ -467,13 +464,6 @@ def _fold_min(values: np.ndarray) -> None:
     np.minimum(values, values.T, out=values)
 
 
-def _one_hop_transitivity_noisy(values: np.ndarray) -> None:
-    # Only full-confidence edges (exactly 1.0) may transport membership.
-    promote = (values != 0.0) & _shares_definite_one(values)
-    np.fill_diagonal(promote, False)
-    values[promote] = 1.0
-
-
 def _noisy_identify(
     table: ChoiceCountTable, config: TestConfig
 ) -> tuple[EdgeMatrix, NestPartition]:
@@ -510,7 +500,7 @@ def _noisy_identify(
                 )
     _fold_min(values)
     if table.outside:
-        _one_hop_transitivity_noisy(values)
+        _one_hop_transitivity(values, values != 0.0)  # any pair not rejected
     values[values == NOISY_NULL] = 0.0
     np.fill_diagonal(values, 0.0)
     return EdgeMatrix(values=values), community_detect(values)
@@ -615,7 +605,7 @@ def theorem_margins(model, design: ExperimentDesign, tol: float = EXACT_TOLERANC
         support = list(lead + tuple(items))
         ps = probs[support]
         pc = control[support]
-        a, c = np.nonzero(np.triu(_boosts_differ(ps / pc, tol) == 1.0, 1))
+        a, c = np.nonzero(np.triu(relative_differ(ps / pc, tol) == 1.0, 1))
         if a.size:
             gaps = np.abs(ps[a] / (ps[a] + ps[c]) - pc[a] / (pc[a] + pc[c]))
             delta = min(delta, float(gaps.min()))

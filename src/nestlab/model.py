@@ -27,6 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 LAMBDA_ROUNDOFF = 1e-9  # slack for clamping lambda back into [0, 1]
+EXACT_TOLERANCE = 1e-9  # relative; exact inputs only carry roundoff noise
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,8 @@ def nest_sums(partition: NestPartition, values: np.ndarray) -> np.ndarray:
     """
     rows = values.shape[1]
     bins = partition.labels()[:, None] * rows + np.arange(rows)
-    return np.bincount(bins.ravel(), values.ravel(), partition.num_nests * rows).reshape(-1, rows)
+    sums = np.bincount(bins.ravel(), values.ravel(), partition.num_nests * rows)
+    return sums.reshape(partition.num_nests, rows)
 
 
 def probability_table(
@@ -234,7 +236,7 @@ def probability_table(
     return probs.T
 
 
-def _check_assortment(model: NestedLogitModel, assortment: Sequence[int]) -> tuple[int, ...]:
+def _check_assortment(assortment: Sequence[int]) -> tuple[int, ...]:
     items = np.sort(np.fromiter(assortment, dtype=np.int64))
     if not items.size:
         raise ValueError("assortment must be nonempty")
@@ -244,7 +246,7 @@ def _check_assortment(model: NestedLogitModel, assortment: Sequence[int]) -> tup
 def _assortment_probabilities(
     model: NestedLogitModel, assortments: Sequence[Sequence[int]]
 ) -> list[ChoiceProbabilities]:
-    rows = [_check_assortment(model, items) for items in assortments]
+    rows = [_check_assortment(items) for items in assortments]
     offered = offered_mask(model.n, False, rows, rows)[:, 1:].T  # item-major
     within = nest_sums(model.partition, offered * np.asarray(model.weights)[:, None])
     table = probability_table(model, within, offered)
@@ -321,7 +323,7 @@ def generate_ground_truth(
     """
     if n < 2:
         raise ValueError("ground truth generation needs n >= 2")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     perm = rng.permutation(n) + 1
     k = int(rng.integers(1, n // 2 + 1))
     cuts = np.sort(rng.choice(n - 1, size=k - 1, replace=False)) + 1
@@ -344,46 +346,54 @@ def generate_ground_truth(
     return normalize_identifiable(model)
 
 
-def nest_multiplier(model: NestedLogitModel, nest_index: int, assortment: Sequence[int]) -> float:
-    """Mult(N, S) = (full nest weight / offered nest weight)**(1 - lambda_N).
+def relative_differ(values: np.ndarray, tol: float = EXACT_TOLERANCE) -> np.ndarray:
+    """The equality rule: 1.0 where two values differ beyond relative tolerance tol, else 0.0.
 
-    Equals 1 iff the nest is fully offered; undefined (raises) when the nest
-    misses the assortment entirely.
+    Returns the (R, R) array over every pair of the R values; NaN differs
+    from everything, itself included.
     """
-    nest = model.partition.nests[nest_index]
-    offered = set(assortment)
-    total = sum(model.weight(i) for i in nest)
-    inside = sum(model.weight(i) for i in nest if i in offered)
-    if inside == 0.0:
-        raise ValueError("nest does not intersect the assortment")
-    lam = model.lambdas[nest_index]
-    return math.exp((1.0 - lam) * (math.log(total) - math.log(inside)))
+    size = np.abs(values)
+    bound = tol * np.maximum(size[:, None], size[None, :])
+    return (~(np.abs(values[:, None] - values[None, :]) <= bound)).astype(np.float64)
+
+
+def nest_multipliers(model: NestedLogitModel, assortments: Sequence[Sequence[int]]) -> np.ndarray:
+    """Mult(N, S) = (full nest weight / offered nest weight)**(1 - lambda_N), shape (K, R).
+
+    1 where the nest is fully offered, above 1 where partly offered (exactly
+    1 for lambda_N = 1), NaN where the assortment offers no member.
+    """
+    offered = offered_mask(model.n, False, assortments, assortments)[:, 1:].T  # item-major
+    weights = np.asarray(model.weights)[:, None]
+    inside = nest_sums(model.partition, offered * weights)
+    log_inside = np.full(inside.shape, np.nan)
+    np.log(inside, out=log_inside, where=inside > 0.0)
+    log_total = np.log(nest_sums(model.partition, weights))
+    return np.exp((1.0 - np.asarray(model.lambdas))[:, None] * (log_total - log_inside))
 
 
 def check_general_position(
     model: NestedLogitModel,
     design,
-    tolerance: float = 1e-9,
+    tolerance: float = EXACT_TOLERANCE,
 ) -> list[tuple[str, int, int]]:
     """Flag experiments where two partially offered nests share a multiplier.
 
-    Returns (experiment label, nest index, nest index) triples; empty means
-    the design can tell all partially offered nests apart.
+    Multipliers are equal under exact identification's rule, relative_differ.
+    Returns (experiment label, nest index, nest index) triples, nest indices
+    increasing, experiment by experiment; empty means the design can tell all
+    partially offered nests apart.
     """
+    offered = offered_mask(model.n, False, design.experiments, design.labels)[:, 1:].T
+    counts = nest_sums(model.partition, offered.astype(np.float64))
+    sizes = nest_sums(model.partition, np.ones((model.n, 1)))
+    partial = (counts > 0.0) & (counts < sizes)
+    multipliers = nest_multipliers(model, design.experiments)
     violations = []
-    for label, items in zip(design.labels, design.experiments):
-        offered = set(items)
-        partial = []
-        for k, nest in enumerate(model.partition.nests):
-            inside = sum(1 for i in nest if i in offered)
-            if 0 < inside < len(nest):
-                partial.append((k, nest_multiplier(model, k, items)))
-        for a in range(len(partial)):
-            for c in range(a + 1, len(partial)):
-                ka, ma = partial[a]
-                kc, mc = partial[c]
-                if abs(ma - mc) <= tolerance * max(abs(ma), abs(mc)):
-                    violations.append((label, ka, kc))
+    for label, mult, nests in zip(design.labels, multipliers.T, partial.T):
+        nests = np.flatnonzero(nests)
+        a, c = np.nonzero(np.triu(relative_differ(mult[nests], tolerance) == 0.0, 1))
+        violations += [(label, i, j) for i, j in zip(nests[a].tolist(), nests[c].tolist())]
     return violations
 
 

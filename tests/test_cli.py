@@ -322,3 +322,36 @@ def test_malformed_counts_end_in_one_line(tmp_path, thin_counts, command):
         main([*command, "--design", str(design), "--counts", str(counts), *extra])
     assert exc.value.code == f"nestlab {command[0]}: negative count -5 for item {item} in control"
     assert not out.exists()
+
+
+def test_design_errors_end_in_one_line(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["design", "--n", "0", "--out", str(tmp_path / "design.json")])
+    assert exc.value.code == "nestlab design: number of items must be a positive integer, got 0"
+
+
+def test_simulate_errors_end_in_one_line(tmp_path, capsys):
+    """A budget below one customer per assortment exits 1 with allocate_customers' message"""
+    design = tmp_path / "design.json"
+    counts = tmp_path / "counts.csv"
+    assert main(["design", "--n", "8", "--out", str(design)]) == 0  # control plus 6 experiments
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--design", str(design), "--customers", "5", "--out", str(counts)])
+    assert exc.value.code == (
+        "nestlab simulate: budget 5 cannot give each of 7 assortments a customer"
+    )
+    assert not counts.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({"n": 8, "schemes": ["nope"]}), "unknown schemes ['nope']; expected one of ["),
+    ('{"n": 8,', "Expecting property name enclosed in double quotes: line 1 column 9"),
+])
+def test_compare_config_errors_end_in_one_line(tmp_path, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--config", str(config), "--output-dir", str(tmp_path / "out")])
+    assert exc.value.code.startswith(f"nestlab compare: {message}")
+    assert "\n" not in exc.value.code
+    assert not (tmp_path / "out").exists()

@@ -156,6 +156,18 @@ def test_randomized_design_is_seed_deterministic():
     assert a.experiments == b.experiments
 
 
+def test_random_designs_draw_from_a_given_generator_in_place():
+    """A Generator seed draws as its integer seed would, and its stream moves on"""
+    rng = np.random.default_rng(7)
+    first = randomized_design(9, 5, size_rule="half", rng=rng)
+    assert first.experiments == randomized_design(9, 5, size_rule="half", rng=7).experiments
+    assert randomized_design(9, 5, size_rule="half", rng=rng).experiments != first.experiments
+    rng = np.random.default_rng(3)
+    first = incremental_design(9, rng=rng)
+    assert first.experiments == incremental_design(9, rng=3).experiments
+    assert incremental_design(9, rng=rng).experiments != first.experiments
+
+
 def test_leave_one_out_design():
     design = leave_one_out_design(4)
     assert design.experiments == ((2, 3, 4), (1, 3, 4), (1, 2, 4), (1, 2, 3))

@@ -7,7 +7,15 @@ import pickle
 import numpy as np
 import pytest
 
-from nestlab.designs import ExperimentDesign, balanced_enumeration, slice_design
+from nestlab.designs import (
+    ExperimentDesign,
+    balanced_enumeration,
+    code_length,
+    incremental_design,
+    leave_one_out_design,
+    randomized_design,
+    slice_design,
+)
 from nestlab.metrics import all_subset_probabilities
 from nestlab.model import (
     NestPartition,
@@ -19,7 +27,7 @@ from nestlab.model import (
     load_model,
     model_from_dict,
     model_to_dict,
-    nest_multiplier,
+    nest_multipliers,
     normalize_identifiable,
     save_model,
     singleton_partition,
@@ -345,12 +353,21 @@ def test_nest_multiplier_at_least_one():
             items = [i for i in range(1, 9) if rng.random() < 0.5]
             if not set(nest) & set(items):
                 continue
-            mult = nest_multiplier(model, k, items)
+            mult = nest_multipliers(model, [items])[k, 0]
             assert mult >= 1.0 - 1e-12
             if set(nest) <= set(items):
                 assert mult == pytest.approx(1.0, abs=1e-12)
             else:
                 assert mult > 1.0
+
+
+def test_nest_multipliers_are_nan_for_missed_nests_and_one_for_full_nests():
+    model = two_nest_model()  # {1,2} with lambda 0.5, {3} singleton
+    mult = nest_multipliers(model, [(1, 2, 3), (1,), (3,), ()])
+    assert mult.shape == (2, 4)
+    assert mult[:, 0].tolist() == [1.0, 1.0]
+    assert mult[0, 1] == pytest.approx(math.sqrt(3.0))  # (3 / 1) ** 0.5
+    assert np.isnan([mult[1, 1], mult[0, 2], *mult[:, 3]]).all()  # no member offered
 
 
 def test_normalize_identifiable_splits_unit_lambda_nest():
@@ -437,6 +454,84 @@ def test_check_general_position_flags_symmetric_instance():
     assert check_general_position(model, design) != []
 
 
+def reference_nest_multiplier(model, nest_index, assortment):
+    """Mult(N, S) as a scalar sum over the nest's members, the reference for nest_multipliers."""
+    nest = model.partition.nests[nest_index]
+    offered = set(assortment)
+    total = sum(model.weight(i) for i in nest)
+    inside = sum(model.weight(i) for i in nest if i in offered)
+    lam = model.lambdas[nest_index]
+    return math.exp((1.0 - lam) * (math.log(total) - math.log(inside)))
+
+
+def reference_check_general_position(model, design, tolerance=1e-9):
+    """Every pair of partially offered nests, experiment by experiment, as scalar loops."""
+    violations = []
+    for label, items in zip(design.labels, design.experiments):
+        offered = set(items)
+        partial = []
+        for k, nest in enumerate(model.partition.nests):
+            inside = sum(1 for i in nest if i in offered)
+            if 0 < inside < len(nest):
+                partial.append((k, reference_nest_multiplier(model, k, items)))
+        for a in range(len(partial)):
+            for c in range(a + 1, len(partial)):
+                ka, ma = partial[a]
+                kc, mc = partial[c]
+                if abs(ma - mc) <= tolerance * max(abs(ma), abs(mc)):
+                    violations.append((label, ka, kc))
+    return violations
+
+
+def equal_weight_model(model):
+    """The model's partition with every weight 1 and lambda 0.5 on each multi-item nest."""
+    return NestedLogitModel(
+        partition=model.partition,
+        weights=(1.0,) * model.n,
+        lambdas=tuple(0.5 if len(nest) > 1 else 1.0 for nest in model.partition.nests),
+        outside=model.outside,
+    )
+
+
+@pytest.mark.parametrize("outside", [True, False])
+def test_check_general_position_matches_scalar_reference(outside):
+    """Same triples in the same order on slice, random, leave-one-out and incremental designs"""
+    rng = np.random.default_rng(41)
+    flagged = checked = 0
+    for n in (4, 7, 12, 20):
+        for _ in range(3):
+            truth = generate_ground_truth(n, rng, outside=outside)
+            designs = [
+                slice_design(balanced_enumeration(n, 2)),
+                slice_design(balanced_enumeration(n, 3)),
+                randomized_design(n, 2 * code_length(n, 2), size_rule="half", rng=rng),
+                leave_one_out_design(n),
+                incremental_design(n, rng=rng),
+            ]
+            for design in designs:
+                for model in (truth, equal_weight_model(truth)):
+                    want = reference_check_general_position(model, design)
+                    assert check_general_position(model, design) == want
+                    flagged += bool(want)
+                    checked += 1
+    assert 0 < flagged < checked
+
+
+def test_check_general_position_flags_partly_offered_unit_lambda_nests():
+    """Two lambda = 1 nests have multiplier exactly 1 when partly offered, and still count"""
+    model = NestedLogitModel(
+        partition=NestPartition([(1, 2), (3, 4), (5,)]),
+        weights=(1.0, 2.0, 3.0, 4.0, 5.0),
+        lambdas=(1.0, 1.0, 1.0),
+        outside=True,
+    )
+    design = ExperimentDesign(n=5, experiments=((1, 3, 5), (1, 2, 3)), labels=("A", "B"))
+    assert nest_multipliers(model, design.experiments)[:2, 0].tolist() == [1.0, 1.0]
+    assert check_general_position(model, design) == [("A", 0, 1)]
+    assert reference_check_general_position(model, design) == [("A", 0, 1)]
+    assert check_general_position(model, ExperimentDesign(n=5, experiments=(), labels=())) == []
+
+
 def test_model_json_round_trip(tmp_path):
     model = NestedLogitModel(
         partition=NestPartition([(1, 3), (2,)]),
@@ -454,6 +549,9 @@ def test_model_json_round_trip(tmp_path):
 
 
 def test_generator_accepts_integer_seed():
-    a = generate_ground_truth(6, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    a = generate_ground_truth(6, rng)
     b = generate_ground_truth(6, np.random.default_rng(9))
     assert a == b
+    assert generate_ground_truth(6, 9) == a
+    assert generate_ground_truth(6, rng) != a  # a given Generator's stream moves on
