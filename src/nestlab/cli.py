@@ -1,8 +1,9 @@
 """Command line entry points.
 
 Subcommands mirror the pipeline stages: design, simulate, identify, recover,
-evaluate, compare.  Designs and models travel as JSON, choice counts as CSV;
-see the package README for the file schemas.
+evaluate, compare; the first four call the stage functions of nestlab.harness
+that the comparison grid runs.  Designs and models travel as JSON, choice
+counts as CSV; see the package README for the file schemas.
 """
 
 from __future__ import annotations
@@ -15,25 +16,15 @@ import sys
 
 import numpy as np
 
-from . import designs, harness, identify, metrics, model, recovery, sampling
+from . import designs, harness, identify, metrics, model, sampling
 
 
 def _cmd_design(args) -> int:
-    if args.scheme == "balanced":
-        design = designs.slice_design(designs.balanced_enumeration(args.n, args.base))
-    elif args.scheme == "naive":
-        design = designs.slice_design(designs.naive_encoding(args.n, args.base))
-    elif args.scheme == "random":
-        count = args.num_assortments or args.base * designs.code_length(args.n, args.base)
-        design = designs.randomized_design(
-            args.n, count, size_rule=args.size_rule, rng=args.seed
-        )
-    elif args.scheme == "loo":
-        design = designs.leave_one_out_design(args.n)
-    elif args.scheme == "incremental":
-        design = designs.incremental_design(args.n, rng=args.seed)
-    else:
-        raise ValueError(f"unknown scheme {args.scheme!r}")
+    config = harness.ExperimentConfig(
+        num_random_assortments=args.num_assortments, size_rule=args.size_rule
+    )
+    rng = np.random.default_rng(args.seed)
+    design = harness.build_design(args.scheme, args.n, args.base, config, rng)
     unseparated = designs.verify_separation(design)
     if unseparated:
         print(f"warning: {len(unseparated)} ordered pairs unseparated", file=sys.stderr)
@@ -53,8 +44,8 @@ def _cmd_simulate(args) -> int:
         if args.save_model:
             model.save_model(truth, args.save_model)
             print(f"wrote {args.save_model}")
-    allocation = sampling.allocate_customers(args.customers, design.num_experiments + 1)
-    table = sampling.sample_choices(truth, design, allocation, args.seed)
+    probs = model.design_probabilities(truth, design)
+    table = harness.sample_counts(probs, design, args.customers, args.seed)
     sampling.save_counts(table, args.out)
     print(f"wrote {args.out} ({args.customers} customers)")
     return 0
@@ -69,7 +60,6 @@ def _write_edges(edges, path: str) -> None:
             writer.writerow([i, *(f"{v:.10g}" for v in row)])
 
 
-IDENTIFY_ALPHA = 0.05
 IDENTIFY_DELTA = 0.1
 
 
@@ -110,29 +100,21 @@ def _load_design_and_counts(args):
 
 def _cmd_identify(args) -> int:
     design, table = _load_design_and_counts(args)
-    if args.mode == "exact":
-        tol = identify.EXACT_TOLERANCE if args.tol is None else args.tol
-        bf = identify.boost_factors_from_counts(table)
-        if table.outside:
-            edges, partition = identify.exact_identify_with_outside(bf, design, tol=tol)
-        else:
-            edges, partition = identify.exact_identify_without_outside(bf, design, tol=tol)
-    else:
-        threshold = args.threshold
-        if args.mode == "ztheorem" and threshold is None:
-            pairs = identify.theorem_pair_count(design.n, design.num_experiments)
-            delta = IDENTIFY_DELTA if args.delta is None else args.delta
-            threshold = identify.theorem_z_threshold(pairs, delta)
-            print(f"z threshold {threshold:.4f} (K = {pairs})", file=sys.stderr)
-        config = identify.TestConfig(
-            alpha=IDENTIFY_ALPHA if args.alpha is None else args.alpha,
-            beta=args.beta,
-            z_threshold=threshold,
-        )
-        if table.outside:
-            edges, partition = identify.noisy_identify_with_outside(table, design, config)
-        else:
-            edges, partition = identify.noisy_identify_without_outside(table, design, config)
+    threshold = args.threshold
+    if args.mode == "ztheorem" and threshold is None:
+        pairs = identify.theorem_pair_count(design.n, design.num_experiments)
+        delta = IDENTIFY_DELTA if args.delta is None else args.delta
+        threshold = identify.theorem_z_threshold(pairs, delta)
+        print(f"z threshold {threshold:.4f} (K = {pairs})", file=sys.stderr)
+    # Exact mode reads only boosts and tol: _reject_ignored_flags keeps the rest unset.
+    config = identify.TestConfig(
+        alpha=identify.TestConfig.alpha if args.alpha is None else args.alpha,
+        beta=args.beta,
+        z_threshold=threshold,
+    )
+    boosts = identify.boost_factors_from_counts(table) if args.mode == "exact" else None
+    tol = identify.EXACT_TOLERANCE if args.tol is None else args.tol
+    edges, partition = harness.identify_partition(table, design, config, boosts, tol)
     if edges.inconsistencies:
         print(f"note: {len(edges.inconsistencies)} contradictory deductions", file=sys.stderr)
     with open(args.out_partition, "w") as fh:
@@ -148,20 +130,18 @@ def _cmd_identify(args) -> int:
 def _load_partition(path: str) -> model.NestPartition:
     with open(path) as fh:
         data = json.load(fh)
+    if "nests" not in data:
+        raise ValueError("partition has no 'nests' key")
     return model.NestPartition(data["nests"])
 
 
 def _cmd_recover(args) -> int:
     design, table = _load_design_and_counts(args)
     partition = _load_partition(args.partition)
-    if args.exact:
-        probs = sampling.empirical_probabilities(table)
-        fitted = recovery.recover_all(probs, partition, design)
-    else:
-        fit = recovery.recover_least_squares(table, partition, design)
-        for flag in fit.flags:
-            print(f"note: {flag}", file=sys.stderr)
-        fitted = fit.model
+    probs = sampling.empirical_probabilities(table) if args.exact else None
+    fitted, flags = harness.recover_model(table, partition, design, probs)
+    for flag in flags:
+        print(f"note: {flag}", file=sys.stderr)
     model.save_model(fitted, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -207,11 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="construct an experiment design")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--base", type=int, default=2)
-    p.add_argument(
-        "--scheme",
-        choices=["balanced", "naive", "random", "loo", "incremental"],
-        default="balanced",
-    )
+    p.add_argument("--scheme", choices=harness.DESIGN_SCHEMES, default="slice")
     p.add_argument("--num-assortments", type=int, default=None)
     p.add_argument("--size-rule", choices=["uniform_3_6", "half"], default="uniform_3_6")
     p.add_argument("--seed", type=int, default=0)
@@ -233,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", required=True)
     p.add_argument("--design", required=True)
     p.add_argument("--mode", choices=["exact", "noisy", "ztheorem"], default="noisy")
-    p.add_argument("--alpha", type=float, default=None, help=f"default {IDENTIFY_ALPHA}")
+    p.add_argument("--alpha", type=float, default=None, help=f"default {identify.TestConfig.alpha}")
     p.add_argument("--beta", type=float, default=None, help="default 1 - alpha")
     p.add_argument("--tol", type=float, default=None, help="exact mode; relative tolerance")
     p.add_argument("--threshold", type=float, default=None, help="explicit |z| cutoff")
@@ -271,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         _reject_ignored_flags(parser, args)
     try:
         return args.func(args)
-    except ValueError as exc:  # RecoveryError, SingularSystemError and JSONDecodeError among them
+    except (OSError, ValueError) as exc:  # RecoveryError and JSONDecodeError are ValueErrors
         sys.exit(f"nestlab {args.command}: {exc}")
 
 

@@ -276,6 +276,11 @@ def design_to_dict(design: ExperimentDesign) -> dict:
 
 
 def design_from_dict(data: dict) -> ExperimentDesign:
+    missing = [key for key in ("n", "control", "experiments") if key not in data]
+    for e in data.get("experiments", ()):
+        missing += [key for key in ("label", "items") if key not in e]
+    if missing:
+        raise ValueError(f"design has no {missing[0]!r} key")
     experiments = tuple(tuple(e["items"]) for e in data["experiments"])
     labels = tuple(e["label"] for e in data["experiments"])
     return ExperimentDesign(

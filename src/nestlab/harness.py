@@ -2,7 +2,8 @@
 
 One pipeline run is: build a design, split the customer budget, sample
 choices, identify the nest partition from the counts, fit parameters by
-least squares, and score the fit against the ground truth.  The comparison
+least squares, and score the fit against the ground truth.  Each data stage
+is one function, which the nestlab subcommands call too.  The comparison
 grid repeats this over instances x schemes x budgets with per-cell seeds, so
 any cell is reproducible in isolation, and writes one CSV per budget plus a
 summary JSON of means and confidence intervals.
@@ -33,6 +34,8 @@ from .designs import (
     slice_design,
 )
 from .identify import (
+    BoostTable,
+    EdgeMatrix,
     TestConfig,
     boost_factors,
     exact_identify_with_outside,
@@ -49,6 +52,8 @@ from .metrics import (
     rmse_soft_restricted,
 )
 from .model import (
+    EXACT_TOLERANCE,
+    ChoiceProbabilities,
     NestPartition,
     NestedLogitModel,
     check_general_position,
@@ -56,7 +61,7 @@ from .model import (
     generate_ground_truth,
 )
 from .recovery import recover_all, recover_least_squares
-from .sampling import allocate_customers, draw_counts, empirical_probabilities
+from .sampling import ChoiceCountTable, allocate_customers, draw_counts, empirical_probabilities
 
 DESIGN_SCHEMES = ("slice", "slice_naive", "random", "loo", "incremental")
 BASELINE_SCHEMES = ("default_two_nest", "point_estimate")
@@ -144,13 +149,13 @@ FAILURE_STAGES = ("identify", "recovery")
 def build_design(
     scheme: str, n: int, b: int, config: ExperimentConfig, rng: np.random.Generator
 ) -> ExperimentDesign:
+    """The design of a scheme; random reads config's count and size rule."""
     if scheme in ("slice", *BASELINE_SCHEMES):
         return slice_design(balanced_enumeration(n, b))
     if scheme == "slice_naive":
         return slice_design(naive_encoding(n, b))
     if scheme == "random":
-        encoding = balanced_enumeration(n, b)
-        count = config.num_random_assortments or b * encoding.length
+        count = config.num_random_assortments or b * balanced_enumeration(n, b).length
         return randomized_design(n, count, size_rule=config.size_rule, rng=rng)
     if scheme == "loo":
         return leave_one_out_design(n)
@@ -159,15 +164,37 @@ def build_design(
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _identify(table, design, config: ExperimentConfig, truth: NestedLogitModel, true_probs):
-    if config.mode == "exact":
-        bf = boost_factors(true_probs[0], true_probs[1:], labels=design.labels)
-        if truth.outside:
-            return exact_identify_with_outside(bf, design)[1]
-        return exact_identify_without_outside(bf, design)[1]
-    if truth.outside:
-        return noisy_identify_with_outside(table, design, config.test_config())[1]
-    return noisy_identify_without_outside(table, design, config.test_config())[1]
+def sample_counts(
+    probs: list[ChoiceProbabilities], design: ExperimentDesign, T: int, seed: int
+) -> ChoiceCountTable:
+    """Counts of T customers split as evenly as possible over the control and every experiment."""
+    return draw_counts(probs, design, allocate_customers(T, design.num_experiments + 1), seed)
+
+
+def identify_partition(
+    table: ChoiceCountTable, design: ExperimentDesign, test_config: TestConfig,
+    boosts: BoostTable | None = None, tol: float = EXACT_TOLERANCE,
+) -> tuple[EdgeMatrix, NestPartition]:
+    """Edges and partition: exact rules on boosts if given, else test_config's tests on table.
+
+    Each picks the with- or without-outside identifier by its own outside flag.
+    """
+    if boosts is not None:
+        exact = exact_identify_with_outside if boosts.outside else exact_identify_without_outside
+        return exact(boosts, design, tol=tol)
+    noisy = noisy_identify_with_outside if table.outside else noisy_identify_without_outside
+    return noisy(table, design, test_config)
+
+
+def recover_model(
+    table: ChoiceCountTable, partition: NestPartition, design: ExperimentDesign,
+    probs: list[ChoiceProbabilities] | None = None,
+) -> tuple[NestedLogitModel, tuple[str, ...]]:
+    """Fitted model and flags: exact recovery from probs if given, else least squares on table."""
+    if probs is not None:
+        return recover_all(probs, partition, design), ()
+    fit = recover_least_squares(table, partition, design)
+    return fit.model, tuple(fit.flags)
 
 
 def run_pipeline(
@@ -182,8 +209,8 @@ def run_pipeline(
     """Design, sample, identify, recover, and score one grid cell.
 
     The truth's design probabilities are computed once: counts are drawn
-    from them, and exact identification, recover_all and the restricted
-    score read them.
+    from them, and exact identification and recovery (mode "exact") and the
+    restricted score read them.
     Baseline schemes reuse the slice design's data: default_two_nest skips
     identification in favor of a fixed half split, and point_estimate skips
     modeling entirely, so it only gets the restricted score.  truth_table is
@@ -193,28 +220,26 @@ def run_pipeline(
     n = truth.n
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD5)))
     design = build_design(scheme, n, config.b, config, rng)
-    allocation = allocate_customers(T, design.num_experiments + 1)
     true_probs = design_probabilities(truth, design)
-    table = draw_counts(true_probs, design, allocation, seed)
+    table = sample_counts(true_probs, design, T, seed)
     result = PipelineResult(instance=instance, scheme=scheme, T=T)
     if scheme == "point_estimate":
         empirical = empirical_probabilities(table)
         result.rmse_soft_restricted = rmse_soft_restricted(true_probs, empirical)
         return result
 
+    exact = config.mode == "exact"
     stage = "identify"
     try:
         if scheme == "default_two_nest":
             partition = default_two_nest_partition(n)
         else:
-            partition = _identify(table, design, config, truth, true_probs)
+            boosts = boost_factors(true_probs[0], true_probs[1:], design.labels) if exact else None
+            partition = identify_partition(table, design, config.test_config(), boosts)[1]
         stage = "recovery"
-        if config.mode == "exact":
-            estimate = recover_all(true_probs, partition, design)
-        else:
-            fit = recover_least_squares(table, partition, design)
-            estimate = fit.model
-            result.flags = tuple(fit.flags)
+        estimate, result.flags = recover_model(
+            table, partition, design, true_probs if exact else None
+        )
     except Exception as exc:  # noqa: BLE001  degraded cell, scored as a failure
         result.flags = (f"{type(exc).__name__}: {exc}",)
         result.failed_stage = stage

@@ -265,6 +265,8 @@ def choice_probabilities(
 
 def design_probabilities(model: NestedLogitModel, design) -> list[ChoiceProbabilities]:
     """Exact choice probabilities for the control and every experiment, in one kernel call."""
+    if design.n != model.n:
+        raise ValueError(f"design has {design.n} items, model has {model.n}")
     return _assortment_probabilities(model, (design.control, *design.experiments))
 
 
@@ -409,6 +411,9 @@ def model_to_dict(model: NestedLogitModel) -> dict:
 
 
 def model_from_dict(data: dict) -> NestedLogitModel:
+    missing = [key for key in ("nests", "v", "lambda", "outside_option") if key not in data]
+    if missing:
+        raise ValueError(f"model has no {missing[0]!r} key")
     return NestedLogitModel(
         partition=NestPartition(data["nests"]),
         weights=tuple(data["v"]),

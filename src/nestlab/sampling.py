@@ -90,22 +90,18 @@ def draw_counts(
     probs: list[ChoiceProbabilities],
     design: ExperimentDesign,
     allocation: list[int],
-    seed: np.random.Generator | int,
+    seed: int,
 ) -> ChoiceCountTable:
     """Draw multinomial choice counts from given design probabilities.
 
     probs is design_probabilities(model, design): the control first, then
     one row per experiment; allocation[0] is the control's sample size.
-    Each assortment gets an independent stream derived from (master seed,
+    Each assortment gets an independent stream derived from (seed,
     assortment index), so per-assortment results do not shift when other
     assortments change.
     """
     if len(allocation) != design.num_experiments + 1:
         raise ValueError("allocation must cover control plus every experiment")
-    if isinstance(seed, np.random.Generator):
-        master = int(seed.integers(0, 2**63))
-    else:
-        master = int(seed)
     labels = ("control", *design.labels)
     assortments = (design.control, *design.experiments)
     if tuple(cp.assortment for cp in probs) != assortments:
@@ -118,7 +114,7 @@ def draw_counts(
         support = ([0] if outside else []) + list(items)
         p = cp.probs[support]
         p = p / p.sum()  # guard against accumulated roundoff
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((master, idx))))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, idx))))
         counts[idx, support] = rng.multinomial(m, p)
     return ChoiceCountTable(
         n=design.n,
@@ -134,7 +130,7 @@ def sample_choices(
     model: NestedLogitModel,
     design: ExperimentDesign,
     allocation: list[int],
-    seed: np.random.Generator | int,
+    seed: int,
 ) -> ChoiceCountTable:
     """Draw multinomial choice counts for the control and every experiment.
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from nestlab.cli import main
@@ -355,3 +356,126 @@ def test_compare_config_errors_end_in_one_line(tmp_path, text, message):
     assert exc.value.code.startswith(f"nestlab compare: {message}")
     assert "\n" not in exc.value.code
     assert not (tmp_path / "out").exists()
+
+
+def test_missing_files_end_in_one_line(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["identify", "--counts", str(tmp_path / "nope.csv"), "--design",
+              str(tmp_path / "nope.json"), "--out-partition", str(tmp_path / "p.json")])
+    assert exc.value.code == (
+        f"nestlab identify: [Errno 2] No such file or directory: '{tmp_path / 'nope.json'}'"
+    )
+
+
+def test_model_without_nests_ends_in_one_line(tmp_path):
+    from nestlab.model import generate_ground_truth, model_to_dict
+
+    data = model_to_dict(generate_ground_truth(5, np.random.default_rng(2)))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(data))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({k: v for k, v in data.items() if k != "nests"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--true", str(good), "--est", str(bad)])
+    assert exc.value.code == "nestlab evaluate: model has no 'nests' key"
+
+
+def test_partition_without_nests_ends_in_one_line(tmp_path, thin_counts):
+    design, counts, partition = thin_counts
+    partition.write_text(json.dumps({"n": 8, "groups": [[1, 2, 3, 4], [5, 6, 7, 8]]}))
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["recover", "--design", str(design), "--counts", str(counts),
+              "--partition", str(partition), "--out", str(out)])
+    assert exc.value.code == "nestlab recover: partition has no 'nests' key"
+    assert not out.exists()
+
+
+@pytest.fixture
+def four_item_design_and_eight_item_models(tmp_path):
+    from nestlab.model import generate_ground_truth, save_model
+
+    design = tmp_path / "design.json"
+    assert main(["design", "--n", "4", "--out", str(design)]) == 0
+    truth, estimate = tmp_path / "truth.json", tmp_path / "est.json"
+    save_model(generate_ground_truth(8, np.random.default_rng(1)), truth)
+    save_model(generate_ground_truth(8, np.random.default_rng(2)), estimate)
+    return design, truth, estimate
+
+
+def test_simulate_rejects_a_model_of_other_items(tmp_path, four_item_design_and_eight_item_models):
+    design, truth, _ = four_item_design_and_eight_item_models
+    counts = tmp_path / "c4.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--design", str(design), "--model", str(truth),
+              "--customers", "700", "--out", str(counts)])
+    assert exc.value.code == "nestlab simulate: design has 4 items, model has 8"
+    assert not counts.exists()
+
+
+def test_evaluate_rejects_a_design_of_other_items(four_item_design_and_eight_item_models):
+    design, truth, estimate = four_item_design_and_eight_item_models
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--true", str(truth), "--est", str(estimate), "--design", str(design)])
+    assert exc.value.code == "nestlab evaluate: design has 4 items, model has 8"
+
+
+@pytest.fixture
+def counts_without_outside(tmp_path, capsys):
+    """An n = 8 slice design and 400,000 customers of a model without outside option."""
+    design = tmp_path / "design.json"
+    counts = tmp_path / "counts.csv"
+    truth = tmp_path / "truth.json"
+    assert main(["design", "--n", "8", "--out", str(design)]) == 0
+    assert main([
+        "simulate", "--design", str(design), "--generate-seed", "3", "--no-outside",
+        "--save-model", str(truth), "--customers", "400000", "--seed", "4", "--out", str(counts),
+    ]) == 0
+    capsys.readouterr()
+    return design, counts, truth
+
+
+@pytest.mark.parametrize("mode", ["exact", "noisy", "ztheorem"])
+def test_identify_without_outside_matches_the_library(tmp_path, counts_without_outside, mode):
+    from nestlab import designs, identify, sampling
+
+    design_path, counts_path, _ = counts_without_outside
+    out = tmp_path / "p.json"
+    assert main(["identify", "--counts", str(counts_path), "--design", str(design_path),
+                 "--mode", mode, "--out-partition", str(out)]) == 0
+    design = designs.load_design(design_path)
+    table = sampling.load_counts(counts_path, design.n)
+    assert not table.outside
+    if mode == "exact":
+        bf = identify.boost_factors_from_counts(table)
+        _, partition = identify.exact_identify_without_outside(bf, design)
+    else:
+        threshold = None
+        if mode == "ztheorem":
+            pairs = identify.theorem_pair_count(design.n, design.num_experiments)
+            threshold = identify.theorem_z_threshold(pairs, 0.1)
+        config = identify.TestConfig(z_threshold=threshold)
+        _, partition = identify.noisy_identify_without_outside(table, design, config)
+    assert json.loads(out.read_text())["nests"] == [list(nest) for nest in partition.nests]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_recover_without_outside_matches_the_library(tmp_path, counts_without_outside, exact):
+    from nestlab import designs, model, recovery, sampling
+
+    design_path, counts_path, truth_path = counts_without_outside
+    truth = model.load_model(truth_path)
+    partition = tmp_path / "partition.json"
+    partition.write_text(json.dumps({"n": 8, "nests": [list(n) for n in truth.partition.nests]}))
+    out = tmp_path / "est.json"
+    assert main(["recover", "--counts", str(counts_path), "--design", str(design_path),
+                 "--partition", str(partition), *(["--exact"] if exact else []),
+                 "--out", str(out)]) == 0
+    design = designs.load_design(design_path)
+    table = sampling.load_counts(counts_path, design.n)
+    if exact:
+        want = recovery.recover_all(sampling.empirical_probabilities(table), truth.partition, design)
+    else:
+        want = recovery.recover_least_squares(table, truth.partition, design).model
+    assert model.load_model(out) == want
+    assert not want.outside

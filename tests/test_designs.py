@@ -231,3 +231,14 @@ def test_encoding_rejects_out_of_range_queries():
         enc.sigma(5)
     with pytest.raises(ValueError):
         enc.sigma_digit(1, 0)
+
+
+@pytest.mark.parametrize("key", ["n", "control", "experiments", "label", "items"])
+def test_design_from_dict_names_a_missing_key(key):
+    data = design_to_dict(slice_design(balanced_enumeration(5, 2)))
+    if key in data:
+        del data[key]
+    else:
+        del data["experiments"][2][key]
+    with pytest.raises(ValueError, match=f"^design has no '{key}' key$"):
+        design_from_dict(data)

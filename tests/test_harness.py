@@ -211,13 +211,7 @@ def same_result(a, b):
     return same_floats and all(getattr(a, f) == getattr(b, f) for f in rest)
 
 
-@pytest.mark.parametrize("mode", ["noisy", "exact"])
-def test_compare_designs_cells_equal_standalone_run_pipeline(mode):
-    config = tiny_config(
-        schemes=("slice", "random", "default_two_nest", "point_estimate"),
-        T_list=(7000, 40000),
-        mode=mode,
-    )
+def assert_cells_equal_standalone_run_pipeline(config):
     report = compare_designs(config)
     truths = _instance_models(config)
     cells = [
@@ -230,6 +224,27 @@ def test_compare_designs_cells_equal_standalone_run_pipeline(mode):
     for (i, scheme, T), result in zip(cells, report.results):
         alone = run_pipeline(truths[i], scheme, T, config, _cell_seed(config.seed, i, scheme, T), i)
         assert same_result(result, alone), (i, scheme, T)
+    return report
+
+
+@pytest.mark.parametrize("mode", ["noisy", "exact"])
+def test_compare_designs_cells_equal_standalone_run_pipeline(mode):
+    assert_cells_equal_standalone_run_pipeline(tiny_config(
+        schemes=("slice", "random", "default_two_nest", "point_estimate"),
+        T_list=(7000, 40000),
+        mode=mode,
+    ))
+
+
+@pytest.mark.parametrize("mode", ["noisy", "exact"])
+def test_grid_without_outside_cells_equal_standalone_run_pipeline(mode):
+    """Identification and recovery without an outside option, in both modes"""
+    report = assert_cells_equal_standalone_run_pipeline(tiny_config(
+        schemes=("slice", "random"), T_list=(40000,), outside=False, mode=mode,
+    ))
+    assert all(r.partition is not None for r in report.results)
+    if mode == "exact":  # the refit model reproduces the truth's choice function
+        assert all(r.rmse_soft < 1e-9 for r in report.results)
 
 
 def test_compare_designs_calls_module_level_run_pipeline_per_cell(monkeypatch):
@@ -258,7 +273,7 @@ def test_compare_designs_past_exhaustive_limit_scores_restricted_only():
 
 
 @pytest.mark.parametrize(
-    "target, stage", [("_identify", "identify"), ("recover_least_squares", "recovery")]
+    "target, stage", [("identify_partition", "identify"), ("recover_least_squares", "recovery")]
 )
 def test_failed_cells_report_their_stage(monkeypatch, tmp_path, target, stage):
     def broken(*args, **kwargs):
@@ -292,7 +307,7 @@ def test_report_columns_and_config_keys_are_pinned(tmp_path):
     assert list(json.loads((tmp_path / "summary.json").read_text())["config"]) == fields
 
 
-@pytest.mark.parametrize("target", ["_identify", "recover_least_squares"])
+@pytest.mark.parametrize("target", ["identify_partition", "recover_least_squares"])
 def test_unreached_scores_stay_nan(monkeypatch, tmp_path, target):
     """A failed cell reaches no score and a point estimate only the restricted one"""
     def broken(*args, **kwargs):

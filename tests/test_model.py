@@ -555,3 +555,37 @@ def test_generator_accepts_integer_seed():
     assert a == b
     assert generate_ground_truth(6, 9) == a
     assert generate_ground_truth(6, rng) != a  # a given Generator's stream moves on
+
+
+@pytest.mark.parametrize("outside", [True, False])
+def test_normalize_identifiable_keeps_lambda_zero_nests(outside):
+    """A lambda = 0 singleton becomes its fixed weight; a multi-item one keeps it under a new index"""
+    model = NestedLogitModel(
+        partition=NestPartition([(1, 2, 3), (4, 5), (6,)]),
+        weights=(1.0, 2.0, 3.0, 1.5, 2.5, 4.0),
+        lambdas=(1.0, 0.0, 0.0),
+        outside=outside,
+        degenerate_weights={1: 2.5, 2: 0.7},
+    )
+    norm = normalize_identifiable(model)
+    assert norm.partition == NestPartition([(1,), (2,), (3,), (4, 5), (6,)])
+    assert norm.lambdas == (1.0, 1.0, 1.0, 0.0, 1.0)
+    assert norm.degenerate_weights == {3: 2.5}
+    assert norm.weight(6) == 0.7
+    np.testing.assert_allclose(
+        all_subset_probabilities(norm), all_subset_probabilities(model), rtol=0, atol=1e-15
+    )
+
+
+def test_design_probabilities_rejects_a_design_of_other_items():
+    design = slice_design(balanced_enumeration(4, 2))
+    with pytest.raises(ValueError, match="^design has 4 items, model has 8$"):
+        design_probabilities(generate_ground_truth(8, np.random.default_rng(1)), design)
+
+
+@pytest.mark.parametrize("key", ["nests", "v", "lambda", "outside_option"])
+def test_model_from_dict_names_a_missing_key(key):
+    data = model_to_dict(generate_ground_truth(5, np.random.default_rng(2)))
+    del data[key]
+    with pytest.raises(ValueError, match=f"^model has no '{key}' key$"):
+        model_from_dict(data)

@@ -443,3 +443,38 @@ def test_least_squares_flags_unobservable_lambda():
     table = sample_choices(model, design, [5000] * 3, seed=13)
     fit = recover_least_squares(table, model.partition, design)
     assert any(flag.endswith("lambda-defaulted") for flag in fit.flags)
+
+
+def test_least_squares_single_nest_without_outside_is_flagged_mnl():
+    """One all-item nest and no outside option: the fit is the control's shares, flagged"""
+    model = NestedLogitModel(
+        partition=NestPartition([(1, 2, 3, 4)]),
+        weights=(1.0, 2.0, 3.0, 4.0),
+        lambdas=(0.6,),
+        outside=False,
+    )
+    design = slice_design(balanced_enumeration(4, 2))
+    table = sample_choices(model, design, [5000] * (design.num_experiments + 1), seed=14)
+    fit = recover_least_squares(table, model.partition, design)
+    assert fit.flags == ["single-nest-mnl"]
+    assert fit.model.partition == NestPartition([(1,), (2,), (3,), (4,)])
+    shares = table.counts[0, 1:] / table.sizes[0]
+    got = choice_probabilities(fit.model, (1, 2, 3, 4)).probs[1:]
+    np.testing.assert_allclose(got, shares, rtol=1e-12)
+
+
+def test_least_squares_flags_anchor_offered_whole():
+    """No outside option and every row offers the multi-item anchor nest whole"""
+    from nestlab.designs import ExperimentDesign
+
+    model = NestedLogitModel(
+        partition=NestPartition([(1, 2), (3,), (4,)]),
+        weights=(1.0, 2.0, 1.5, 0.5),
+        lambdas=(0.5, 1.0, 1.0),
+        outside=False,
+    )
+    design = ExperimentDesign(n=4, experiments=[(1, 2, 3), (1, 2, 4)], labels=("A", "B"))
+    table = sample_choices(model, design, [5000] * 3, seed=15)
+    fit = recover_least_squares(table, model.partition, design)
+    assert "anchor-lambda-defaulted" in fit.flags
+    assert fit.model.lambdas[0] == 1.0
