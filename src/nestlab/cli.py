@@ -41,11 +41,12 @@ def _cmd_simulate(args) -> int:
         truth = model.generate_ground_truth(
             design.n, np.random.default_rng(args.generate_seed), outside=not args.no_outside
         )
-        if args.save_model:
-            model.save_model(truth, args.save_model)
-            print(f"wrote {args.save_model}")
     probs = model.design_probabilities(truth, design)
     table = harness.sample_counts(probs, design, args.customers, args.seed)
+    # written only once the counts are drawn, so a failed run leaves no file
+    if args.save_model and not args.model:
+        model.save_model(truth, args.save_model)
+        print(f"wrote {args.save_model}")
     sampling.save_counts(table, args.out)
     print(f"wrote {args.out} ({args.customers} customers)")
     return 0
@@ -130,9 +131,9 @@ def _cmd_identify(args) -> int:
 def _load_partition(path: str) -> model.NestPartition:
     with open(path) as fh:
         data = json.load(fh)
-    if "nests" not in data:
-        raise ValueError("partition has no 'nests' key")
-    return model.NestPartition(data["nests"])
+    return model.from_json_object(
+        data, "partition", ("nests",), lambda d: model.NestPartition(d["nests"])
+    )
 
 
 def _cmd_recover(args) -> int:

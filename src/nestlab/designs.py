@@ -10,10 +10,12 @@ takes b*L = O(b log n / log b) experiments plus one control.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
+
+from .model import from_json_object
 
 
 def _check_items(n: int) -> None:
@@ -121,21 +123,14 @@ def _canonical_assortment(items: Iterable[int], n: int, what: str) -> tuple[int,
 
 @dataclass(frozen=True)
 class ExperimentDesign:
-    """A control assortment plus a list of labeled experimental assortments."""
+    """Labeled experimental assortments, compared against a control that offers every item."""
 
     n: int
     experiments: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
-    b: int | None = None
-    control: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         _check_items(self.n)
-        if self.control is None:
-            object.__setattr__(self, "control", tuple(range(1, self.n + 1)))
-        object.__setattr__(
-            self, "control", _canonical_assortment(self.control, self.n, "control")
-        )
         object.__setattr__(
             self,
             "experiments",
@@ -148,6 +143,11 @@ class ExperimentDesign:
             raise ValueError("one label per experiment required")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("experiment labels must be unique")
+
+    @property
+    def control(self) -> tuple[int, ...]:
+        """The control assortment: every item 1..n."""
+        return tuple(range(1, self.n + 1))
 
     @property
     def num_experiments(self) -> int:
@@ -180,7 +180,6 @@ def slice_design(encoding: BaseBEncoding) -> ExperimentDesign:
         n=encoding.n,
         experiments=tuple(experiments),
         labels=tuple(labels),
-        b=encoding.b,
     )
 
 
@@ -266,7 +265,6 @@ def verify_separation(design: ExperimentDesign) -> list[tuple[int, int]]:
 def design_to_dict(design: ExperimentDesign) -> dict:
     return {
         "n": design.n,
-        "b": design.b,
         "control": list(design.control),
         "experiments": [
             {"label": label, "items": list(items)}
@@ -275,21 +273,24 @@ def design_to_dict(design: ExperimentDesign) -> dict:
     }
 
 
-def design_from_dict(data: dict) -> ExperimentDesign:
-    missing = [key for key in ("n", "control", "experiments") if key not in data]
-    for e in data.get("experiments", ()):
-        missing += [key for key in ("label", "items") if key not in e]
+def _design_from_object(data: dict) -> ExperimentDesign:
+    missing = [key for e in data["experiments"] for key in ("label", "items") if key not in e]
     if missing:
         raise ValueError(f"design has no {missing[0]!r} key")
-    experiments = tuple(tuple(e["items"]) for e in data["experiments"])
-    labels = tuple(e["label"] for e in data["experiments"])
+    _check_items(data["n"])
+    if data["control"] != list(range(1, data["n"] + 1)):
+        raise ValueError(f"design control must list every item 1..{data['n']}")
     return ExperimentDesign(
         n=data["n"],
-        experiments=experiments,
-        labels=labels,
-        b=data.get("b"),
-        control=tuple(data["control"]),
+        experiments=tuple(tuple(e["items"]) for e in data["experiments"]),
+        labels=tuple(e["label"] for e in data["experiments"]),
     )
+
+
+def design_from_dict(data: dict) -> ExperimentDesign:
+    """The design of a JSON object; a "b" key that older files carry is ignored."""
+    keys = ("n", "control", "experiments")
+    return from_json_object(data, "design", keys, _design_from_object)
 
 
 def save_design(design: ExperimentDesign, path: str) -> None:

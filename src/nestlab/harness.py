@@ -58,6 +58,7 @@ from .model import (
     NestedLogitModel,
     check_general_position,
     design_probabilities,
+    from_json_object,
     generate_ground_truth,
 )
 from .recovery import recover_all, recover_least_squares
@@ -100,7 +101,7 @@ class ExperimentConfig:
         return {**asdict(self), "schemes": list(self.schemes), "T_list": list(self.T_list)}
 
 
-def config_from_dict(data: dict) -> ExperimentConfig:
+def _config_from_object(data: dict) -> ExperimentConfig:
     known = {f for f in ExperimentConfig.__dataclass_fields__}
     extra = set(data) - known
     if extra:
@@ -110,6 +111,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if key in data:
             data[key] = tuple(data[key])
     return ExperimentConfig(**data)
+
+
+def config_from_dict(data: dict) -> ExperimentConfig:
+    return from_json_object(data, "config", (), _config_from_object)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -358,18 +358,6 @@ def z_statistic(table: ChoiceCountTable, i: int, j: int, experiment: int) -> flo
     return float(z[0])
 
 
-def p_value_equal(table: ChoiceCountTable, i: int, j: int, experiment: int) -> float:
-    """Two-sided p-value for 'items i and j saw the same boost'."""
-    z = z_statistic(table, i, j, experiment)
-    return math.erfc(abs(z) / math.sqrt(2.0))
-
-
-def p_value_leq_outside(table: ChoiceCountTable, i: int, experiment: int) -> float:
-    """One-sided p-value for 'item i's boost is at most the outside option's'."""
-    z = z_statistic(table, i, 0, experiment)
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
 @dataclass(frozen=True)
 class TestConfig:
     """Finite-sample test settings.

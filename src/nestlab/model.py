@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -410,17 +410,41 @@ def model_to_dict(model: NestedLogitModel) -> dict:
     }
 
 
-def model_from_dict(data: dict) -> NestedLogitModel:
-    missing = [key for key in ("nests", "v", "lambda", "outside_option") if key not in data]
+_Built = TypeVar("_Built")
+
+
+def from_json_object(
+    data, kind: str, keys: Sequence[str], build: Callable[[dict], _Built]
+) -> _Built:
+    """build(data) for a JSON object that holds every key; else one ValueError naming the kind.
+
+    A field of the wrong type (a number where a list belongs, null for a
+    list) surfaces in build as a TypeError and is reported the same way.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} file must hold a JSON object")
+    missing = [key for key in keys if key not in data]
     if missing:
-        raise ValueError(f"model has no {missing[0]!r} key")
+        raise ValueError(f"{kind} has no {missing[0]!r} key")
+    try:
+        return build(data)
+    except TypeError as exc:
+        raise ValueError(f"{kind} has a field of the wrong type: {exc}") from None
+
+
+def _model_from_object(data: dict) -> NestedLogitModel:
     return NestedLogitModel(
         partition=NestPartition(data["nests"]),
-        weights=tuple(data["v"]),
-        lambdas=tuple(data["lambda"]),
+        weights=data["v"],
+        lambdas=data["lambda"],
         outside=bool(data["outside_option"]),
-        degenerate_weights={int(k): v for k, v in data.get("v_nest_degenerate", {}).items()},
+        degenerate_weights=data.get("v_nest_degenerate", {}),
     )
+
+
+def model_from_dict(data: dict) -> NestedLogitModel:
+    keys = ("nests", "v", "lambda", "outside_option")
+    return from_json_object(data, "model", keys, _model_from_object)
 
 
 def save_model(model: NestedLogitModel, path: str) -> None:

@@ -81,10 +81,6 @@ class ChoiceCountTable:
             and np.array_equal(self.sizes, other.sizes)
         )
 
-    @property
-    def num_assortments(self) -> int:
-        return len(self.assortments)
-
 
 def draw_counts(
     probs: list[ChoiceProbabilities],
@@ -181,6 +177,10 @@ def load_counts(path: str, n: int) -> ChoiceCountTable:
         for rec in reader:
             if not rec:  # blank line
                 continue
+            if len(rec) < len(header):
+                raise ValueError(
+                    f"count file line {reader.line_num} has {len(rec)} fields, not {len(header)}"
+                )
             label, item, count, size = fields(rec)
             item, size = int(item), int(size)
             r = index.setdefault(label, len(index))

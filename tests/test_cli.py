@@ -479,3 +479,75 @@ def test_recover_without_outside_matches_the_library(tmp_path, counts_without_ou
         want = recovery.recover_least_squares(table, truth.partition, design).model
     assert model.load_model(out) == want
     assert not want.outside
+
+
+def test_failed_simulate_leaves_no_model_file(tmp_path, capsys):
+    """The generated model is written only once the counts are drawn, and is reported first"""
+    design, truth, counts = tmp_path / "design.json", tmp_path / "t.json", tmp_path / "c.csv"
+    assert main(["design", "--n", "8", "--out", str(design)]) == 0
+    files = ["--design", str(design), "--save-model", str(truth), "--out", str(counts)]
+    with pytest.raises(SystemExit):
+        main(["simulate", *files, "--customers", "5"])
+    assert not truth.exists() and not counts.exists()
+    capsys.readouterr()
+    assert main(["simulate", *files, "--customers", "700"]) == 0
+    assert capsys.readouterr().out == f"wrote {truth}\nwrote {counts} (700 customers)\n"
+
+
+@pytest.mark.parametrize("command, flag, rewrite, message", [
+    ("identify", "--design", lambda d: [1, 2], "design file must hold a JSON object"),
+    ("identify", "--design", lambda d: {**d, "experiments": [5]},
+     "design has a field of the wrong type: argument of type 'int' is not iterable"),
+    ("identify", "--design", lambda d: {**d, "control": [1, 2]},
+     "design control must list every item 1..8"),
+    ("simulate", "--design", lambda d: {**d, "control": [1, 2]},
+     "design control must list every item 1..8"),
+    ("recover", "--partition", lambda d: [1, 2], "partition file must hold a JSON object"),
+    ("recover", "--partition", lambda d: {**d, "nests": 5},
+     "partition has a field of the wrong type: 'int' object is not iterable"),
+    ("evaluate", "--est", lambda d: [1, 2], "model file must hold a JSON object"),
+    ("evaluate", "--est", lambda d: {**d, "nests": 5},
+     "model has a field of the wrong type: 'int' object is not iterable"),
+    ("evaluate", "--est", lambda d: {**d, "lambda": None},
+     "model has a field of the wrong type: 'NoneType' object is not iterable"),
+    ("compare", "--config", lambda d: [1, 2], "config file must hold a JSON object"),
+])
+def test_malformed_input_files_end_in_one_line(tmp_path, thin_counts, command, flag, rewrite,
+                                               message):
+    design, counts, partition = thin_counts
+    est, config, out = tmp_path / "est.json", tmp_path / "config.json", tmp_path / "out"
+    est.write_text((tmp_path / "truth.json").read_text())
+    config.write_text(json.dumps({"n": 8, "T_list": [6000], "instances": 1}))
+    args = {
+        "identify": ["--design", design, "--counts", counts, "--out-partition", out],
+        "simulate": ["--design", design, "--customers", "700", "--out", out],
+        "recover": ["--design", design, "--counts", counts, "--partition", partition, "--out", out],
+        "evaluate": ["--true", tmp_path / "truth.json", "--est", est],
+        "compare": ["--config", config, "--output-dir", out],
+    }[command]
+    path = args[args.index(flag) + 1]
+    path.write_text(json.dumps(rewrite(json.loads(path.read_text()))))
+    with pytest.raises(SystemExit) as exc:
+        main([command, *map(str, args)])
+    assert exc.value.code == f"nestlab {command}: {message}"
+    assert not out.exists()
+
+
+def test_count_row_with_too_few_fields_ends_in_one_line(tmp_path, thin_counts):
+    design, counts, _ = thin_counts
+    header, first, *rest = counts.read_text().splitlines()
+    counts.write_text("\n".join([header, first, "control,1", *rest]) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["identify", "--design", str(design), "--counts", str(counts),
+              "--out-partition", str(tmp_path / "p.json")])
+    assert exc.value.code == "nestlab identify: count file line 3 has 2 fields, not 4"
+
+
+def test_recover_prints_least_squares_flags(tmp_path, capsys, counts_without_outside):
+    """One nest without an outside option fits as a multinomial logit, which recover notes"""
+    design, counts, _ = counts_without_outside
+    partition = tmp_path / "partition.json"
+    partition.write_text(json.dumps({"n": 8, "nests": [list(range(1, 9))]}))
+    assert main(["recover", "--design", str(design), "--counts", str(counts),
+                 "--partition", str(partition), "--out", str(tmp_path / "m.json")]) == 0
+    assert capsys.readouterr().err == "note: single-nest-mnl\n"

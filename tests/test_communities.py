@@ -300,3 +300,12 @@ def test_partition_enumerator_counts_bell_numbers():
     # Bell numbers 1, 2, 5, 15, 52 for n = 1..5
     for n, bell in [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)]:
         assert sum(1 for _ in all_partitions(n)) == bell
+
+
+@pytest.mark.parametrize("weights, message", [
+    (np.zeros((2, 3)), "weight matrix must be square"),
+    (np.zeros((0, 0)), "empty weight matrix"),
+])
+def test_community_detect_boundary_checks(weights, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        community_detect(weights)

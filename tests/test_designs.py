@@ -1,6 +1,7 @@
 """Tests for encodings and experiment designs."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -242,3 +243,37 @@ def test_design_from_dict_names_a_missing_key(key):
         del data["experiments"][2][key]
     with pytest.raises(ValueError, match=f"^design has no '{key}' key$"):
         design_from_dict(data)
+
+
+def test_design_files_hold_no_base_and_older_files_still_load():
+    design = slice_design(balanced_enumeration(5, 2))
+    data = design_to_dict(design)
+    assert list(data) == ["n", "control", "experiments"]
+    assert design_from_dict({**data, "b": 2}) == design
+
+
+SMALL_DESIGN = {"n": 3, "control": [1, 2, 3], "experiments": [{"label": "A", "items": [1, 2]}]}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: code_length(4, 1), "encoding base must be an integer >= 2, got 1"),
+    (lambda: BaseBEncoding(n=3, b=2, digits=np.zeros((2, 2), dtype=np.int64)),
+     "digit matrix does not cover all items"),
+    (lambda: ExperimentDesign(n=3, experiments=[(1, 2)], labels=()),
+     "one label per experiment required"),
+    (lambda: randomized_design(8, 0), "need at least one assortment"),
+    (lambda: randomized_design(1, 2, size_rule="half"), "size rule half needs n >= 2"),
+    (lambda: randomized_design(8, 2, size_rule="third"), "unknown size rule 'third'"),
+    (lambda: leave_one_out_design(1), "leave-one-out needs n >= 2"),
+    (lambda: incremental_design(0), "number of items must be a positive integer, got 0"),
+    (lambda: design_from_dict({**SMALL_DESIGN, "n": 0}),
+     "number of items must be a positive integer, got 0"),
+    (lambda: design_from_dict({**SMALL_DESIGN, "control": [1, 2]}),
+     "design control must list every item 1..3"),
+    (lambda: design_from_dict([1, 2]), "design file must hold a JSON object"),
+    (lambda: design_from_dict({**SMALL_DESIGN, "experiments": [5]}),
+     "design has a field of the wrong type: argument of type 'int' is not iterable"),
+])
+def test_design_boundary_checks(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -331,3 +332,25 @@ def test_unreached_scores_stay_nan(monkeypatch, tmp_path, target):
     assert rows[0]["rmse_soft_restricted"] == "nan"
     assert [r["failed"] for r in rows] == ["1", "0"]
     assert [r["partition"] for r in rows] == ["", ""]
+
+
+def test_report_writes_one_file_per_budget(tmp_path):
+    config = tiny_config(schemes=("slice",), T_list=(7000, 21000), instances=1,
+                         output_dir=str(tmp_path))
+    compare_designs(config)
+    for T in config.T_list:
+        with open(tmp_path / f"results_T{T}.csv", newline="") as fh:
+            assert [r["T"] for r in csv.DictReader(fh)] == [str(T)]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_design("spiral", 8, 2, tiny_config(), np.random.default_rng(0)),
+     "unknown scheme 'spiral'"),
+    (lambda: tiny_config(mode="bayes"), "mode must be 'noisy' or 'exact', got 'bayes'"),
+    (lambda: config_from_dict([1, 2]), "config file must hold a JSON object"),
+    (lambda: config_from_dict({"n": 8, "schemes": 5}),
+     "config has a field of the wrong type: 'int' object is not iterable"),
+])
+def test_harness_boundary_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

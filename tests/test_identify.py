@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,8 +21,6 @@ from nestlab.identify import (
     exact_identify_without_outside,
     noisy_identify_with_outside,
     noisy_identify_without_outside,
-    p_value_equal,
-    p_value_leq_outside,
     theorem_margins,
     theorem_pair_count,
     theorem_sample_size,
@@ -271,14 +270,6 @@ def test_z_statistic_rejects_empty_evidence():
         z_statistic(table, 1, 2, 0)
 
 
-def test_p_values_follow_the_normal_tail():
-    table = next(iter(random_count_tables(1, seed=33)))
-    z = z_statistic(table, 1, 2, 0)
-    assert p_value_equal(table, 1, 2, 0) == pytest.approx(math.erfc(abs(z) / math.sqrt(2)))
-    z0 = z_statistic(table, 1, 0, 0)
-    assert p_value_leq_outside(table, 1, 0) == pytest.approx(0.5 * math.erfc(z0 / math.sqrt(2)))
-
-
 def test_noisy_identification_with_plentiful_data():
     rng = np.random.default_rng(40)
     hits = 0
@@ -334,7 +325,7 @@ def test_threshold_identification_skips_experiments_without_customers():
     alloc = [10**6] * (design.num_experiments + 1)
     alloc[2] = 0
     starved = sample_choices(model, design, alloc, seed=8)
-    keep = [k for k in range(starved.num_assortments) if k != 2]
+    keep = [k for k in range(len(starved.assortments)) if k != 2]
     dropped = ChoiceCountTable(
         n=6,
         outside=False,
@@ -891,3 +882,46 @@ def test_theorem_margins_match_scalar_reference():
     truths += [generate_ground_truth(8, np.random.default_rng(s), outside=False) for s in range(3)]
     for truth in truths:
         assert theorem_margins(truth, design) == reference_theorem_margins(truth, design)
+
+
+def _two_item_tables(outside):
+    """A count table over items 1, 2 and its boost table; experiment S offers item 1 only."""
+    counts = ([10, 30, 60], [40, 30, 0]) if outside else ([0, 40, 60], [0, 70, 0])
+    table = ChoiceCountTable(
+        n=2, outside=outside, labels=("control", "S"), assortments=((1, 2), (1,)),
+        counts=counts, sizes=(100, 70),
+    )
+    return table, boost_factors_from_counts(table)
+
+
+TWO_ITEMS = ExperimentDesign(n=2, experiments=[(1,)], labels=("S",))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: boost_factors(
+        ChoiceProbabilities(assortment=(1, 3), probs=np.array([0.2, 0.4, 0.0]), outside=True), []),
+     "control probabilities must cover items 1..n"),
+    (lambda: boost_factors(
+        ChoiceProbabilities(assortment=(1, 2), probs=np.array([0.2, 0.4, 0.4]), outside=True),
+        [ChoiceProbabilities(assortment=(1,), probs=np.array([0.0, 1.0, 0.0]), outside=False)]),
+     "outside-option flag differs between assortments"),
+    (lambda: BoostTable(n=2, outside=True, labels=("S",), assortments=(), factors=np.ones((1, 3))),
+     "misaligned boost table"),
+    (lambda: BoostTable(n=2, outside=True, labels=("S",), assortments=((1,),),
+                        factors=np.ones((1, 3))),
+     "boost rows must cover exactly the offered items"),
+    (lambda: exact_identify_with_outside(_two_item_tables(False)[1], TWO_ITEMS),
+     "boost table has no outside option"),
+    (lambda: exact_identify_without_outside(_two_item_tables(True)[1], TWO_ITEMS),
+     "boost table carries an outside option"),
+    (lambda: noisy_identify_with_outside(_two_item_tables(False)[0], TWO_ITEMS),
+     "count table has no outside option"),
+    (lambda: z_statistic(_two_item_tables(True)[0], 1, 1, 0),
+     "z statistic needs two distinct choices"),
+    (lambda: z_statistic(_two_item_tables(True)[0], 1, 2, 0), "item 2 not offered in S"),
+    (lambda: TestConfig(alpha=0.05, beta=1.5), "beta must lie in [0, 1]"),
+    (lambda: TestConfig(alpha=-0.1), "alpha must lie in [0, 1]"),
+])
+def test_identify_boundary_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -19,6 +20,7 @@ from nestlab.metrics import (
     rmse_soft_restricted,
 )
 from nestlab.model import (
+    ChoiceProbabilities,
     NestPartition,
     NestedLogitModel,
     choice_probabilities,
@@ -244,8 +246,21 @@ def test_confidence_interval_needs_two_values():
 
 
 def test_import_leaves_scipy_unloaded():
-    """No scipy module loads with nestlab; scipy.stats loads on the first confidence interval"""
+    """No scipy module loads with nestlab.cli, which imports every library module"""
     src = os.path.dirname(os.path.dirname(nestlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, nestlab; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    code = "import sys, nestlab.cli; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rmse_soft_restricted(
+        [ChoiceProbabilities(assortment=(1,), probs=np.array([0.5, 0.5]), outside=True)],
+        [ChoiceProbabilities(assortment=(1,), probs=np.array([0.0, 1.0]), outside=False)]),
+     "outside-option flag mismatch"),
+    (lambda: rmse_soft_restricted([], []), "no assortments to score"),
+    (lambda: confidence_interval([1.0, 2.0], level=1.0), "level must lie in (0, 1)"),
+])
+def test_metrics_boundary_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -3,6 +3,7 @@
 import itertools
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -589,3 +590,22 @@ def test_model_from_dict_names_a_missing_key(key):
     del data[key]
     with pytest.raises(ValueError, match=f"^model has no '{key}' key$"):
         model_from_dict(data)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: NestedLogitModel(partition=NestPartition([(1, 2)]), weights=(1.0, 2.0),
+                              lambdas=(0.5, 0.5)),
+     "one lambda per nest required"),
+    (lambda: NestedLogitModel(partition=NestPartition([(1, 2)]), weights=(1.0, 2.0),
+                              lambdas=(0.0,), degenerate_weights={0: 0.0}),
+     "degenerate nest weights must be positive"),
+    (lambda: generate_ground_truth(1), "ground truth generation needs n >= 2"),
+    (lambda: model_from_dict([1, 2]), "model file must hold a JSON object"),
+    (lambda: model_from_dict({**model_to_dict(generate_ground_truth(4, 0)), "nests": 5}),
+     "model has a field of the wrong type: 'int' object is not iterable"),
+    (lambda: model_from_dict({**model_to_dict(generate_ground_truth(4, 0)), "lambda": None}),
+     "model has a field of the wrong type: 'NoneType' object is not iterable"),
+])
+def test_model_boundary_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -3,12 +3,14 @@
 import contextlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from nestlab import recovery
 from nestlab.designs import (
+    ExperimentDesign,
     balanced_enumeration,
     code_length,
     incremental_design,
@@ -18,6 +20,7 @@ from nestlab.designs import (
 )
 from nestlab.metrics import rmse_soft
 from nestlab.model import (
+    ChoiceProbabilities,
     NestPartition,
     NestedLogitModel,
     choice_probabilities,
@@ -32,7 +35,7 @@ from nestlab.recovery import (
     recover_least_squares,
     within_nest_weights,
 )
-from nestlab.sampling import allocate_customers, sample_choices
+from nestlab.sampling import ChoiceCountTable, allocate_customers, sample_choices
 
 
 def test_within_nest_weights_normalizes_lowest_index():
@@ -478,3 +481,39 @@ def test_least_squares_flags_anchor_offered_whole():
     fit = recover_least_squares(table, model.partition, design)
     assert "anchor-lambda-defaulted" in fit.flags
     assert fit.model.lambdas[0] == 1.0
+
+
+SLICE_4 = slice_design(balanced_enumeration(4, 2))
+
+
+def _anchor_never_split():
+    """recover_all's inputs for nests {1, 2}, {3} without outside option; S offers item 3 alone."""
+    truth = NestedLogitModel(
+        partition=NestPartition([(1, 2), (3,)]), weights=(1.0, 2.0, 3.0), lambdas=(0.5, 1.0),
+        outside=False,
+    )
+    design = ExperimentDesign(n=3, experiments=[(3,)], labels=("S",))
+    return design_probabilities(truth, design), truth.partition, design
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: within_nest_weights(
+        ChoiceProbabilities(assortment=(1, 3), probs=np.array([0.0, 0.5, 0.0, 0.5]), outside=False),
+        NestPartition([(1, 2, 3)])),
+     "control probabilities must cover items 1..n"),
+    (lambda: recover_least_squares(
+        ChoiceCountTable(n=2, outside=True, labels=("control", "S"), assortments=((1, 2), (1,)),
+                         counts=([1, 2, 2], [0, 0, 0]), sizes=(5, 0)),
+        NestPartition([(1,), (2,)]), ExperimentDesign(n=2, experiments=[(1,)], labels=("S",))),
+     "assortment with no customers"),
+    (lambda: recover_all(*_anchor_never_split()),
+     "no experiment splits the anchor while offering nest 1"),
+    (lambda: recover_all(
+        design_probabilities(generate_ground_truth(4, 20), SLICE_4),
+        NestPartition([(1, 2), (3, 4)]), SLICE_4),
+     "nest 1: lambda = -0.0338"),
+])
+def test_recovery_boundary_checks(call, message):
+    """Each message starts with its text; a fitted lambda's digits past the fourth are not pinned"""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()

@@ -174,10 +174,10 @@ def test_load_counts_requires_control_first(tmp_path):
     path = tmp_path / "counts.csv"
     path.write_text(
         "assortment_label,item_id,count,sample_size\n"
-        "S(1,-0),1,5,5\n"
+        '"S(1,-0)",1,5,5\n'
         "control,1,3,5\ncontrol,2,2,5\n"
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^count file must start with the control assortment$"):
         load_counts(path, n=2)
 
 
@@ -251,3 +251,34 @@ def test_load_counts_names_a_missing_column(tmp_path, column):
     )
     with pytest.raises(ValueError, match=f"no {column} column"):
         load_counts(path, n=2)
+
+
+def _count_file(path, rows):
+    path.write_text("assortment_label,item_id,count,sample_size\n" + rows)
+    return path
+
+
+def _two_item_draw(allocation):
+    model = generate_ground_truth(2, np.random.default_rng(0))
+    design = slice_design(balanced_enumeration(2, 2))
+    return draw_counts(design_probabilities(model, design), design, allocation, seed=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: allocate_customers(10, 0), "need at least one assortment"),
+    (lambda tmp: _two_item_draw([5, 5]), "allocation must cover control plus every experiment"),
+    (lambda tmp: _two_item_draw([5, -1, 5]), "negative sample size"),
+    (lambda tmp: ChoiceCountTable(n=1, outside=True, labels=("control",), assortments=(),
+                                  counts=[[0, 5]], sizes=[5]),
+     "misaligned count table"),
+    (lambda tmp: load_counts(_count_file(tmp / "c.csv", "S,1,5,5\ncontrol,1,5,5\n"), 1),
+     "count file must start with the control assortment"),
+    (lambda tmp: load_counts(
+        _count_file(tmp / "c.csv", "control,0,1,5\ncontrol,1,4,5\nS,1,5,5\n"), 1),
+     "count rows must cover exactly the offered items"),
+    (lambda tmp: load_counts(_count_file(tmp / "c.csv", "control,1,5,5\ncontrol,2\n"), 2),
+     "count file line 3 has 2 fields, not 4"),
+])
+def test_sampling_boundary_checks(tmp_path, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
