@@ -29,7 +29,7 @@ def _validated_weights(weights: np.ndarray) -> np.ndarray:
         raise ValueError("weight matrix must be square")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
-    if not np.allclose(w, w.T, rtol=0.0, atol=1e-12):
+    if w.size and np.abs(w - w.T).max() > 1e-12:
         raise ValueError("weight matrix must be symmetric")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")

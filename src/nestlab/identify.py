@@ -139,10 +139,11 @@ def _one_hop_transitivity(values: np.ndarray, open_: np.ndarray) -> None:
 
     A neighbour k has values[i, k] == values[k, j] == 1; only full-confidence
     edges transport membership, and the diagonal stays as it is.  Snapshot
-    semantics: all such pairs flip at once.  The product runs in float64 so
-    BLAS computes it; path counts stay far below 2**53, so the result is exact.
+    semantics: all such pairs flip at once.  The product runs in float32 so
+    BLAS computes it; path counts stay at most n, far below 2**24, so the
+    result is exact.
     """
-    ones = (values == 1.0).astype(np.float64)
+    ones = (values == 1.0).astype(np.float32)
     promote = open_ & ((ones @ ones) > 0.0)
     np.fill_diagonal(promote, False)
     values[promote] = 1.0

@@ -6,56 +6,71 @@ recovered partition by pairwise co-membership agreement; confidence
 intervals are Student-t over independent instances (the only use of
 scipy, imported on first call so that importing nestlab stays light).
 
-The all-subset table behind rmse_soft comes from the model's one
-probability kernel: the bool offer mask for the last n is cached and the
-per-nest offered weights come from a doubling pass over the bitmasks.  A
-caller scoring many estimates of one truth (the comparison grid) builds the
-truth's table once and passes it to rmse_soft.  Probability rows are
-item-indexed arrays (see model.ChoiceProbabilities), so the restricted score
-is one array difference.
+The all-subset scores walk the bitmasks in blocks of 2**13, each through
+the model's one probability kernel: all_subset_probabilities fills its
+table block by block, and rmse_soft sums squared errors block by block
+without building the estimate's table.  A caller scoring many estimates of
+one truth (the comparison grid) builds the truth's table once and passes it
+to rmse_soft.  Probability rows are item-indexed arrays (see
+model.ChoiceProbabilities), so the restricted score is one array
+difference.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from typing import Iterator
 
 import numpy as np
 
 from .model import ChoiceProbabilities, NestPartition, NestedLogitModel, probability_table
 
 EXHAUSTIVE_LIMIT = 20  # 2**n probability table; past this use the restricted form
+_BLOCK_BITS = 13  # subsets are scored in blocks of 2**13 consecutive bitmasks
 
 
-@functools.lru_cache(maxsize=1)
-def _subset_masks(n: int) -> np.ndarray:
-    """Read-only bool offer masks, shape (n, 2**n - 1).
-
-    Entry [t, s - 1] says whether the assortment with bitmask s offers item
-    t + 1.  Item-major, so each item's row is contiguous.
-    """
-    codes = np.arange(1, 1 << n, dtype=np.uint32)
-    masks = np.empty((n, codes.size), dtype=bool)
-    for t in range(n):
-        masks[t] = (codes >> t) & 1
-    masks.flags.writeable = False
-    return masks
+def _check_exhaustive(n: int) -> None:
+    if n > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_LIMIT}")
 
 
-def _subset_weights(model: NestedLogitModel) -> np.ndarray:
-    """Per-nest offered weights W_N(S) of every nonempty subset, shape (K, 2**n - 1).
+def _subset_blocks(model: NestedLogitModel) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, probability table) for each block of consecutive bitmasks.
 
-    Built by doubling: the subsets with top bit t are those below 2**t plus
-    item t + 1, so each sum adds its nest's items in increasing order.
+    rows selects the block's rows of the all-subset table (bitmask s on row
+    s - 1); the first block skips the empty subset.  The per-nest offered
+    weights are doubled once over the low items, in increasing item order;
+    a block's high items are then added in increasing item order too.
     """
     n = model.n
+    low_bits = min(n, _BLOCK_BITS)
+    width = 1 << low_bits
+    labels = model.partition.labels().tolist()
     weights = model.weights
-    sums = np.zeros((model.partition.num_nests, 1 << n))  # column s: subset s, 0 included
-    for t, k in enumerate(model.partition.labels()):
-        top = sums[:, 1 << t : 2 << t]
-        top[...] = sums[:, : 1 << t]
-        top[k] += weights[t]
-    return sums[:, 1:]
+    low = np.zeros((model.partition.num_nests, width))  # column l: low subset l, 0 included
+    offered = np.empty((n, width), dtype=bool)
+    codes = np.arange(width, dtype=np.uint32)
+    for t in range(low_bits):
+        top = low[:, 1 << t : 2 << t]
+        top[...] = low[:, : 1 << t]
+        top[labels[t]] += weights[t]
+        offered[t] = (codes >> t) & 1
+    high_items = range(low_bits, n)
+
+    def block_weights(high: int) -> np.ndarray:
+        within = low.copy()
+        for t in high_items:
+            if (high >> (t - low_bits)) & 1:
+                within[labels[t]] += weights[t]
+        return within
+
+    for high in range(1 << (n - low_bits)):
+        offered[low_bits:] = ((high >> np.arange(n - low_bits)) & 1)[:, None]
+        first = high << low_bits
+        skip = 1 if high == 0 else 0  # bitmask 0 is the empty subset
+        rows = slice(first + skip - 1, first + width - 1)
+        # the weights are built in the call, so the kernel frees them before its table
+        yield rows, probability_table(model, block_weights(high)[:, skip:], offered[:, skip:])
 
 
 def all_subset_probabilities(model: NestedLogitModel) -> np.ndarray:
@@ -65,13 +80,14 @@ def all_subset_probabilities(model: NestedLogitModel) -> np.ndarray:
     the item-indexed row format: column 0 is the outside option (all zero
     when the model has none) and column i the probability of item i, zero
     when not offered.  The table is column-major, so each column is
-    contiguous.  The doubled per-nest sums feed probability_table, which
-    frees them before it allocates the table.
+    contiguous.  It is allocated once and filled block by block, so beside
+    it only one block's temporaries are alive.
     """
-    n = model.n
-    if n > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_LIMIT}")
-    return probability_table(model, _subset_weights(model), _subset_masks(n))
+    _check_exhaustive(model.n)
+    table = np.empty((model.n + 1, (1 << model.n) - 1))  # one contiguous row per column
+    for rows, block in _subset_blocks(model):
+        table[:, rows] = block.T
+    return table.T
 
 
 def rmse_soft(
@@ -83,23 +99,30 @@ def rmse_soft(
 
     Each assortment contributes one squared error per offered item, plus one
     for the outside option when present; the mean is over all contributions.
-    truth_table, when given, is all_subset_probabilities(truth), computed
-    once and shared by every estimate of the same truth; the result is the
-    same float either way.
+    The squared errors are summed block by block, so the estimate's
+    all-subset table is never built.  truth_table, when given, is
+    all_subset_probabilities(truth), computed once and shared by every
+    estimate of the same truth; without it the truth's blocks are computed
+    alongside the estimate's.  The result is the same float either way.
     """
     if truth.n != estimate.n:
         raise ValueError("models must share the item set")
     if truth.outside != estimate.outside:
         raise ValueError("models must agree on the outside option")
     n = truth.n
+    _check_exhaustive(n)
+    shape = ((1 << n) - 1, n + 1)
+    truth_blocks = None
     if truth_table is None:
-        truth_table = all_subset_probabilities(truth)
-    diff = all_subset_probabilities(estimate)
-    if truth_table.shape != diff.shape:
-        raise ValueError(f"truth table shape {truth_table.shape}, expected {diff.shape}")
-    diff -= truth_table
-    flat = diff.ravel(order="K")  # a view, not a copy
-    total = float(np.vdot(flat, flat))
+        truth_blocks = _subset_blocks(truth)
+    elif truth_table.shape != shape:
+        raise ValueError(f"truth table shape {truth_table.shape}, expected {shape}")
+    total = 0.0
+    for rows, diff in _subset_blocks(estimate):
+        diff -= truth_table[rows] if truth_blocks is None else next(truth_blocks)[1]
+        flat = diff.ravel(order="K")  # a view, not a copy
+        total += float(np.vdot(flat, flat))
+        del diff, flat  # freed before the next block is computed
     cells = n * (1 << (n - 1))  # sum of |S| over nonempty S
     if truth.outside:
         cells += (1 << n) - 1

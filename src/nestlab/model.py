@@ -13,7 +13,7 @@ fed per-nest offered weights (from offer masks here, by doubling over all
 subsets in metrics).  The kernel picks its branch by shape: with fewer
 assortments than items (a design, a single assortment) it sums the nests
 and fills the item columns as whole arrays; with at least as many (the
-all-subset tables) it loops over nests and items.  Both give the same bits,
+all-subset blocks) it loops over nests and items.  Both give the same bits,
 so a row never depends on the rows computed with it.
 """
 
@@ -192,7 +192,7 @@ def probability_table(
     column i is factor[nest(i)] * v_i, zeroed where not offered.  With fewer
     assortments than items (designs, single assortments) the denominator is
     one cumulative sum over the nests and the item columns one gather; with
-    at least as many (the all-subset tables) both stay loops over nests and
+    at least as many (the all-subset blocks) both stay loops over nests and
     items, whose long rows make an extra strided pass cost more than the
     loop.  Both branches give every entry bit for bit, whatever R is.
     Returns the (R, n + 1) row-format table, column-major, allocated only

@@ -182,7 +182,16 @@ def load_counts(path: str, n: int) -> ChoiceCountTable:
                     f"count file line {reader.line_num} has {len(rec)} fields, not {len(header)}"
                 )
             label, item, count, size = fields(rec)
-            item, size = int(item), int(size)
+            try:
+                item, count, size = int(item), int(count), int(size)
+            except ValueError:  # name the first field that is not an integer
+                for name, text in zip(COUNT_COLUMNS[1:], (item, count, size)):
+                    try:
+                        int(text)
+                    except ValueError:
+                        raise ValueError(
+                            f"count file line {reader.line_num}: {name} {text!r} is not an integer"
+                        ) from None
             r = index.setdefault(label, len(index))
             if r == len(sizes):
                 sizes.append(size)
@@ -192,7 +201,7 @@ def load_counts(path: str, n: int) -> ChoiceCountTable:
             if item in listed[r]:
                 raise ValueError(f"{label} lists item {item} twice")
             listed[r].add(item)
-            entries.append((r, item, int(count)))
+            entries.append((r, item, count))
     labels = tuple(index)
     if not labels or labels[0] != "control":
         raise ValueError("count file must start with the control assortment")

@@ -543,6 +543,17 @@ def test_count_row_with_too_few_fields_ends_in_one_line(tmp_path, thin_counts):
     assert exc.value.code == "nestlab identify: count file line 3 has 2 fields, not 4"
 
 
+def test_count_field_that_is_not_an_integer_ends_in_one_line(tmp_path, thin_counts):
+    """A row split by an unquoted comma in its label names the line and the field"""
+    design, counts, _ = thin_counts
+    header, first, *rest = counts.read_text().splitlines()
+    counts.write_text("\n".join([header, first, "S(1,-0),1,5,10", *rest]) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["identify", "--design", str(design), "--counts", str(counts),
+              "--out-partition", str(tmp_path / "p.json")])
+    assert exc.value.code == "nestlab identify: count file line 3: item_id '-0)' is not an integer"
+
+
 def test_recover_prints_least_squares_flags(tmp_path, capsys, counts_without_outside):
     """One nest without an outside option fits as a multinomial logit, which recover notes"""
     design, counts, _ = counts_without_outside

@@ -279,6 +279,17 @@ def test_rejects_asymmetric_input():
         community_detect(w)
 
 
+def test_symmetry_tolerance_is_one_in_a_trillion():
+    w = symmetric(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]]))
+    w[0, 2] = 1e-12  # |w - w.T| at most 1e-12 passes
+    assert community_detect(w).n == 3
+    assert np.isfinite(modularity(w, singleton_partition(3)))
+    w[0, 2] = 2e-12
+    for check in (community_detect, lambda w: modularity(w, singleton_partition(3))):
+        with pytest.raises(ValueError, match="weight matrix must be symmetric"):
+            check(w)
+
+
 def test_rejects_negative_weights():
     w = np.zeros((2, 2))
     w[0, 1] = w[1, 0] = -0.5

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from nestlab.model import (
     choice_probabilities,
     design_probabilities,
     generate_ground_truth,
+    normalize_identifiable,
+    probability_table,
     singleton_partition,
 )
 
@@ -109,6 +112,93 @@ def test_rmse_soft_with_given_truth_table_is_bitwise_equal():
             np.testing.assert_array_equal(table, before)  # the shared table is not modified
     truth = mixed_nest_model(True)
     assert rmse_soft(truth, truth, all_subset_probabilities(truth)) == 0.0
+
+
+def full_width_table(model):
+    """The all-subset table from one doubling over every bitmask and one kernel call."""
+    n = model.n
+    codes = np.arange(1, 1 << n, dtype=np.uint32)
+    masks = np.empty((n, codes.size), dtype=bool)
+    for t in range(n):
+        masks[t] = (codes >> t) & 1
+    sums = np.zeros((model.partition.num_nests, 1 << n))  # column s: subset s, 0 included
+    for t, k in enumerate(model.partition.labels()):
+        top = sums[:, 1 << t : 2 << t]
+        top[...] = sums[:, : 1 << t]
+        top[k] += model.weights[t]
+    return probability_table(model, sums[:, 1:], masks)
+
+
+def degenerate_models(n, outside):
+    """A model with lambda = 0 on nest {1, n} and singleton {2}, and its normalized twin.
+
+    Items 3..n - 1 go in threes with lambda 0.35, 1 (split by normalizing)
+    and 0.7 in turn; at n = 1 the one item is the lambda = 0 singleton.
+    """
+    rng = np.random.default_rng(n)
+    if n == 1:
+        nests = [(1,)]
+    else:
+        middle = list(range(3, n))
+        nests = [(1, n), *([(2,)] if n >= 3 else []),
+                 *(tuple(middle[i : i + 3]) for i in range(0, len(middle), 3))]
+    model = NestedLogitModel(  # nests listed by smallest member, as NestPartition keeps them
+        partition=NestPartition(nests),
+        weights=tuple(rng.uniform(0.5, 8.0, size=n)),
+        lambdas=tuple(0.0 if len(nest) == 1 or k == 0 else (0.35, 1.0, 0.7)[k % 3]
+                      for k, nest in enumerate(nests)),
+        outside=outside,
+        degenerate_weights={k: 0.6 + k for k, nest in enumerate(nests) if len(nest) == 1 or k == 0},
+    )
+    return [model, normalize_identifiable(model)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 13, 14, 16])
+@pytest.mark.parametrize("outside", [True, False])
+def test_all_subset_probabilities_equal_one_full_width_pass(n, outside):
+    """Bitwise: blocks of 2**13 bitmasks reproduce one pass over all of them"""
+    models = degenerate_models(n, outside)
+    if n >= 2:
+        models.append(generate_ground_truth(n, np.random.default_rng(100 + n), outside=outside))
+    for model in models:
+        table = all_subset_probabilities(model)
+        assert table.flags.f_contiguous
+        assert np.array_equal(table, full_width_table(model))
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_rmse_soft_matches_one_whole_table_sum(n):
+    rng = np.random.default_rng(73)
+    for outside in (True, False):
+        pairs = [degenerate_models(n, outside)]
+        models = [generate_ground_truth(n, rng, outside=outside) for _ in range(6)]
+        pairs += list(zip(models[::2], models[1::2]))
+        for truth, estimate in pairs:
+            diff = full_width_table(estimate) - full_width_table(truth)
+            flat = diff.ravel(order="K")
+            cells = n * 2 ** (n - 1) + (2**n - 1 if outside else 0)
+            want = math.sqrt(float(np.vdot(flat, flat)) / cells)
+            got = rmse_soft(truth, estimate, all_subset_probabilities(truth))
+            assert got == rmse_soft(truth, estimate)
+            assert abs(got - want) <= 1e-15 * want
+
+
+def test_rmse_soft_never_holds_a_whole_table():
+    """Beside the shared truth table, one n = 16 score holds at most half a table"""
+    rng = np.random.default_rng(74)
+    truth = generate_ground_truth(16, rng)
+    estimate = NestedLogitModel(  # one nest per item: the most per-nest temporaries
+        partition=singleton_partition(16), weights=truth.weights, lambdas=(1.0,) * 16,
+        outside=True,
+    )
+    table = all_subset_probabilities(truth)
+    tracemalloc.start()
+    try:
+        rmse_soft(truth, estimate, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.nbytes / 2
 
 
 def test_rmse_soft_rejects_truth_table_of_wrong_shape():

@@ -276,7 +276,7 @@ def test_rows_are_bitwise_independent_on_both_kernel_branches(outside):
     )
     truth = generate_ground_truth(16, rng, outside=outside)
     for model in (mixed, truth, with_extreme_lambdas(truth)):
-        table = all_subset_probabilities(model)  # 65,535 rows: the loop branch
+        table = all_subset_probabilities(model)  # blocks of 8,192 rows: the loop branch
         codes = [*rng.integers(1, 2**16, size=300).tolist(), *(1 << t for t in range(16)), 2**16 - 1]
         subsets = [tuple(t + 1 for t in range(16) if s >> t & 1) for s in codes]
         batch = design_probabilities(model, ExperimentDesign(  # 15 rows: the array branch

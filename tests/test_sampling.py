@@ -278,6 +278,14 @@ def _two_item_draw(allocation):
      "count rows must cover exactly the offered items"),
     (lambda tmp: load_counts(_count_file(tmp / "c.csv", "control,1,5,5\ncontrol,2\n"), 2),
      "count file line 3 has 2 fields, not 4"),
+    (lambda tmp: load_counts(_count_file(tmp / "c.csv", "control,1,5,5\ncontrol,2,5x,5\n"), 2),
+     "count file line 3: count '5x' is not an integer"),
+    (lambda tmp: load_counts(_count_file(tmp / "c.csv", "control,one,5,5\n"), 1),
+     "count file line 2: item_id 'one' is not an integer"),
+    (lambda tmp: load_counts(_count_file(tmp / "c.csv", "control,1,5,5.0\n"), 1),
+     "count file line 2: sample_size '5.0' is not an integer"),
+    (lambda tmp: load_counts(_count_file(tmp / "c.csv", "control,1,x,y\n"), 1),
+     "count file line 2: count 'x' is not an integer"),
 ])
 def test_sampling_boundary_checks(tmp_path, call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
