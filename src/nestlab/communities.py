@@ -18,7 +18,7 @@ import heapq
 
 import numpy as np
 
-from .model import NestPartition, singleton_partition
+from .model import NestPartition
 
 WALK_LENGTH = 4
 
@@ -82,36 +82,36 @@ def community_detect(weights: np.ndarray) -> NestPartition:
     modularity compare equal and the earliest is kept.  A graph with no
     edges keeps every item alone.
     """
-    w = _validated_weights(weights)
-    n = w.shape[0]
-    if n == 0:
-        raise ValueError("empty weight matrix")
-    if w.sum() == 0.0:
-        return singleton_partition(n)
-    merges, best_step = _walktrap_merges(w)
+    merges, best_step = _walktrap_merges(weights)
+    n = len(weights)
     groups: dict[int, list[int]] = {i: [i + 1] for i in range(n)}
     for step, (a, b) in enumerate(merges[:best_step]):
         groups[n + step] = groups.pop(a) + groups.pop(b)
     return NestPartition(groups.values())
 
 
-def _walktrap_merges(w: np.ndarray) -> tuple[list[tuple[int, int]], int]:
-    """Walktrap's merge sequence on validated weights, and its best cut.
+def _walktrap_merges(weights: np.ndarray) -> tuple[list[tuple[int, int]], int]:
+    """Walktrap's merge sequence on a weight matrix, and its best cut.
 
     Merge k joins communities a < b into the new community n + k.  The cut
     after the first best_step merges is the first strict modularity maximum.
-    """
-    n = w.shape[0]
-    two_m = w.sum()
-    loops = w.copy()
-    np.fill_diagonal(loops, 1.0)
-    degrees = loops.sum(axis=1)
-    transition = loops / degrees[:, None]
-    walk = np.linalg.matrix_power(transition, WALK_LENGTH)
-    inv_degree = 1.0 / degrees
 
-    size: dict[int, int] = dict.fromkeys(range(n), 1)
-    vectors: dict[int, np.ndarray] = dict(enumerate(walk))
+    The validated copy of weights belongs to this function alone.  Once
+    strengths and links are read off it, it becomes P in place and is
+    dropped before the last squaring, so P**t (np.linalg.matrix_power's
+    squarings; WALK_LENGTH is a power of two) holds at most two n x n
+    arrays.  Each community's walk vector is a row of P**t: a merged one
+    is written over the row of its lower-numbered member.  Distances are
+    computed per community against a stack of rows, each one ddot as in a
+    one-pair np.dot, so every distance keeps its bits.
+    """
+    w = _validated_weights(weights)
+    n = w.shape[0]
+    if n == 0:
+        raise ValueError("empty weight matrix")
+    two_m = w.sum()
+    if two_m == 0.0:
+        return [], 0
     strengths = w.sum(axis=1).tolist()
     strength: dict[int, float] = dict(enumerate(strengths))
     # links[a][c]: total weight between adjacent communities a and c
@@ -119,14 +119,32 @@ def _walktrap_merges(w: np.ndarray) -> tuple[list[tuple[int, int]], int]:
     for i in range(n):
         adjacent = np.nonzero(w[i] > 0.0)[0]
         links[i] = dict(zip(adjacent.tolist(), w[i, adjacent].tolist()))
+    np.fill_diagonal(w, 1.0)  # every vertex gets a self-loop of weight 1
+    degrees = w.sum(axis=1)
+    w /= degrees[:, None]
+    walk = w  # P = D^-1 A
+    del w
+    for _ in range(WALK_LENGTH.bit_length() - 1):
+        walk = walk @ walk
+    inv_degree = 1.0 / degrees[:, None]
 
-    def walk_distance(a: int, b: int) -> float:
-        diff = vectors[a] - vectors[b]
-        size_a, size_b = size[a], size[b]
-        factor = size_a * size_b / (size_a + size_b)
-        return factor * float(np.dot(diff * diff, inv_degree)) / n
+    size: dict[int, int] = dict.fromkeys(range(n), 1)
+    row: dict[int, int] = {i: i for i in range(n)}  # community -> its row of walk
 
-    heap = [(walk_distance(a, b), a, b) for a in range(n) for b in links[a] if a < b]
+    def distances(c: int, others: list[int]) -> list[float]:
+        """The walk distance of c to each community in others."""
+        diff = walk[[row[o] for o in others]]
+        diff -= walk[row[c]]
+        diff *= diff
+        dots = np.matmul(diff[:, None, :], inv_degree)[:, 0, 0]
+        sizes = np.array([size[o] for o in others])
+        factor = sizes * size[c] / (sizes + size[c])
+        return (factor * dots / n).tolist()
+
+    heap = []
+    for a in range(n):
+        later = [b for b in links[a] if b > a]
+        heap += zip(distances(a, later), [a] * len(later), later)
     heapq.heapify(heap)
     merges: list[tuple[int, int]] = []
     score = -sum(s * s for s in strengths)  # modularity times (2m)^2
@@ -140,7 +158,11 @@ def _walktrap_merges(w: np.ndarray) -> tuple[list[tuple[int, int]], int]:
         merges.append((a, b))
         size_a, size_b = size.pop(a), size.pop(b)
         size[merged] = size_a + size_b
-        vectors[merged] = (size_a * vectors.pop(a) + size_b * vectors.pop(b)) / (size_a + size_b)
+        vector, other = walk[row[a]], walk[row.pop(b)]
+        row[merged] = row.pop(a)
+        vector *= size_a
+        vector += size_b * other
+        vector /= size_a + size_b
         strength[merged] = strength.pop(a) + strength.pop(b)
         joined = links.pop(a)
         for c, weight in links.pop(b).items():
@@ -151,7 +173,8 @@ def _walktrap_merges(w: np.ndarray) -> tuple[list[tuple[int, int]], int]:
             links[c].pop(a, None)
             links[c].pop(b, None)
             links[c][merged] = weight
-            heapq.heappush(heap, (walk_distance(c, merged), c, merged))
+        for dist, c in zip(distances(merged, list(joined)), joined):
+            heapq.heappush(heap, (dist, c, merged))
         if score > best_score:
             best_score, best_step = score, len(merges)
     return merges, best_step

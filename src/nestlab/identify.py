@@ -311,18 +311,31 @@ def _pair_z(
     ns = xs[a] + xs[b]
     nc = xc[a] + xc[b]
     evidence = (ns > 0) & (nc > 0)
+    # The expressions of the plain formula, evaluated in the same order into
+    # reused pair-sized buffers (fresh memory costs more than the arithmetic):
+    #   numerator = (ps_a * pc_b - pc_a * ps_b) / (share_s * share_c)
+    #   variance = ((pool_a / total) * (pool_b / total)) * (1 / ns + 1 / nc)
     with np.errstate(divide="ignore", invalid="ignore"):
         ps, pc = xs / m_s, xc / m_c
+        pool = ps + pc
         ps_a, ps_b, pc_a, pc_b = ps[a], ps[b], pc[a], pc[b]
         share_s = ps_a + ps_b
         share_c = pc_a + pc_b
-        numerator = (ps_a * pc_b - pc_a * ps_b) / (share_s * share_c)
+        numerator = ps_a * pc_b
+        numerator -= np.multiply(pc_a, ps_b, out=ps_b)
+        numerator /= np.multiply(share_s, share_c, out=ps_a)
         # grouped so the sum is evaluated identically with a and b swapped
-        total = share_s + share_c
-        pool = ps + pc
-        variance = ((pool[a] / total) * (pool[b] / total)) * (1.0 / ns + 1.0 / nc)
-        z = numerator / np.sqrt(variance)
-    z[numerator == 0.0] = 0.0
+        total = np.add(share_s, share_c, out=share_s)
+        variance = np.take(pool, a, out=pc_a, mode="clip")
+        variance /= total
+        variance *= np.divide(np.take(pool, b, out=pc_b, mode="clip"), total, out=pc_b)
+        inverse_sizes = np.divide(1.0, ns, out=share_c)
+        inverse_sizes += np.divide(1.0, nc, out=ps_a)
+        variance *= inverse_sizes
+        zero = numerator == 0.0
+        z = numerator
+        z /= np.sqrt(variance, out=variance)
+    z[zero] = 0.0
     z[~evidence] = np.nan
     return z, evidence
 

@@ -155,19 +155,28 @@ def rmse_soft_restricted(
 
 
 def rand_index(first: NestPartition, second: NestPartition) -> float:
-    """Fraction of item pairs grouped consistently by both partitions."""
+    """Fraction of item pairs grouped consistently by both partitions.
+
+    Pairs are counted from the contingency table of the two nest labellings:
+    those together in both, together in each, and all pairs, as integers,
+    so the fraction is one division.
+    """
     if first.n != second.n:
         raise ValueError("partitions cover different item sets")
     n = first.n
     if n < 2:
         return 1.0
+
+    def pairs(sizes: np.ndarray) -> int:
+        return int((sizes * (sizes - 1)).sum()) // 2
+
     a = first.labels()
     b = second.labels()
-    same_a = a[:, None] == a[None, :]
-    same_b = b[:, None] == b[None, :]
-    agree = same_a == same_b
-    upper = np.triu_indices(n, k=1)
-    return float(agree[upper].mean())
+    table = np.bincount(a * second.num_nests + b)
+    both = pairs(table)
+    split_once = pairs(np.bincount(a)) + pairs(np.bincount(b)) - 2 * both
+    total = n * (n - 1) // 2
+    return (total - split_once) / total
 
 
 def confidence_interval(

@@ -199,10 +199,11 @@ def probability_table(
     after within is dropped, so a temporary passed in is freed first.
     """
     present = within > 0.0
-    factor = np.zeros_like(within)
-    np.log(within, out=factor, where=present)
+    within = within + ~present  # absent nests read W = 1, so every log, exp and division is plain
+    factor = np.log(within)
     factor *= np.asarray(model.lambdas)[:, None]
-    np.exp(factor, out=factor, where=present)
+    np.exp(factor, out=factor)
+    factor *= present
     for k, v in model.degenerate_weights.items():
         factor[k] = present[k] * v
     rows = within.shape[1]
@@ -218,7 +219,7 @@ def probability_table(
         denom += 1.0
     # per-nest factor v_N(S) / (denom(S) * W_N(S)), in place; absent nests stay 0
     factor /= denom
-    np.divide(factor, within, out=factor, where=present)
+    factor /= within
     del within, present  # free before the table is allocated
     probs = np.empty((model.n + 1, rows))  # one contiguous row per column
     if model.outside:

@@ -14,7 +14,10 @@ those experiments are the ones whose system has the largest |determinant|.
 Relative to the control row it is a 2x2 minor (or one entry) of the log
 fractions of each nest's weight that each experiment offers, so nonzero
 means solvable.  Noisy inputs use every usable assortment in one
-least-squares fit.  Both paths build their rows with _log_linear_system.
+least-squares fit, solved in closed form: one slope-and-intercept
+regression per nest, after a shared anchor lambda is eliminated by one
+scalar equation.  Both paths build their rows the same way
+(_log_linear_system, whose right-hand side the closed form shares).
 """
 
 from __future__ import annotations
@@ -94,6 +97,18 @@ def _clamp_lambda(lam: float, context: str) -> float:
     return lam
 
 
+def _log_linear_rhs(
+    a: np.ndarray, b: np.ndarray, y: np.ndarray, lam_col: np.ndarray, anchor_free: bool
+) -> np.ndarray:
+    """The right-hand side of _log_linear_system's rows, pinned terms moved across."""
+    rhs = np.array(y, dtype=float)
+    if not anchor_free:
+        rhs -= a
+    pinned = lam_col < 0
+    rhs[pinned] += b[pinned]
+    return rhs
+
+
 def _log_linear_system(
     a: np.ndarray, b: np.ndarray, y: np.ndarray,
     lam_col: np.ndarray, scale_col: np.ndarray, anchor_free: bool,
@@ -108,16 +123,84 @@ def _log_linear_system(
     """
     rows = np.arange(len(y))
     matrix = np.zeros((len(y), int(scale_col.max()) + 1))
-    rhs = np.array(y, dtype=float)
     if anchor_free:
         matrix[:, 0] = a
-    else:
-        rhs -= a
     free = lam_col >= 0
     matrix[rows[free], lam_col[free]] = -b[free]
-    rhs[~free] += b[~free]
     matrix[rows, scale_col] = -1.0
-    return matrix, rhs
+    return matrix, _log_linear_rhs(a, b, y, lam_col, anchor_free)
+
+
+def _solve_log_linear(
+    a: np.ndarray, b: np.ndarray, y: np.ndarray,
+    lam_col: np.ndarray, scale_col: np.ndarray, anchor_free: bool,
+) -> tuple[np.ndarray, bool]:
+    """The least-squares solution of _log_linear_system's rows, in its column layout.
+
+    Returns the solution of least norm, as numpy's SVD-based lstsq does, and
+    whether it is the only one.  The rows of one s_N column share one lambda
+    column (or all pin it), so the fit splits by nest: s_N is the intercept
+    and lambda_N the slope on -B of that nest's rows.  Centring each nest's
+    rows removes s_N and regressing out the centred -B removes lambda_N; a
+    free lambda_anchor then solves one scalar equation over all rows, and
+    each nest's slope and intercept follow from its own sums.  A reduced
+    sum of squares at or below lstsq's rank cutoff, (eps * max(rows,
+    columns))**2 times the unreduced one, leaves its unknown undetermined:
+    that unknown is set to 0 and the solution is then projected off every
+    undetermined direction.
+    """
+    free = lam_col >= 0
+    rhs = _log_linear_rhs(a, b, y, lam_col, anchor_free)
+    slope = np.where(free, -b, 0.0)  # the lambda_N column's entries
+    count = np.bincount(scale_col)
+    width = len(count)
+    cutoff = (np.finfo(float).eps * max(len(y), width)) ** 2
+    nest_lam = np.full(width, -1)  # each s_N column's lambda column
+    nest_lam[scale_col] = lam_col
+
+    def nest_sum(x: np.ndarray) -> np.ndarray:
+        return np.bincount(scale_col, x, width)
+
+    def nest_mean(x: np.ndarray) -> np.ndarray:
+        return nest_sum(x) / np.maximum(count, 1)  # columns without rows read 0
+
+    def centred(x: np.ndarray) -> np.ndarray:
+        return x - nest_mean(x)[scale_col]
+
+    u = centred(slope)
+    suu = nest_sum(u * u)
+    sloped = suu > cutoff * nest_sum(slope * slope)  # False on pinned nests' 0 > 0
+    inv_suu = np.divide(1.0, suu, out=np.zeros(width), where=sloped)
+    mean_slope = nest_mean(slope)
+    # Undetermined directions: changes of the unknowns that leave every
+    # row's residual unchanged (to the cutoff).  A free nest whose -B does
+    # not vary has lambda_N = 1, s_N = mean -B.
+    undetermined = []
+    for k in np.flatnonzero((nest_lam >= 0) & ~sloped).tolist():
+        direction = np.zeros(width)
+        direction[[nest_lam[k], k]] = 1.0, mean_slope[k]
+        undetermined.append(direction)
+    sol = np.zeros(width)
+    if anchor_free:
+        beta = nest_sum(u * a) * inv_suu  # A's slope on -B in each nest
+        ra = centred(a) - beta[scale_col] * u  # A reduced; orthogonal to each nest's -B
+        saa = float(ra @ ra)
+        if saa > cutoff * float(a @ a):
+            sol[0] = float(ra @ centred(rhs)) / saa
+            rhs = rhs - sol[0] * a
+        else:  # A is each nest's line in -B: lambda_anchor = 1, lambda_N = -beta_N
+            direction = nest_mean(a) - beta * mean_slope
+            direction[0] = 1.0
+            direction[nest_lam[sloped]] = -beta[sloped]
+            undetermined.append(direction)
+    lam = nest_sum(u * rhs) * inv_suu
+    sol[nest_lam[sloped]] = lam[sloped]
+    has_rows = count > 0
+    sol[has_rows] = (lam * mean_slope - nest_mean(rhs))[has_rows]
+    if undetermined:
+        basis = np.array(undetermined).T
+        sol -= basis @ np.linalg.solve(basis.T @ basis, basis.T @ sol)
+    return sol, not undetermined
 
 
 def _row_terms(
@@ -292,9 +375,10 @@ def recover_least_squares(
     """Fit nest parameters to noisy counts by least squares over all assortments.
 
     Every assortment contributes a row to each nest it offers (alongside the
-    anchor).  Lambdas come from one joint solve, get clamped to [0, 1], and
-    scales are re-fit given the clamped values, so the result is always a
-    valid model; flags record any degraded step.
+    anchor).  Lambdas come from one joint least-squares fit, solved in closed
+    form nest by nest (_solve_log_linear), get clamped to [0, 1], and scales
+    are re-fit given the clamped values, so the result is always a valid
+    model; flags record any degraded step.
     """
     if (table.sizes == 0).any():
         raise ValueError("assortment with no customers")
@@ -323,33 +407,31 @@ def recover_least_squares(
     kk, tt = np.nonzero(usable)
     a_t, b_t, y_t = a_all[tt], b_all[kk, tt], y_all[kk, tt]
 
-    targets = np.unique(kk).tolist()
-    missing = [k for k in range(len(nests)) if k != anchor_idx and k not in targets]
-    if missing:
-        raise RecoveryError(f"no usable assortment rows for nests {missing}")
+    # The control offers every item and empty cells are floored, so every
+    # nest but the anchor has rows, starting with its control row.
+    targets = np.unique(kk)
+    starts = np.searchsorted(kk, targets)
+    spread = np.maximum.reduceat(b_t, starts) - np.minimum.reduceat(b_t, starts)
 
     # Free lambda columns: the shared anchor (if multi-item) plus each
     # multi-item target whose offered-weight sums actually vary.
     lam_col = np.full(len(nests), -1)
     col = 1 if anchor_free else 0
-    for k in targets:
-        b_vals = b_t[kk == k]
-        varies = b_vals.size >= 2 and b_vals.max() - b_vals.min() > 1e-12
+    for k, varies in zip(targets.tolist(), (spread > 1e-12).tolist()):
         if len(nests[k]) > 1 and varies:
             lam_col[k] = col
             col += 1
         elif len(nests[k]) > 1:
             flags.append(f"nest-{k}-lambda-defaulted")
-    # Each target's s_N column follows the lambda columns, in nest order.
-    design_mat, rhs = _log_linear_system(
-        a_t, b_t, y_t, lam_col[kk], col + np.searchsorted(targets, kk), anchor_free
-    )
 
     anchor_varies = anchor_free and bool((np.abs(a_t - a_t[0]) > 1e-12).any())
     if anchor_free and not anchor_varies:
         flags.append("anchor-lambda-defaulted")
-    sol, _, rank, _ = np.linalg.lstsq(design_mat, rhs, rcond=None)
-    if rank < design_mat.shape[1]:
+    # Each target's s_N column follows the lambda columns, in nest order.
+    sol, unique = _solve_log_linear(
+        a_t, b_t, y_t, lam_col[kk], col + np.searchsorted(targets, kk), anchor_free
+    )
+    if not unique:
         flags.append("rank-deficient")
 
     lambdas = [1.0] * len(nests)
@@ -363,9 +445,9 @@ def recover_least_squares(
     scales = np.ones(len(nests))  # the anchor and degenerate nests keep 1
     degenerate: dict[int, float] = {}
     lam_anchor_eff = lambdas[anchor_idx] if anchor_idx is not None else 0.0
-    for k in targets:
-        sel = kk == k
-        s_n = float(np.mean(lam_anchor_eff * a_t[sel] - lambdas[k] * b_t[sel] - y_t[sel]))
+    residual = lam_anchor_eff * a_t - np.array(lambdas)[kk] * b_t - y_t
+    mean_residual = np.add.reduceat(residual, starts) / np.diff(starts, append=len(kk))
+    for k, s_n in zip(targets.tolist(), mean_residual.tolist()):
         if lambdas[k] == 0.0:
             degenerate[k] = math.exp(min(s_n, LOG_CAP))
         else:

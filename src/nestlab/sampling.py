@@ -10,8 +10,10 @@ design probabilities, so a caller that has them does not compute them again.
 from __future__ import annotations
 
 import csv
-import operator
+import io
+import itertools
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -150,73 +152,139 @@ def empirical_probabilities(table: ChoiceCountTable) -> list[ChoiceProbabilities
 COUNT_COLUMNS = ("assortment_label", "item_id", "count", "sample_size")
 
 
+def _csv_lead(label: str) -> str:
+    """label as csv.writer writes it as a line's first field, with the delimiter after."""
+    line = io.StringIO()
+    csv.writer(line).writerow([label, ""])
+    return line.getvalue()[: -len(csv.excel.lineterminator)]
+
+
 def save_counts(table: ChoiceCountTable, path: str) -> None:
+    """Write one line per offered item of each assortment, control first, items in order.
+
+    The bytes are csv.writer's, built column by column: only a label can
+    need quoting, so csv.writer writes each label once and the integer
+    fields are formatted directly.
+    """
     lead = (0,) if table.outside else ()
+    items = [sorted(lead + tuple(offered)) for offered in table.assortments]
+    lengths = [len(row) for row in items]
+    rows = np.repeat(np.arange(len(items)), lengths)
+    item_ids = list(itertools.chain.from_iterable(items))
+
+    def per_line(values: list[str]):
+        return itertools.chain.from_iterable(map(itertools.repeat, values, lengths))
+
+    heads = per_line([_csv_lead(label) for label in table.labels])
+    tails = per_line([f",{m}{csv.excel.lineterminator}" for m in table.sizes.tolist()])
+    lines = map("{}{},{}{}".format, heads, item_ids, table.counts[rows, item_ids].tolist(), tails)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COUNT_COLUMNS)
-        for label, items, row, m in zip(
-            table.labels, table.assortments, table.counts.tolist(), table.sizes.tolist()
-        ):
-            for item in sorted(lead + tuple(items)):
-                writer.writerow([label, item, row[item], m])
+        csv.writer(fh).writerow(COUNT_COLUMNS)
+        fh.write("".join(lines))
+
+
+def _first_non_integer(texts: tuple[str, ...]) -> int | None:
+    """The index of the first text int() rejects, or None."""
+    for r, text in enumerate(texts):
+        try:
+            int(text)
+        except ValueError:
+            return r
+    return None
+
+
+def _count_reader(fh) -> tuple[list[str], Any]:
+    """(header, csv reader past it) of an open count file."""
+    reader = csv.reader(fh)
+    return next(reader, list(COUNT_COLUMNS)), reader  # an empty file fails the control check
+
+
+def _record_line(path: str, index: int) -> int:
+    """The line on which a count file's non-blank record index (0: first after the header) ends."""
+    with open(path, newline="") as fh:
+        _, reader = _count_reader(fh)
+        for _ in itertools.islice(filter(None, reader), index + 1):
+            pass
+        return reader.line_num
 
 
 def load_counts(path: str, n: int) -> ChoiceCountTable:
-    index: dict[str, int] = {}  # label -> row, in file order
-    sizes: list[int] = []
-    listed: list[set[int]] = []  # items listed per row
-    entries: list[tuple[int, int, int]] = []  # (row, item, count)
+    """Read save_counts' format: columns found by header name, in any order.
+
+    Extra columns and blank lines are ignored.  The file is parsed once and
+    checked column by column; the error raised is the one a line-by-line
+    reader would meet first, naming its line (and field) where it has one.
+    Only an error that names a line reads the file again, to count lines.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, COUNT_COLUMNS)  # an empty file fails the control check below
+        header, reader = _count_reader(fh)
         missing = [name for name in COUNT_COLUMNS if name not in header]
         if missing:
             raise ValueError(f"count file has no {missing[0]} column")
-        fields = operator.itemgetter(*(header.index(name) for name in COUNT_COLUMNS))
-        for rec in reader:
-            if not rec:  # blank line
-                continue
-            if len(rec) < len(header):
-                raise ValueError(
-                    f"count file line {reader.line_num} has {len(rec)} fields, not {len(header)}"
-                )
-            label, item, count, size = fields(rec)
-            try:
-                item, count, size = int(item), int(count), int(size)
-            except ValueError:  # name the first field that is not an integer
-                for name, text in zip(COUNT_COLUMNS[1:], (item, count, size)):
-                    try:
-                        int(text)
-                    except ValueError:
-                        raise ValueError(
-                            f"count file line {reader.line_num}: {name} {text!r} is not an integer"
-                        ) from None
-            r = index.setdefault(label, len(index))
-            if r == len(sizes):
-                sizes.append(size)
-                listed.append(set())
-            elif sizes[r] != size:
-                raise ValueError(f"{label} lists sample sizes {sizes[r]} and {size}")
-            if item in listed[r]:
-                raise ValueError(f"{label} lists item {item} twice")
-            listed[r].add(item)
-            entries.append((r, item, count))
+        records = list(filter(None, reader))  # blank lines dropped
+    # Each check reads only the records above the first failure found so
+    # far, so the failure kept is the earliest in file order.
+    limit, error = len(records), None
+    widths = np.fromiter(map(len, records), np.int64, len(records))
+    short = np.flatnonzero(widths < len(header))
+    if short.size:
+        limit = int(short[0])
+        error = (
+            f"count file line {_record_line(path, limit)} has {widths[limit]} fields,"
+            f" not {len(header)}"
+        )
+    columns = list(zip(*records[:limit])) or [()] * len(header)
+    labels_col, *numbers = (columns[header.index(name)] for name in COUNT_COLUMNS)
+    try:
+        item, count, size = (np.array(list(map(int, texts)), dtype=np.int64) for texts in numbers)
+    except ValueError:  # name the first field that is not an integer
+        limit, c = min(
+            (r, c) for c, r in enumerate(map(_first_non_integer, numbers)) if r is not None
+        )
+        error = (
+            f"count file line {_record_line(path, limit)}: {COUNT_COLUMNS[c + 1]} "
+            f"{numbers[c][limit]!r} is not an integer"
+        )
+        item, count, size = (
+            np.array(list(map(int, texts[:limit])), dtype=np.int64) for texts in numbers
+        )
+    labels_col = labels_col[:limit]
+    index = {label: r for r, label in enumerate(dict.fromkeys(labels_col))}  # in file order
+    rows = np.fromiter(map(index.__getitem__, labels_col), np.int64, limit)
+    first = np.unique(rows, return_index=True)[1]  # each label's first record
+    sizes = size[first]
+    conflicting = np.flatnonzero(size != sizes[rows])
+    order = np.lexsort((item, rows))  # stable: a repeat follows its first listing
+    repeats = order[1:][(np.diff(rows[order]) == 0) & (np.diff(item[order]) == 0)]
+    found = [(int(conflicting[0]), 0)] if conflicting.size else []
+    if repeats.size:
+        found.append((int(repeats.min()), 1))
+    if found:
+        r, kind = min(found)  # a record's size is checked before its item
+        label = labels_col[r]
+        error = (
+            f"{label} lists sample sizes {sizes[rows[r]]} and {size[r]}" if kind == 0
+            else f"{label} lists item {item[r]} twice"
+        )
+    if error is not None:
+        raise ValueError(error)
+
     labels = tuple(index)
     if not labels or labels[0] != "control":
         raise ValueError("count file must start with the control assortment")
-    outside = 0 in listed[0]
-    if any((0 in items) != outside for items in listed):
+    lists_outside = np.bincount(rows, item == 0, len(labels)) > 0
+    outside = bool(lists_outside[0])
+    if (lists_outside != outside).any():
         raise ValueError("count rows must cover exactly the offered items")
     counts = np.zeros((len(labels), n + 1), dtype=np.int64)
-    for r, item, count in entries:
-        if 0 <= item <= n:  # the table rejects items outside 1..n, naming the label
-            counts[r, item] = count
+    kept = (item >= 0) & (item <= n)  # the table rejects items outside 1..n, naming the label
+    counts[rows[kept], item[kept]] = count[kept]
+    listed = np.split(item[order], np.cumsum(np.bincount(rows, minlength=len(labels)))[:-1])
     return ChoiceCountTable(
         n=n,
         outside=outside,
         labels=labels,
-        assortments=tuple(tuple(sorted(items - {0})) for items in listed),
+        assortments=tuple(tuple(items[items != 0].tolist()) for items in listed),
         counts=counts,
         sizes=sizes,
     )

@@ -1,6 +1,7 @@
 """Tests for weighted community detection and modularity scoring."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,21 @@ def test_detection_matches_reference_on_noisy_edges():
     edges, partition = noisy_identify_with_outside(table, design, TestConfig(alpha=0.05))
     assert_matches_reference(edges.values)
     assert community_detect(edges.values) == partition
+
+
+def test_detection_holds_at_most_three_matrices_beyond_its_input():
+    """The walk code owns its one copy, turns it into P in place and keeps P**4 as the walk vectors"""
+    rng = np.random.default_rng(13)
+    n = 512
+    within = block_matrix([4] * (n // 4)) * symmetric(0.5 + 0.5 * rng.random((n, n)))
+    w = within + symmetric(0.1 * (rng.random((n, n)) < 0.02))  # plus sparse cross-block edges
+    tracemalloc.start()
+    try:
+        community_detect(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * w.nbytes, peak / w.nbytes
 
 
 def test_exactly_tied_cuts_keep_the_earliest():

@@ -28,6 +28,7 @@ from nestlab.identify import (
     z_statistic,
     _finalize_exact,
     _pair_weights,
+    _pair_z,
     _support_z,
 )
 from nestlab.communities import community_detect
@@ -243,6 +244,40 @@ def test_z_statistic_matches_straight_line_formula():
         want = num / math.sqrt(var)
         got = z_statistic(table, 1, 2, 0)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def reference_pair_z(xs, xc, m_s, m_c, a, b):
+    """_pair_z's formula with a fresh array for every intermediate."""
+    ns = xs[a] + xs[b]
+    nc = xc[a] + xc[b]
+    evidence = (ns > 0) & (nc > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ps, pc = xs / m_s, xc / m_c
+        ps_a, ps_b, pc_a, pc_b = ps[a], ps[b], pc[a], pc[b]
+        share_s = ps_a + ps_b
+        share_c = pc_a + pc_b
+        numerator = (ps_a * pc_b - pc_a * ps_b) / (share_s * share_c)
+        total = share_s + share_c
+        pool = ps + pc
+        variance = ((pool[a] / total) * (pool[b] / total)) * (1.0 / ns + 1.0 / nc)
+        z = numerator / np.sqrt(variance)
+    z[numerator == 0.0] = 0.0
+    z[~evidence] = np.nan
+    return z, evidence
+
+
+def test_pair_z_keeps_the_bits_of_the_plain_formula():
+    rng = np.random.default_rng(33)
+    for k in (2, 3, 17, 256):
+        for _ in range(20):
+            # sparse enough that some pairs lack evidence, with counts up to 10**7
+            xs, xc = rng.integers(0, 10**7, (2, k)) * (rng.random((2, k)) < 0.8)
+            a, b = np.triu_indices(k, 1)
+            m_s, m_c = int(xs.sum()) + 1, int(xc.sum()) + 1
+            z, evidence = _pair_z(xs, xc, m_s, m_c, a, b)
+            want_z, want_evidence = reference_pair_z(xs, xc, m_s, m_c, a, b)
+            assert z.tobytes() == want_z.tobytes()
+            assert np.array_equal(evidence, want_evidence)
 
 
 def test_z_statistic_zero_when_shares_match():

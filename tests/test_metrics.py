@@ -290,6 +290,22 @@ def random_partition(n, rng):
     return NestPartition(groups.values())
 
 
+def matrix_rand_index(first, second):
+    """Pairwise co-membership agreement as the mean over the upper triangle."""
+    a, b = first.labels(), second.labels()
+    agree = (a[:, None] == a[None, :]) == (b[:, None] == b[None, :])
+    return float(agree[np.triu_indices(first.n, k=1)].mean())
+
+
+def test_rand_index_is_the_pair_mean_float():
+    """The contingency count gives the float of the mean over all pairs, bit for bit"""
+    rng = np.random.default_rng(69)
+    for _ in range(300):
+        n = int(rng.integers(2, 200))
+        a, b = random_partition(n, rng), random_partition(n, rng)
+        assert rand_index(a, b) == matrix_rand_index(a, b)
+
+
 def test_rand_index_matches_pair_enumeration():
     rng = np.random.default_rng(68)
     for _ in range(200):

@@ -483,6 +483,72 @@ def test_least_squares_flags_anchor_offered_whole():
     assert fit.model.lambdas[0] == 1.0
 
 
+def _least_squares_case(case):
+    """(table, partition, design) whose least-squares system has the named shape."""
+    slice_8 = slice_design(balanced_enumeration(8, 2))
+    whole_12 = ExperimentDesign(n=4, experiments=[(1, 2, 3), (1, 2, 4)], labels=("A", "B"))
+    weights = (1.0, 2.0, 1.5, 0.5, 3.0, 1.2, 2.2, 0.8)
+    truth, design = {
+        "outside option": (generate_ground_truth(8, 40), slice_8),
+        "free anchor": (NestedLogitModel(
+            partition=NestPartition([(1, 2, 3), (4, 5), (6,), (7, 8)]), weights=weights,
+            lambdas=(0.4, 0.7, 1.0, 0.5), outside=False), slice_8),
+        "singleton anchor": (NestedLogitModel(
+            partition=NestPartition([(1,), (2, 3), (4, 5, 6), (7, 8)]), weights=weights,
+            lambdas=(1.0, 0.6, 0.3, 0.8), outside=False), slice_8),
+        "defaulted lambda": (NestedLogitModel(
+            partition=NestPartition([(1, 2), (3,), (4,)]), weights=weights[:4],
+            lambdas=(0.5, 1.0, 1.0), outside=True), whole_12),
+        "anchor offered whole": (NestedLogitModel(
+            partition=NestPartition([(1, 2), (3,), (4,)]), weights=weights[:4],
+            lambdas=(0.5, 1.0, 1.0), outside=False), whole_12),
+    }[case]
+    table = sample_choices(truth, design, allocate_customers(10**6, design.num_experiments + 1), 16)
+    return table, truth.partition, design
+
+
+@pytest.mark.parametrize("case, flags", [
+    ("outside option", []),
+    ("free anchor", []),
+    ("singleton anchor", []),
+    ("defaulted lambda", ["nest-0-lambda-defaulted"]),
+    ("anchor offered whole", ["anchor-lambda-defaulted", "rank-deficient"]),
+])
+def test_least_squares_closed_form_matches_lstsq(monkeypatch, case, flags):
+    """The closed form is lstsq's (least-norm) solution of the same _log_linear_system rows"""
+    systems = []
+    closed_form = recovery._solve_log_linear
+
+    def solve(*rows):
+        systems.append((rows, closed_form(*rows)))
+        return systems[-1][1]
+
+    monkeypatch.setattr(recovery, "_solve_log_linear", solve)
+    fit = recover_least_squares(*_least_squares_case(case))
+    assert fit.flags == flags
+    [(rows, (sol, unique))] = systems
+    assert rows[-1] == (case in ("free anchor", "anchor offered whole"))  # lambda_anchor is a column
+    matrix, rhs = recovery._log_linear_system(*rows)
+    want, _, rank, _ = np.linalg.lstsq(matrix, rhs, rcond=None)
+    assert unique == (rank == matrix.shape[1]) == ("rank-deficient" not in flags)
+    assert np.abs(sol - want).max() <= 1e-10 * np.abs(want).max(), case
+
+
+def test_closed_form_flags_a_nest_whose_weight_never_varies():
+    """A free lambda column whose -B is constant leaves the system rank-deficient"""
+    rng = np.random.default_rng(57)
+    nest = np.repeat([0, 1, 2], 6)
+    a, b, y = rng.normal(size=(3, len(nest)))
+    b[nest == 1] = 0.75
+    lam_col = np.array([1, 2, -1])[nest]
+    rows = (a, b, y, lam_col, 3 + nest, True)
+    sol, unique = recovery._solve_log_linear(*rows)
+    matrix, rhs = recovery._log_linear_system(*rows)
+    want, _, rank, _ = np.linalg.lstsq(matrix, rhs, rcond=None)
+    assert not unique and rank == matrix.shape[1] - 1
+    np.testing.assert_allclose(sol, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 SLICE_4 = slice_design(balanced_enumeration(4, 2))
 
 

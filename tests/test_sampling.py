@@ -160,6 +160,34 @@ def test_counts_csv_round_trip(tmp_path):
     assert loaded == table
 
 
+def reference_save_counts(table, path):
+    """One csv.writer row per offered item, as a plain loop."""
+    lead = (0,) if table.outside else ()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["assortment_label", "item_id", "count", "sample_size"])
+        for label, items, row, m in zip(table.labels, table.assortments, table.counts, table.sizes):
+            for item in sorted(lead + tuple(items)):
+                writer.writerow([label, item, int(row[item]), int(m)])
+
+
+@pytest.mark.parametrize("outside", [True, False])
+def test_save_counts_writes_csv_writer_bytes(tmp_path, outside):
+    """Labels that need quoting (commas, quotes, line breaks) are written as csv.writer writes them"""
+    labels = ("control", "S(1,-0)", 'say "two"', "two\nlines", "", " spaced ")
+    assortments = ((1, 2, 3), (1, 3), (2,), (2, 3), (1,), (3,))
+    rng = np.random.default_rng(8)
+    counts = np.zeros((len(labels), 4), dtype=np.int64)
+    for row, items in zip(counts, assortments):
+        row[list(((0,) if outside else ()) + items)] = rng.integers(0, 10**6, len(items) + outside)
+    table = ChoiceCountTable(n=3, outside=outside, labels=labels, assortments=assortments,
+                             counts=counts, sizes=counts.sum(axis=1))
+    save_counts(table, tmp_path / "got.csv")
+    reference_save_counts(table, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert load_counts(tmp_path / "got.csv", n=3) == table
+
+
 def test_load_counts_detects_missing_outside(tmp_path):
     model = generate_ground_truth(4, np.random.default_rng(5), outside=False)
     design = slice_design(balanced_enumeration(4, 2))
@@ -286,6 +314,9 @@ def _two_item_draw(allocation):
      "count file line 2: sample_size '5.0' is not an integer"),
     (lambda tmp: load_counts(_count_file(tmp / "c.csv", "control,1,x,y\n"), 1),
      "count file line 2: count 'x' is not an integer"),
+    (lambda tmp: load_counts(  # a quoted line break makes one record span lines 3 and 4
+        _count_file(tmp / "c.csv", 'control,1,5,5\n"S\nT",1,5,5\n\nS,1,x,5\n'), 1),
+     "count file line 6: count 'x' is not an integer"),
 ])
 def test_sampling_boundary_checks(tmp_path, call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
