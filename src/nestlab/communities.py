@@ -101,9 +101,10 @@ def _walktrap_merges(weights: np.ndarray) -> tuple[list[tuple[int, int]], int]:
     dropped before the last squaring, so P**t (np.linalg.matrix_power's
     squarings; WALK_LENGTH is a power of two) holds at most two n x n
     arrays.  Each community's walk vector is a row of P**t: a merged one
-    is written over the row of its lower-numbered member.  Distances are
-    computed per community against a stack of rows, each one ddot as in a
-    one-pair np.dot, so every distance keeps its bits.
+    is written over the row of its lower-numbered member.  Links come from
+    one np.nonzero, split by row.  Distances are ddots of stacked rows, as
+    in a one-pair np.dot, so each keeps its bits: the first heap's over all
+    edges, 256 at a time, then each merged community's to its neighbours.
     """
     w = _validated_weights(weights)
     n = w.shape[0]
@@ -114,11 +115,13 @@ def _walktrap_merges(weights: np.ndarray) -> tuple[list[tuple[int, int]], int]:
         return [], 0
     strengths = w.sum(axis=1).tolist()
     strength: dict[int, float] = dict(enumerate(strengths))
-    # links[a][c]: total weight between adjacent communities a and c
-    links: dict[int, dict[int, float]] = {}
-    for i in range(n):
-        adjacent = np.nonzero(w[i] > 0.0)[0]
-        links[i] = dict(zip(adjacent.tolist(), w[i, adjacent].tolist()))
+    tails, heads = np.nonzero(w > 0.0)  # every edge both ways, row by row
+    bounds = np.searchsorted(tails, np.arange(n + 1)).tolist()
+    adjacent, weight_of = heads.tolist(), w[tails, heads].tolist()
+    links: dict[int, dict[int, float]] = {}  # links[a][c]: total weight between adjacent a and c
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        links[i] = dict(zip(adjacent[lo:hi], weight_of[lo:hi]))
+    tails, heads = tails[tails < heads], heads[tails < heads]  # each edge once, a < b
     np.fill_diagonal(w, 1.0)  # every vertex gets a self-loop of weight 1
     degrees = w.sum(axis=1)
     w /= degrees[:, None]
@@ -131,20 +134,25 @@ def _walktrap_merges(weights: np.ndarray) -> tuple[list[tuple[int, int]], int]:
     size: dict[int, int] = dict.fromkeys(range(n), 1)
     row: dict[int, int] = {i: i for i in range(n)}  # community -> its row of walk
 
+    def dots(rows_a, rows_b) -> list[float]:
+        """Per row of rows_b, its squared walk difference from rows_a (or one row) over degree."""
+        diff = walk[rows_b]
+        diff -= walk[rows_a]
+        diff *= diff
+        return np.matmul(diff[:, None, :], inv_degree)[:, 0, 0].tolist()
+
     def distances(c: int, others: list[int]) -> list[float]:
         """The walk distance of c to each community in others."""
-        diff = walk[[row[o] for o in others]]
-        diff -= walk[row[c]]
-        diff *= diff
-        dots = np.matmul(diff[:, None, :], inv_degree)[:, 0, 0]
-        sizes = np.array([size[o] for o in others])
-        factor = sizes * size[c] / (sizes + size[c])
-        return (factor * dots / n).tolist()
+        sc, sizes = size[c], [size[o] for o in others]
+        return [s * sc / (s + sc) * dot / n
+                for s, dot in zip(sizes, dots(row[c], [row[o] for o in others]))]
 
-    heap = []
-    for a in range(n):
-        later = [b for b in links[a] if b > a]
-        heap += zip(distances(a, later), [a] * len(later), later)
+    later = ((a, b) for a in range(n) for b in links[a] if b > a)  # tails, heads; links' ints
+    heap = []  # singletons: size factor 1 * 1 / (1 + 1); 256 edges (rows of diff) at a time
+    for lo in range(0, len(tails), 256):
+        block = zip(dots(tails[lo:lo + 256], heads[lo:lo + 256]), later)  # stops with the block
+        heap += [(0.5 * dot / n, a, b) for dot, (a, b) in block]
+    del tails, heads, adjacent, weight_of
     heapq.heapify(heap)
     merges: list[tuple[int, int]] = []
     score = -sum(s * s for s in strengths)  # modularity times (2m)^2

@@ -19,7 +19,6 @@ import csv
 import json
 import os
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -370,6 +369,7 @@ def compare_designs(config: ExperimentConfig) -> CompareReport:
     tasks = [(config, i, truth) for i, truth in enumerate(models)]
     threads = _worker_count()
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import, and only needed here
         with ProcessPoolExecutor(max_workers=threads) as pool:
             per_instance = list(pool.map(_run_instance, tasks, chunksize=1))
     else:

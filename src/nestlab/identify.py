@@ -8,14 +8,14 @@ outside option's boost.  One rule engine turns these facts into an edge
 matrix of same-nest deductions, fed by either of two comparators: relative
 tolerance on exact boost factors, or a |z| cutoff on counts.  The noisy
 identifiers replace equality with two-proportion z-tests, run per experiment
-as array operations on one pair kernel: over the upper-triangle pairs
-(a < b) of the offered items only, and for each item against the outside
-option.  Each experiment's weights merge by elementwise minimum into one
-orientation per pair; one fold takes the minimum of the two triangles at the
-end, and the soft evidence matrix goes to community detection.  A p-value
-is evaluated only where it sets an edge weight: pairs clearly past the
-alpha cutoff are rejected from |z| alone, and math.erfc decides exactly
-near the cutoff.
+as array operations on one pair kernel: over the pairs (a < b) of the
+offered items that no earlier experiment rejected, and for each item against
+the outside option.  Each experiment's weights merge by elementwise minimum
+into one orientation per pair; one fold takes the minimum of the two
+triangles at the end, and the soft evidence matrix goes to community
+detection.  A p-value is evaluated only where it sets an edge weight: pairs
+clearly past the alpha cutoff are rejected from |z| alone, and math.erfc
+decides exactly near the cutoff.
 """
 
 from __future__ import annotations
@@ -396,8 +396,11 @@ class TestConfig:
             raise ValueError("beta must lie in [0, 1]")
 
 
-# math.erfc elementwise: scipy.special.erfc differs from it in the last bit.
-_erfc = np.frompyfunc(math.erfc, 1, 1)
+def _erfc(x: np.ndarray) -> np.ndarray:
+    # math.erfc elementwise: scipy.special.erfc differs from it in the last bit.
+    return np.fromiter(map(math.erfc, x.tolist()), np.float64, len(x))
+
+
 SCREEN_BAND = 1e-3  # relative half-width of the zone where math.erfc decides exactly
 
 
@@ -435,13 +438,13 @@ def _pair_weights(
     low, high = _rejection_band(alpha)
     kept = u <= high
     near = kept & (u >= low)
-    kept[near] = _erfc(u[near]).astype(np.float64) > alpha
+    kept[near] = _erfc(u[near]) > alpha
     weight = np.zeros(len(u))
     if boosted is not None:
         sure = kept & boosted[a] & boosted[b]
         weight[sure] = 1.0
         kept &= ~sure
-    weight[kept] = _erfc(u[kept]).astype(np.float64)
+    weight[kept] = _erfc(u[kept])
     return a, b, weight
 
 
@@ -485,9 +488,13 @@ def _noisy_identify(
             )
             # one-sided p-value of 'no boost over the outside option'; NaN untested
             p_leq = np.full(k, np.nan)
-            p_leq[tested] = 0.5 * _erfc(z[tested] / math.sqrt(2.0)).astype(np.float64)
+            p_leq[tested] = 0.5 * _erfc(z[tested] / math.sqrt(2.0))
             boosted = p_leq <= config.alpha
         a, b = _upper_pairs(k)
+        # test only the pairs not yet rejected in either orientation: 0 absorbs every minimum
+        rows, cols = offered[a], offered[b]
+        open_ = (values[rows, cols] != 0.0) & (values[cols, rows] != 0.0)
+        a, b = a[open_], b[open_]
         a, b, weight = _pair_weights(
             a, b, *_support_z(table, s, items, a, b), config.alpha, boosted
         )

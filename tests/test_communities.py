@@ -1,5 +1,6 @@
 """Tests for weighted community detection and modularity scoring."""
 
+import heapq
 import itertools
 import tracemalloc
 
@@ -238,6 +239,96 @@ def test_detection_holds_at_most_three_matrices_beyond_its_input():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * w.nbytes, peak / w.nbytes
+
+
+def per_community_walktrap_merges(weights):
+    """_walktrap_merges with links read row by row and the first heap built per community.
+
+    Every distance comes from one stacked matmul per community, with the
+    size factor as a numpy array, so its bits are the reference's.
+    """
+    w = np.array(weights, dtype=np.float64)
+    np.fill_diagonal(w, 0.0)
+    n = w.shape[0]
+    two_m = w.sum()
+    strengths = w.sum(axis=1).tolist()
+    strength = dict(enumerate(strengths))
+    links = {}
+    for i in range(n):
+        adjacent = np.nonzero(w[i] > 0.0)[0]
+        links[i] = dict(zip(adjacent.tolist(), w[i, adjacent].tolist()))
+    np.fill_diagonal(w, 1.0)
+    degrees = w.sum(axis=1)
+    walk = w / degrees[:, None]
+    for _ in range(WALK_LENGTH.bit_length() - 1):
+        walk = walk @ walk
+    inv_degree = 1.0 / degrees[:, None]
+    size = dict.fromkeys(range(n), 1)
+    row = {i: i for i in range(n)}
+
+    def distances(c, others):
+        diff = walk[[row[o] for o in others]]
+        diff -= walk[row[c]]
+        diff *= diff
+        dots = np.matmul(diff[:, None, :], inv_degree)[:, 0, 0]
+        sizes = np.array([size[o] for o in others])
+        factor = sizes * size[c] / (sizes + size[c])
+        return (factor * dots / n).tolist()
+
+    heap = []
+    for a in range(n):
+        later = [b for b in links[a] if b > a]
+        heap += zip(distances(a, later), [a] * len(later), later)
+    heapq.heapify(heap)
+    merges = []
+    score = -sum(s * s for s in strengths)
+    best_score, best_step = score, 0
+    while heap:
+        _, a, b = heapq.heappop(heap)
+        if a not in size or b not in size:
+            continue
+        score += 2.0 * (two_m * links[a][b] - strength[a] * strength[b])
+        merged = n + len(merges)
+        merges.append((a, b))
+        size_a, size_b = size.pop(a), size.pop(b)
+        size[merged] = size_a + size_b
+        vector, other = walk[row[a]], walk[row.pop(b)]
+        row[merged] = row.pop(a)
+        vector *= size_a
+        vector += size_b * other
+        vector /= size_a + size_b
+        strength[merged] = strength.pop(a) + strength.pop(b)
+        joined = links.pop(a)
+        for c, weight in links.pop(b).items():
+            joined[c] = joined.get(c, 0.0) + weight
+        del joined[a], joined[b]
+        links[merged] = joined
+        for c, weight in joined.items():
+            links[c].pop(a, None)
+            links[c].pop(b, None)
+            links[c][merged] = weight
+        for dist, c in zip(distances(merged, list(joined)), joined):
+            heapq.heappush(heap, (dist, c, merged))
+        if score > best_score:
+            best_score, best_step = score, len(merges)
+    return merges, best_step
+
+
+@pytest.mark.parametrize("edges", [255, 256, 257, 513])
+def test_whole_array_heap_build_matches_per_community_build(edges):
+    """Edge counts around the 256-edge block give the per-community merge sequence and cut"""
+    rng = np.random.default_rng(edges)
+    for trial in range(4):
+        n = 60
+        connected = rng.permutation(n)[:48]  # the other 12 vertices stay isolated
+        a, b = np.triu_indices(48, 1)
+        pick = rng.choice(len(a), size=edges, replace=False)
+        w = np.zeros((n, n))
+        levels = rng.integers(1, 4, size=edges) / 3 if trial % 2 else rng.random(edges)
+        w[connected[a[pick]], connected[b[pick]]] = levels  # thirds tie walk distances
+        w = w + w.T
+        assert np.count_nonzero(np.triu(w, 1)) == edges
+        assert _walktrap_merges(w) == per_community_walktrap_merges(w)
 
 
 def test_exactly_tied_cuts_keep_the_earliest():

@@ -5,6 +5,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -173,6 +175,15 @@ def test_compare_designs_parallel_matches_serial(monkeypatch):
     monkeypatch.setenv("NESTLAB_THREADS", "2")
     parallel = compare_designs(tiny_config()).summary()
     assert serial == parallel
+
+
+def test_import_leaves_process_pools_unloaded():
+    """The process pool loads only when compare_designs runs in parallel"""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, nestlab.cli; sys.exit(any(m.split('.')[0] in "
+            "('multiprocessing', 'concurrent') for m in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_worker_count_reads_nestlab_threads_capped_at_cpus(monkeypatch):

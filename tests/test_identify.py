@@ -536,6 +536,41 @@ def test_noisy_identification_matches_scalar_reference():
     assert zero_evidence >= 80  # thin budgets exercise the no-evidence skips
 
 
+@pytest.mark.parametrize("outside", [True, False])
+def test_pairs_rejected_once_are_never_tested_again(monkeypatch, outside):
+    """A weight of 0 absorbs every later minimum, so later experiments skip the pair"""
+    from nestlab import identify
+
+    calls, pair_z = [], identify._pair_z
+
+    def recording_pair_z(xs, xc, m_s, m_c, a, b):
+        z, evidence = pair_z(xs, xc, m_s, m_c, a, b)
+        calls.append((a.copy(), b.copy(), z, evidence))
+        return z, evidence
+
+    monkeypatch.setattr(identify, "_pair_z", recording_pair_z)
+    design = slice_design(balanced_enumeration(128, 2))
+    model = generate_ground_truth(128, np.random.default_rng(81), outside=outside)
+    table = sample_choices(model, design, allocate_customers(10**7, design.num_experiments + 1), seed=5)
+    config = TestConfig(alpha=0.05)
+    identify_ = noisy_identify_with_outside if outside else noisy_identify_without_outside
+    edges, _ = identify_(table, design, config)
+    assert np.array_equal(edges.values, reference_noisy_identify(table, config))
+    pair_calls = calls[1::2] if outside else calls  # each experiment's outside-option tests run first
+    assert len(pair_calls) == design.num_experiments
+    rejected, tested, full = set(), 0, 0
+    for items, (a, b, z, evidence) in zip(table.assortments[1:], pair_calls):
+        pairs = [(items[i], items[j]) for i, j in zip(a.tolist(), b.tolist())]
+        assert rejected.isdisjoint(pairs)
+        rejected.update(
+            pair for pair, seen, v in zip(pairs, evidence.tolist(), z.tolist())
+            if seen and math.erfc(abs(v) / math.sqrt(2.0)) <= config.alpha
+        )
+        tested += len(pairs)
+        full += math.comb(len(items), 2)
+    assert rejected and tested < full / 2
+
+
 def test_noisy_identification_with_alpha_tied_to_a_p_value():
     """alpha equal to a pair's exact p-value rejects that pair; one float less keeps it"""
     identify = {True: noisy_identify_with_outside, False: noisy_identify_without_outside}
