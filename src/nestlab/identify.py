@@ -599,7 +599,7 @@ def theorem_sample_size(rho: float, margin: float, pair_count: int, delta: float
     return math.ceil(3.0 * c2 * math.log(2.0 * pair_count / delta) / (rho * margin * margin))
 
 
-def theorem_margins(model, design: ExperimentDesign, tol: float = EXACT_TOLERANCE) -> tuple[float, float]:
+def theorem_margins(model, design: ExperimentDesign) -> tuple[float, float]:
     """(rho, Delta): control floor and smallest detectable share difference.
 
     rho floors every control probability (outside included).  Delta is the
@@ -614,7 +614,7 @@ def theorem_margins(model, design: ExperimentDesign, tol: float = EXACT_TOLERANC
         support = list(lead + tuple(items))
         ps = probs[support]
         pc = control[support]
-        a, c = np.nonzero(np.triu(relative_differ(ps / pc, tol) == 1.0, 1))
+        a, c = np.nonzero(np.triu(relative_differ(ps / pc) == 1.0, 1))
         if a.size:
             gaps = np.abs(ps[a] / (ps[a] + ps[c]) - pc[a] / (pc[a] + pc[c]))
             delta = min(delta, float(gaps.min()))

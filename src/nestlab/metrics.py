@@ -26,6 +26,7 @@ import numpy as np
 from .model import ChoiceProbabilities, NestPartition, NestedLogitModel, probability_table
 
 EXHAUSTIVE_LIMIT = 20  # 2**n probability table; past this use the restricted form
+CONFIDENCE_LEVEL = 0.95  # two-sided coverage of confidence_interval
 _BLOCK_BITS = 13  # subsets are scored in blocks of 2**13 consecutive bitmasks
 
 
@@ -179,20 +180,16 @@ def rand_index(first: NestPartition, second: NestPartition) -> float:
     return (total - split_once) / total
 
 
-def confidence_interval(
-    values: list[float] | np.ndarray, level: float = 0.95
-) -> tuple[float, float, float]:
-    """(mean, low, high) Student-t interval treating values as iid draws."""
+def confidence_interval(values: list[float] | np.ndarray) -> tuple[float, float, float]:
+    """(mean, low, high) Student-t interval at CONFIDENCE_LEVEL treating values as iid draws."""
     from scipy import stats  # slow to import, and only needed here
 
     arr = np.asarray(values, dtype=np.float64)
     k = arr.size
     if k < 2:
         raise ValueError("confidence interval needs at least two values")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
     mean = float(arr.mean())
     spread = float(arr.std(ddof=1))
-    quantile = float(stats.t.ppf(0.5 + level / 2.0, k - 1))
+    quantile = float(stats.t.ppf(0.5 + CONFIDENCE_LEVEL / 2.0, k - 1))
     half = quantile * spread / math.sqrt(k)
     return mean, mean - half, mean + half

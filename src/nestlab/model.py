@@ -375,11 +375,7 @@ def nest_multipliers(model: NestedLogitModel, assortments: Sequence[Sequence[int
     return np.exp((1.0 - np.asarray(model.lambdas))[:, None] * (log_total - log_inside))
 
 
-def check_general_position(
-    model: NestedLogitModel,
-    design,
-    tolerance: float = EXACT_TOLERANCE,
-) -> list[tuple[str, int, int]]:
+def check_general_position(model: NestedLogitModel, design) -> list[tuple[str, int, int]]:
     """Flag experiments where two partially offered nests share a multiplier.
 
     Multipliers are equal under exact identification's rule, relative_differ.
@@ -395,7 +391,7 @@ def check_general_position(
     violations = []
     for label, mult, nests in zip(design.labels, multipliers.T, partial.T):
         nests = np.flatnonzero(nests)
-        a, c = np.nonzero(np.triu(relative_differ(mult[nests], tolerance) == 0.0, 1))
+        a, c = np.nonzero(np.triu(relative_differ(mult[nests]) == 0.0, 1))
         violations += [(label, i, j) for i, j in zip(nests[a].tolist(), nests[c].tolist())]
     return violations
 

@@ -61,7 +61,8 @@ def within_nest_weights(
     Control probabilities of same-nest items have the same nest factor, so
     their ratio is the weight ratio.  Returns an item-indexed vector of
     length n + 1 (entry 0 unused, 0).  Items with zero control probability
-    are rejected; they carry no weight information.
+    are rejected; they carry no weight information.  So is a zero outside
+    option, the anchor every nest is measured against.
     """
     n = partition.n
     if control.assortment != tuple(range(1, n + 1)):
@@ -70,6 +71,8 @@ def within_nest_weights(
     dead = (np.flatnonzero(probs[1:] == 0.0) + 1).tolist()
     if dead:
         raise ValueError(f"zero control probability for items {dead}")
+    if control.outside and probs[0] == 0.0:
+        raise ValueError("zero control probability for the outside option")
     first = np.array([nest[0] for nest in partition.nests])
     weights = np.zeros(n + 1)
     weights[1:] = probs[1:] / probs[first[partition.labels()]]
@@ -226,13 +229,15 @@ def _row_terms(
     return a, b, y
 
 
-def _system_rows(terms, k: int, chosen: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, y) of nest k on the chosen experiments (-1: the control)."""
+def _system_rows(
+    terms, k: int, chosen: list[int], labels: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, y) of nest k on the chosen experiments (-1: the control), labels control first."""
     a, b, y = terms
     cols = np.array(chosen) + 1
-    missing = [e for e in chosen if np.isnan(y[k, e + 1])]
+    missing = [labels[c] for c in cols.tolist() if np.isnan(y[k, c])]
     if missing:
-        raise RecoveryError(f"assortment {missing[0]} misses the anchor or nest {k}")
+        raise RecoveryError(f"{missing[0]} misses the anchor or nest {k}")
     return a[cols], b[k, cols], y[k, cols]
 
 
@@ -292,7 +297,8 @@ def recover_all(
     if not outside and len(nests) == 1:
         return _mnl_from_control(control, n, outside)
 
-    offered = offered_mask(n, outside, [cp.assortment for cp in probs], ("control", *design.labels))
+    labels = ("control", *design.labels)
+    offered = offered_mask(n, outside, [cp.assortment for cp in probs], labels)
     terms = _row_terms(np.array([cp.probs for cp in probs]), offered, weights, partition)
     anchor_idx = None if outside else 0
     anchor_free = anchor_idx is not None and len(nests[anchor_idx]) > 1
@@ -336,7 +342,7 @@ def recover_all(
         # (if free), lambda_N (if free), then s_N.
         last = len(chosen) - 1
         matrix, rhs = _log_linear_system(
-            *_system_rows(terms, k, chosen),
+            *_system_rows(terms, k, chosen, labels),
             lam_col=np.full(len(chosen), last - 1 if target_free else -1),
             scale_col=np.full(len(chosen), last),
             anchor_free=anchor_free,

@@ -162,22 +162,18 @@ def _csv_lead(label: str) -> str:
 def save_counts(table: ChoiceCountTable, path: str) -> None:
     """Write one line per offered item of each assortment, control first, items in order.
 
-    The bytes are csv.writer's, built column by column: only a label can
-    need quoting, so csv.writer writes each label once and the integer
-    fields are formatted directly.
+    The bytes are csv.writer's: only a label can need quoting, so csv.writer
+    writes each label once and the integer fields are formatted directly.
     """
     lead = (0,) if table.outside else ()
-    items = [sorted(lead + tuple(offered)) for offered in table.assortments]
-    lengths = [len(row) for row in items]
-    rows = np.repeat(np.arange(len(items)), lengths)
-    item_ids = list(itertools.chain.from_iterable(items))
-
-    def per_line(values: list[str]):
-        return itertools.chain.from_iterable(map(itertools.repeat, values, lengths))
-
-    heads = per_line([_csv_lead(label) for label in table.labels])
-    tails = per_line([f",{m}{csv.excel.lineterminator}" for m in table.sizes.tolist()])
-    lines = map("{}{},{}{}".format, heads, item_ids, table.counts[rows, item_ids].tolist(), tails)
+    end = csv.excel.lineterminator
+    per_assortment = zip(map(_csv_lead, table.labels), table.assortments,
+                         table.counts.tolist(), table.sizes.tolist())
+    lines = (
+        f"{head}{item},{row[item]},{m}{end}"
+        for head, offered, row, m in per_assortment
+        for item in sorted((*lead, *offered))
+    )
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(COUNT_COLUMNS)
         fh.write("".join(lines))
@@ -212,9 +208,10 @@ def load_counts(path: str, n: int) -> ChoiceCountTable:
     """Read save_counts' format: columns found by header name, in any order.
 
     Extra columns and blank lines are ignored.  The file is parsed once and
-    checked column by column; the error raised is the one a line-by-line
-    reader would meet first, naming its line (and field) where it has one.
-    Only an error that names a line reads the file again, to count lines.
+    checked column by column in a fixed rule order: field count, integer
+    fields, one sample size per label, no repeated item, then control first
+    and every assortment agreeing on the outside option.  Each rule raises at
+    its first offending record, naming its line (and field) where it has one.
     """
     with open(path, newline="") as fh:
         header, reader = _count_reader(fh)
@@ -222,52 +219,35 @@ def load_counts(path: str, n: int) -> ChoiceCountTable:
         if missing:
             raise ValueError(f"count file has no {missing[0]} column")
         records = list(filter(None, reader))  # blank lines dropped
-    # Each check reads only the records above the first failure found so
-    # far, so the failure kept is the earliest in file order.
-    limit, error = len(records), None
     widths = np.fromiter(map(len, records), np.int64, len(records))
     short = np.flatnonzero(widths < len(header))
     if short.size:
-        limit = int(short[0])
-        error = (
-            f"count file line {_record_line(path, limit)} has {widths[limit]} fields,"
-            f" not {len(header)}"
+        r = int(short[0])
+        raise ValueError(
+            f"count file line {_record_line(path, r)} has {widths[r]} fields, not {len(header)}"
         )
-    columns = list(zip(*records[:limit])) or [()] * len(header)
+    columns = list(zip(*records)) or [()] * len(header)
     labels_col, *numbers = (columns[header.index(name)] for name in COUNT_COLUMNS)
     try:
         item, count, size = (np.array(list(map(int, texts)), dtype=np.int64) for texts in numbers)
     except ValueError:  # name the first field that is not an integer
-        limit, c = min(
-            (r, c) for c, r in enumerate(map(_first_non_integer, numbers)) if r is not None
-        )
-        error = (
-            f"count file line {_record_line(path, limit)}: {COUNT_COLUMNS[c + 1]} "
-            f"{numbers[c][limit]!r} is not an integer"
-        )
-        item, count, size = (
-            np.array(list(map(int, texts[:limit])), dtype=np.int64) for texts in numbers
-        )
-    labels_col = labels_col[:limit]
+        r, c = min((r, c) for c, r in enumerate(map(_first_non_integer, numbers)) if r is not None)
+        raise ValueError(
+            f"count file line {_record_line(path, r)}: {COUNT_COLUMNS[c + 1]} "
+            f"{numbers[c][r]!r} is not an integer"
+        ) from None
     index = {label: r for r, label in enumerate(dict.fromkeys(labels_col))}  # in file order
-    rows = np.fromiter(map(index.__getitem__, labels_col), np.int64, limit)
-    first = np.unique(rows, return_index=True)[1]  # each label's first record
-    sizes = size[first]
+    rows = np.fromiter(map(index.__getitem__, labels_col), np.int64, len(labels_col))
+    sizes = size[np.unique(rows, return_index=True)[1]]  # each label's first record
     conflicting = np.flatnonzero(size != sizes[rows])
+    if conflicting.size:
+        r = conflicting[0]
+        raise ValueError(f"{labels_col[r]} lists sample sizes {sizes[rows[r]]} and {size[r]}")
     order = np.lexsort((item, rows))  # stable: a repeat follows its first listing
     repeats = order[1:][(np.diff(rows[order]) == 0) & (np.diff(item[order]) == 0)]
-    found = [(int(conflicting[0]), 0)] if conflicting.size else []
     if repeats.size:
-        found.append((int(repeats.min()), 1))
-    if found:
-        r, kind = min(found)  # a record's size is checked before its item
-        label = labels_col[r]
-        error = (
-            f"{label} lists sample sizes {sizes[rows[r]]} and {size[r]}" if kind == 0
-            else f"{label} lists item {item[r]} twice"
-        )
-    if error is not None:
-        raise ValueError(error)
+        r = repeats.min()
+        raise ValueError(f"{labels_col[r]} lists item {item[r]} twice")
 
     labels = tuple(index)
     if not labels or labels[0] != "control":

@@ -119,7 +119,7 @@ def test_compare_flags_assumption_violations_with_exit_2(tmp_path, capsys, monke
 
     monkeypatch.setattr(
         nestlab.harness, "check_general_position",
-        lambda truth, design, tol=1e-9: [("S(1,-0)", 1, 2)],
+        lambda truth, design: [("S(1,-0)", 1, 2)],
     )
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

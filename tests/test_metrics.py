@@ -365,7 +365,6 @@ def test_import_leaves_scipy_unloaded():
         [ChoiceProbabilities(assortment=(1,), probs=np.array([0.0, 1.0]), outside=False)]),
      "outside-option flag mismatch"),
     (lambda: rmse_soft_restricted([], []), "no assortments to score"),
-    (lambda: confidence_interval([1.0, 2.0], level=1.0), "level must lie in (0, 1)"),
 ])
 def test_metrics_boundary_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -177,9 +177,9 @@ def recover_recording_reads(monkeypatch, rows, partition, design):
     reads: dict[tuple[int, ...], list[int]] = {}
     real_rows = recovery._system_rows
 
-    def spy(terms, k, chosen):
+    def spy(terms, k, chosen, labels):
         reads.setdefault(partition.nests[k], []).extend(chosen)
-        return real_rows(terms, k, chosen)
+        return real_rows(terms, k, chosen, labels)
 
     monkeypatch.setattr(recovery, "_system_rows", spy)
     with contextlib.suppress(RecoveryError):
@@ -335,8 +335,8 @@ def test_recover_all_matches_scalar_elimination_bitwise(monkeypatch):
     calls = []
     real_rows = recovery._system_rows
 
-    def spy(terms, k, chosen):
-        rows = real_rows(terms, k, chosen)
+    def spy(terms, k, chosen, labels):
+        rows = real_rows(terms, k, chosen, labels)
         calls.append((k, [tuple(float(v[r]) for v in rows) for r in range(len(chosen))]))
         return rows
 
@@ -562,6 +562,21 @@ def _anchor_never_split():
     return design_probabilities(truth, design), truth.partition, design
 
 
+def _outside_share_moved(row):
+    """recover_all's inputs for nests {1, 2}, {3} with outside option, experiment S offering
+    items 1 and 3; row's outside probability (0: the control) is moved to item 1."""
+    truth = NestedLogitModel(
+        partition=NestPartition([(1, 2), (3,)]), weights=(1.0, 2.0, 3.0), lambdas=(0.5, 1.0),
+        outside=True,
+    )
+    design = ExperimentDesign(n=3, experiments=[(1, 3)], labels=("S",))
+    probs = design_probabilities(truth, design)
+    moved = probs[row].probs.copy()
+    moved[[0, 1]] = 0.0, moved[0] + moved[1]
+    probs[row] = ChoiceProbabilities(assortment=probs[row].assortment, probs=moved, outside=True)
+    return probs, truth.partition, design
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: within_nest_weights(
         ChoiceProbabilities(assortment=(1, 3), probs=np.array([0.0, 0.5, 0.0, 0.5]), outside=False),
@@ -572,6 +587,9 @@ def _anchor_never_split():
                          counts=([1, 2, 2], [0, 0, 0]), sizes=(5, 0)),
         NestPartition([(1,), (2,)]), ExperimentDesign(n=2, experiments=[(1,)], labels=("S",))),
      "assortment with no customers"),
+    (lambda: recover_all(*_outside_share_moved(0)),
+     "zero control probability for the outside option"),
+    (lambda: recover_all(*_outside_share_moved(1)), "S misses the anchor or nest 0"),
     (lambda: recover_all(*_anchor_never_split()),
      "no experiment splits the anchor while offering nest 1"),
     (lambda: recover_all(

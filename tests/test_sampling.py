@@ -188,6 +188,23 @@ def test_save_counts_writes_csv_writer_bytes(tmp_path, outside):
     assert load_counts(tmp_path / "got.csv", n=3) == table
 
 
+def test_save_counts_sorts_each_assortment(tmp_path):
+    """A table listing its items out of order is saved in increasing item order and loads sorted"""
+    fields = dict(n=3, outside=True, labels=("control", "S"),
+                  counts=[[1, 2, 3, 4], [2, 0, 5, 3]], sizes=[10, 10])
+    table = ChoiceCountTable(assortments=((3, 1, 2), (3, 2)), **fields)
+    path = tmp_path / "counts.csv"
+    save_counts(table, path)
+    assert path.read_text().splitlines()[1:] == [
+        "control,0,1,10", "control,1,2,10", "control,2,3,10", "control,3,4,10",
+        "S,0,2,10", "S,2,5,10", "S,3,3,10",
+    ]
+    loaded = load_counts(path, n=3)
+    assert loaded == ChoiceCountTable(assortments=((1, 2, 3), (2, 3)), **fields)
+    save_counts(loaded, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
 def test_load_counts_detects_missing_outside(tmp_path):
     model = generate_ground_truth(4, np.random.default_rng(5), outside=False)
     design = slice_design(balanced_enumeration(4, 2))
@@ -317,6 +334,19 @@ def _two_item_draw(allocation):
     (lambda tmp: load_counts(  # a quoted line break makes one record span lines 3 and 4
         _count_file(tmp / "c.csv", 'control,1,5,5\n"S\nT",1,5,5\n\nS,1,x,5\n'), 1),
      "count file line 6: count 'x' is not an integer"),
+    # A file breaking two rules reports the rule load_counts checks first, wherever its
+    # line lies: field count, integer fields, one sample size per label, no repeated item.
+    (lambda tmp: load_counts(
+        _count_file(tmp / "c.csv", "control,x,5,5\ncontrol,2,0,5\ncontrol,3\n"), 3),
+     "count file line 4 has 2 fields, not 4"),
+    (lambda tmp: load_counts(
+        _count_file(tmp / "c.csv", "control,1,3,9\ncontrol,2,2,5\ncontrol,3,y,5\n"), 3),
+     "count file line 4: count 'y' is not an integer"),
+    (lambda tmp: load_counts(
+        _count_file(tmp / "c.csv", "control,1,3,5\ncontrol,1,3,5\ncontrol,2,2,7\n"), 3),
+     "control lists sample sizes 5 and 7"),
+    (lambda tmp: load_counts(_count_file(tmp / "c.csv", "S,1,5,5\nS,1,0,5\ncontrol,1,5,5\n"), 3),
+     "S lists item 1 twice"),
 ])
 def test_sampling_boundary_checks(tmp_path, call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
