@@ -10,6 +10,7 @@ takes b*L = O(b log n / log b) experiments plus one control.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -115,7 +116,7 @@ def balanced_enumeration(n: int, b: int) -> BaseBEncoding:
 
 
 def _canonical_assortment(items: Iterable[int], n: int, what: str) -> tuple[int, ...]:
-    out = sorted(set(int(x) for x in items))
+    out = sorted(set(map(operator.index, items)))
     if out and (out[0] < 1 or out[-1] > n):
         raise ValueError(f"{what} contains items outside 1..{n}")
     return tuple(out)

@@ -388,9 +388,9 @@ def write_report(report: CompareReport, output_dir: str) -> None:
         path = os.path.join(output_dir, f"results_T{T}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["instance", "scheme", "T", *SCORES, "failed", "failed_stage", "partition"]
-            )
+            writer.writerow([
+                "instance", "scheme", "T", *SCORES, "failed", "failed_stage", "flags", "partition",
+            ])
             for r in report.results:
                 if r.T != T:
                     continue
@@ -401,7 +401,7 @@ def write_report(report: CompareReport, output_dir: str) -> None:
                 )
                 writer.writerow([
                     r.instance, r.scheme, r.T, *(f"{getattr(r, name):.10g}" for name in SCORES),
-                    int(r.failed), r.failed_stage or "", groups,
+                    int(r.failed), r.failed_stage or "", "; ".join(r.flags), groups,
                 ])
     with open(os.path.join(output_dir, "summary.json"), "w") as fh:
         json.dump(report.summary(), fh, indent=2)

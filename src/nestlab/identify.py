@@ -11,11 +11,10 @@ identifiers replace equality with two-proportion z-tests, run per experiment
 as array operations on one pair kernel: over the pairs (a < b) of the
 offered items that no earlier experiment rejected, and for each item against
 the outside option.  Each experiment's weights merge by elementwise minimum
-into one orientation per pair; one fold takes the minimum of the two
-triangles at the end, and the soft evidence matrix goes to community
-detection.  A p-value is evaluated only where it sets an edge weight: pairs
-clearly past the alpha cutoff are rejected from |z| alone, and math.erfc
-decides exactly near the cutoff.
+into both orientations of each pair, and the symmetric soft evidence matrix
+goes to community detection.  A p-value is evaluated only where it sets an
+edge weight: pairs clearly past the alpha cutoff are rejected from |z| alone,
+and math.erfc decides exactly near the cutoff.
 """
 
 from __future__ import annotations
@@ -308,34 +307,18 @@ def _pair_z(
     numerator is cross-multiplied so swapping a pair negates the same float
     products instead of rounding two different quotients.
     """
-    ns = xs[a] + xs[b]
-    nc = xc[a] + xc[b]
+    ns, nc = xs[a] + xs[b], xc[a] + xc[b]
     evidence = (ns > 0) & (nc > 0)
-    # The expressions of the plain formula, evaluated in the same order into
-    # reused pair-sized buffers (fresh memory costs more than the arithmetic):
-    #   numerator = (ps_a * pc_b - pc_a * ps_b) / (share_s * share_c)
-    #   variance = ((pool_a / total) * (pool_b / total)) * (1 / ns + 1 / nc)
     with np.errstate(divide="ignore", invalid="ignore"):
         ps, pc = xs / m_s, xc / m_c
-        pool = ps + pc
         ps_a, ps_b, pc_a, pc_b = ps[a], ps[b], pc[a], pc[b]
-        share_s = ps_a + ps_b
-        share_c = pc_a + pc_b
-        numerator = ps_a * pc_b
-        numerator -= np.multiply(pc_a, ps_b, out=ps_b)
-        numerator /= np.multiply(share_s, share_c, out=ps_a)
-        # grouped so the sum is evaluated identically with a and b swapped
-        total = np.add(share_s, share_c, out=share_s)
-        variance = np.take(pool, a, out=pc_a, mode="clip")
-        variance /= total
-        variance *= np.divide(np.take(pool, b, out=pc_b, mode="clip"), total, out=pc_b)
-        inverse_sizes = np.divide(1.0, ns, out=share_c)
-        inverse_sizes += np.divide(1.0, nc, out=ps_a)
-        variance *= inverse_sizes
-        zero = numerator == 0.0
-        z = numerator
-        z /= np.sqrt(variance, out=variance)
-    z[zero] = 0.0
+        share_s, share_c = ps_a + ps_b, pc_a + pc_b
+        numerator = (ps_a * pc_b - pc_a * ps_b) / (share_s * share_c)
+        total = share_s + share_c  # grouped so swapping a and b sums identically
+        pool = ps + pc
+        variance = ((pool[a] / total) * (pool[b] / total)) * (1.0 / ns + 1.0 / nc)
+        z = numerator / np.sqrt(variance)
+    z[numerator == 0.0] = 0.0
     z[~evidence] = np.nan
     return z, evidence
 
@@ -449,24 +432,17 @@ def _pair_weights(
 
 
 def _merge_min(values: np.ndarray, rows, cols, weight) -> None:
-    """values[r, c] = min(values[r, c], weight), elementwise, in that orientation only.
+    """values[r, c] = values[c, r] = min(values[r, c], weight), elementwise.
 
-    _fold_min merges the two orientations of every pair once, at the end.
-    Flat indices, as one gather and one scatter on the raveled matrix.
+    values stays symmetric, since each unordered pair is listed at most once:
+    one gather and two scatters on the raveled matrix.
     """
     flat = values.reshape(-1)
-    index = rows * values.shape[1] + cols
-    flat[index] = np.minimum(flat[index], weight)
-
-
-def _fold_min(values: np.ndarray) -> None:
-    """values[i, j] = values[j, i] = the smaller of the two, for every pair.
-
-    After _merge_min writes starting from NOISY_NULL, that is the minimum of
-    every weight merged into the pair in either orientation, as if each
-    write had gone to both.
-    """
-    np.minimum(values, values.T, out=values)
+    n = values.shape[1]
+    index = rows * n + cols
+    merged = np.minimum(flat[index], weight)
+    flat[index] = merged
+    flat[cols * n + rows] = merged
 
 
 def _noisy_identify(
@@ -491,9 +467,8 @@ def _noisy_identify(
             p_leq[tested] = 0.5 * _erfc(z[tested] / math.sqrt(2.0))
             boosted = p_leq <= config.alpha
         a, b = _upper_pairs(k)
-        # test only the pairs not yet rejected in either orientation: 0 absorbs every minimum
-        rows, cols = offered[a], offered[b]
-        open_ = (values[rows, cols] != 0.0) & (values[cols, rows] != 0.0)
+        # test only the pairs not yet rejected: 0 absorbs every minimum
+        open_ = values[offered[a], offered[b]] != 0.0
         a, b = a[open_], b[open_]
         a, b, weight = _pair_weights(
             a, b, *_support_z(table, s, items, a, b), config.alpha, boosted
@@ -507,7 +482,6 @@ def _noisy_identify(
                     values, offered[unboosted][:, None], unoffered[None, :],
                     (1.0 - p_leq[unboosted])[:, None],
                 )
-    _fold_min(values)
     if table.outside:
         _one_hop_transitivity(values, values != 0.0)  # any pair not rejected
     values[values == NOISY_NULL] = 0.0

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -42,7 +43,7 @@ class NestPartition:
 
     def __init__(self, nests: Iterable[Iterable[int]]):
         canon = sorted(
-            (tuple(sorted(set(int(i) for i in nest))) for nest in nests),
+            (tuple(sorted(set(map(operator.index, nest)))) for nest in nests),
             key=lambda t: t[0] if t else 0,
         )
         if any(len(nest) == 0 for nest in canon):

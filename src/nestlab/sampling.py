@@ -20,6 +20,8 @@ import numpy as np
 from .designs import ExperimentDesign
 from .model import ChoiceProbabilities, NestedLogitModel, design_probabilities, offered_mask
 
+INT64 = np.iinfo(np.int64)
+
 
 def allocate_customers(total: int, num_assortments: int) -> list[int]:
     """Split a customer budget across assortments as evenly as possible.
@@ -29,6 +31,8 @@ def allocate_customers(total: int, num_assortments: int) -> list[int]:
     """
     if num_assortments < 1:
         raise ValueError("need at least one assortment")
+    if total > INT64.max:
+        raise ValueError(f"budget {total} does not fit in int64")
     if total < num_assortments:
         raise ValueError(
             f"budget {total} cannot give each of {num_assortments} assortments a customer"
@@ -179,14 +183,12 @@ def save_counts(table: ChoiceCountTable, path: str) -> None:
         fh.write("".join(lines))
 
 
-def _first_non_integer(texts: tuple[str, ...]) -> int | None:
-    """The index of the first text int() rejects, or None."""
-    for r, text in enumerate(texts):
-        try:
-            int(text)
-        except ValueError:
-            return r
-    return None
+def _integer_fault(text: str) -> str | None:
+    """Why an int64 field cannot hold text, or None when it can."""
+    try:
+        return None if INT64.min <= int(text) <= INT64.max else "does not fit in int64"
+    except ValueError:
+        return "is not an integer"
 
 
 def _count_reader(fh) -> tuple[list[str], Any]:
@@ -208,7 +210,7 @@ def load_counts(path: str, n: int) -> ChoiceCountTable:
     """Read save_counts' format: columns found by header name, in any order.
 
     Extra columns and blank lines are ignored.  The file is parsed once and
-    checked column by column in a fixed rule order: field count, integer
+    checked column by column in a fixed rule order: field count, int64
     fields, one sample size per label, no repeated item, then control first
     and every assortment agreeing on the outside option.  Each rule raises at
     its first offending record, naming its line (and field) where it has one.
@@ -230,11 +232,14 @@ def load_counts(path: str, n: int) -> ChoiceCountTable:
     labels_col, *numbers = (columns[header.index(name)] for name in COUNT_COLUMNS)
     try:
         item, count, size = (np.array(list(map(int, texts)), dtype=np.int64) for texts in numbers)
-    except ValueError:  # name the first field that is not an integer
-        r, c = min((r, c) for c, r in enumerate(map(_first_non_integer, numbers)) if r is not None)
+    except (ValueError, OverflowError):  # name the first field that is not an int64
+        r, c, fault = min(
+            (r, c, fault) for c, texts in enumerate(numbers)
+            for r, fault in enumerate(map(_integer_fault, texts)) if fault
+        )
         raise ValueError(
             f"count file line {_record_line(path, r)}: {COUNT_COLUMNS[c + 1]} "
-            f"{numbers[c][r]!r} is not an integer"
+            f"{numbers[c][r]!r} {fault}"
         ) from None
     index = {label: r for r, label in enumerate(dict.fromkeys(labels_col))}  # in file order
     rows = np.fromiter(map(index.__getitem__, labels_col), np.int64, len(labels_col))

@@ -505,6 +505,10 @@ def test_failed_simulate_leaves_no_model_file(tmp_path, capsys):
     ("recover", "--partition", lambda d: [1, 2], "partition file must hold a JSON object"),
     ("recover", "--partition", lambda d: {**d, "nests": 5},
      "partition has a field of the wrong type: 'int' object is not iterable"),
+    ("recover", "--partition", lambda d: {**d, "nests": [[1, 2.9], *d["nests"][1:]]},
+     "partition has a field of the wrong type: 'float' object cannot be interpreted as an integer"),
+    ("identify", "--design", lambda d: {**d, "experiments": [{"label": "A", "items": [1.7, 3]}]},
+     "design has a field of the wrong type: 'float' object cannot be interpreted as an integer"),
     ("evaluate", "--est", lambda d: [1, 2], "model file must hold a JSON object"),
     ("evaluate", "--est", lambda d: {**d, "nests": 5},
      "model has a field of the wrong type: 'int' object is not iterable"),

@@ -273,6 +273,8 @@ SMALL_DESIGN = {"n": 3, "control": [1, 2, 3], "experiments": [{"label": "A", "it
     (lambda: design_from_dict([1, 2]), "design file must hold a JSON object"),
     (lambda: design_from_dict({**SMALL_DESIGN, "experiments": [5]}),
      "design has a field of the wrong type: argument of type 'int' is not iterable"),
+    (lambda: design_from_dict({**SMALL_DESIGN, "experiments": [{"label": "A", "items": [1.7, 3]}]}),
+     "design has a field of the wrong type: 'float' object cannot be interpreted as an integer"),
 ])
 def test_design_boundary_checks(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -312,7 +312,7 @@ def test_report_columns_and_config_keys_are_pinned(tmp_path):
         header = next(csv.reader(fh))
     assert header == [
         "instance", "scheme", "T", "rmse_soft", "rand_index", "rmse_soft_restricted",
-        "failed", "failed_stage", "partition",
+        "failed", "failed_stage", "flags", "partition",
     ]
     fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
     assert list(report.summary()["config"]) == fields
@@ -342,7 +342,21 @@ def test_unreached_scores_stay_nan(monkeypatch, tmp_path, target):
     assert [r["rand_index"] for r in rows] == ["nan", "nan"]
     assert rows[0]["rmse_soft_restricted"] == "nan"
     assert [r["failed"] for r in rows] == ["1", "0"]
+    assert [r["flags"] for r in rows] == ["RuntimeError: forced failure", ""]
     assert [r["partition"] for r in rows] == ["", ""]
+
+
+def test_report_keeps_the_recovery_flags(tmp_path):
+    config = tiny_config(schemes=("slice",), instances=1)
+    flagged = harness.PipelineResult(
+        instance=0, scheme="slice", T=7000, partition=NestPartition([(1, 2)]),
+        flags=("nest-0-lambda-defaulted", "rank-deficient"),
+    )
+    clean = harness.PipelineResult(instance=1, scheme="slice", T=7000)
+    harness.write_report(CompareReport(config, [flagged, clean]), str(tmp_path))
+    with open(tmp_path / "results_T7000.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["flags"] for r in rows] == ["nest-0-lambda-defaulted; rank-deficient", ""]
 
 
 def test_report_writes_one_file_per_budget(tmp_path):

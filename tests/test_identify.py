@@ -571,6 +571,30 @@ def test_pairs_rejected_once_are_never_tested_again(monkeypatch, outside):
     assert rejected and tested < full / 2
 
 
+@pytest.mark.parametrize("outside", [True, False])
+def test_every_merge_leaves_the_edge_matrix_symmetric(monkeypatch, outside):
+    """Each weight goes into both orientations of its pair, so no merge breaks symmetry"""
+    from nestlab import identify
+
+    shapes, merge_min = [], identify._merge_min
+
+    def checked_merge_min(values, rows, cols, weight):
+        merge_min(values, rows, cols, weight)
+        assert np.array_equal(values, values.T)
+        shapes.append(np.ndim(rows))
+
+    monkeypatch.setattr(identify, "_merge_min", checked_merge_min)
+    design = slice_design(balanced_enumeration(64, 2))
+    model = generate_ground_truth(64, np.random.default_rng(86), outside=outside)
+    table = sample_choices(model, design, allocate_customers(10**6, design.num_experiments + 1), seed=7)
+    config = TestConfig(alpha=0.05)
+    identify_ = noisy_identify_with_outside if outside else noisy_identify_without_outside
+    edges, _ = identify_(table, design, config)
+    assert np.array_equal(edges.values, reference_noisy_identify(table, config))
+    assert shapes.count(1) == design.num_experiments
+    assert (2 in shapes) == outside  # unboosted items merged against the unoffered block
+
+
 def test_noisy_identification_with_alpha_tied_to_a_p_value():
     """alpha equal to a pair's exact p-value rejects that pair; one float less keeps it"""
     identify = {True: noisy_identify_with_outside, False: noisy_identify_without_outside}

@@ -605,6 +605,9 @@ def test_model_from_dict_names_a_missing_key(key):
      "model has a field of the wrong type: 'int' object is not iterable"),
     (lambda: model_from_dict({**model_to_dict(generate_ground_truth(4, 0)), "lambda": None}),
      "model has a field of the wrong type: 'NoneType' object is not iterable"),
+    (lambda: model_from_dict({**model_to_dict(generate_ground_truth(4, 0)),
+                              "nests": [[1, 2.9], [3, 4]]}),
+     "model has a field of the wrong type: 'float' object cannot be interpreted as an integer"),
 ])
 def test_model_boundary_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

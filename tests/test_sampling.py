@@ -311,6 +311,7 @@ def _two_item_draw(allocation):
 
 @pytest.mark.parametrize("call, message", [
     (lambda tmp: allocate_customers(10, 0), "need at least one assortment"),
+    (lambda tmp: allocate_customers(10**23, 3), f"budget {10**23} does not fit in int64"),
     (lambda tmp: _two_item_draw([5, 5]), "allocation must cover control plus every experiment"),
     (lambda tmp: _two_item_draw([5, -1, 5]), "negative sample size"),
     (lambda tmp: ChoiceCountTable(n=1, outside=True, labels=("control",), assortments=(),
@@ -331,6 +332,11 @@ def _two_item_draw(allocation):
      "count file line 2: sample_size '5.0' is not an integer"),
     (lambda tmp: load_counts(_count_file(tmp / "c.csv", "control,1,x,y\n"), 1),
      "count file line 2: count 'x' is not an integer"),
+    (lambda tmp: load_counts(
+        _count_file(tmp / "c.csv", "control,1,5,5\ncontrol,2,99999999999999999999999,5\n"), 2),
+     "count file line 3: count '99999999999999999999999' does not fit in int64"),
+    (lambda tmp: load_counts(_count_file(tmp / "c.csv", "control,1,5,-9223372036854775809\n"), 1),
+     "count file line 2: sample_size '-9223372036854775809' does not fit in int64"),
     (lambda tmp: load_counts(  # a quoted line break makes one record span lines 3 and 4
         _count_file(tmp / "c.csv", 'control,1,5,5\n"S\nT",1,5,5\n\nS,1,x,5\n'), 1),
      "count file line 6: count 'x' is not an integer"),
