@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import from_json_object
+from .model import from_json_object, offered_mask
 
 
 def _check_items(n: int) -> None:
@@ -156,10 +156,7 @@ class ExperimentDesign:
 
     def membership_matrix(self) -> np.ndarray:
         """Boolean (num_experiments, n) matrix; row e marks items offered in experiment e."""
-        m = np.zeros((len(self.experiments), self.n), dtype=bool)
-        for e, items in enumerate(self.experiments):
-            m[e, np.asarray(items, dtype=np.int64) - 1] = True
-        return m
+        return offered_mask(self.n, False, self.experiments, self.labels)[:, 1:]
 
 
 def slice_design(encoding: BaseBEncoding) -> ExperimentDesign:

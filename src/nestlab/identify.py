@@ -98,6 +98,11 @@ def boost_factors(
     )
 
 
+def _pair_positions(n: int, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Raveled n x n positions of each pair (rows, cols), broadcast together, and of its mirror."""
+    return rows * n + cols, cols * n + rows
+
+
 @dataclass
 class EdgeMatrix:
     """Symmetric same-nest evidence between items; diagonal is unused.
@@ -118,19 +123,30 @@ class EdgeMatrix:
         return float(self.values[i - 1, j - 1])
 
     def _write(self, rows: np.ndarray, cols: np.ndarray, value) -> None:
-        """Set each 0-based pair (rows[k], cols[k]), listed at most once, to value.
+        """Set each 0-based pair (rows, cols), broadcast together, listed at most once, to value.
 
-        Pairs already holding the other definite value are recorded, in order.
+        Pairs already holding the other definite value are recorded, in row-major order.
         """
-        value = np.broadcast_to(np.asarray(value, dtype=np.float64), rows.shape)
-        old = self.values[rows, cols]
+        flat = self.values.reshape(-1)
+        index, mirror = _pair_positions(self.n, rows, cols)
+        value = np.broadcast_to(np.asarray(value, dtype=np.float64), index.shape)
+        old = flat[index]
         clash = ~np.isnan(old) & (old != value)
+        row, col = np.divmod(index[clash], self.n)
         self.inconsistencies.extend(zip(
-            (rows[clash] + 1).tolist(), (cols[clash] + 1).tolist(),
-            old[clash].tolist(), value[clash].tolist(),
+            (row + 1).tolist(), (col + 1).tolist(), old[clash].tolist(), value[clash].tolist()
         ))
-        self.values[rows, cols] = value
-        self.values[cols, rows] = value
+        flat[index] = value
+        flat[mirror] = value
+
+
+def _unoffered_block(n: int, offered, flagged) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) pairing each flagged offered item with every unoffered item, as a block.
+
+    A flagged item has its nest inside the experiment, so it splits from the
+    whole block: exact mode writes 0 there, noisy mode merges 1 - p.
+    """
+    return offered[flagged][:, None], np.delete(np.arange(n), offered)
 
 
 def _one_hop_transitivity(values: np.ndarray, open_: np.ndarray) -> None:
@@ -159,25 +175,20 @@ def _identify_missing_pairs_exact(values: np.ndarray) -> None:
 
 
 def _components_of_ones(values: np.ndarray) -> NestPartition:
-    n = values.shape[0]
+    """Nests as the connected components of the definite-1 edges.
+
+    Each item's root starts as itself and takes the smallest root across its
+    1-edges, then jumps to its root's root, until every edge joins one root.
+    Edges are read in both orientations, so the loop ends on any matrix.
+    """
     ones = values == 1.0
-    seen = np.zeros(n, dtype=bool)
-    nests = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        group = []
-        while stack:
-            u = stack.pop()
-            group.append(u + 1)
-            for v in np.nonzero(ones[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        nests.append(sorted(group))
-    return NestPartition(nests)
+    i, j = np.nonzero(ones | ones.T)
+    root = np.arange(values.shape[0])
+    while (root[i] != root[j]).any():
+        np.minimum.at(root, i, root[j])
+        root = root[root]
+    order = np.argsort(root, kind="stable")
+    return NestPartition(np.split(order + 1, np.flatnonzero(np.diff(root[order])) + 1))
 
 
 def _finalize_exact(edges: EdgeMatrix) -> tuple[EdgeMatrix, NestPartition]:
@@ -186,17 +197,6 @@ def _finalize_exact(edges: EdgeMatrix) -> tuple[EdgeMatrix, NestPartition]:
     edges.values[np.isnan(edges.values)] = 0.0
     np.fill_diagonal(edges.values, 0.0)
     return edges, _components_of_ones(edges.values)
-
-
-def _split_from_unoffered(
-    edges: EdgeMatrix, offered: np.ndarray, members: np.ndarray
-) -> None:
-    # The flagged offered items have their nests inside the experiment, so
-    # each splits from every unoffered item.
-    unoffered = np.ones(edges.n, dtype=bool)
-    unoffered[offered] = False
-    rows, cols = np.nonzero(np.logical_and.outer(members, unoffered))
-    edges._write(offered[rows], cols, 0.0)
 
 
 def _deduce(n: int, comparisons, outside: bool) -> tuple[EdgeMatrix, NestPartition]:
@@ -216,22 +216,22 @@ def _deduce(n: int, comparisons, outside: bool) -> tuple[EdgeMatrix, NestPartiti
     low_groups = []
     for items, differ, boosted in comparisons:
         offered = np.asarray(items, dtype=np.intp) - 1
-        a, c = np.triu_indices(len(offered), 1)
+        a, c = _upper_pairs(len(offered))
         pair = differ[a, c]
         join = (pair == 0.0) & (boosted[a] == 1.0) & (boosted[c] == 1.0)
         write = (pair == 1.0) | join
         edges._write(offered[a[write]], offered[c[write]], join[write].astype(np.float64))
         unboosted = boosted == 0.0
         if outside:
-            _split_from_unoffered(edges, offered, unboosted)
+            edges._write(*_unoffered_block(n, offered, unboosted), 0.0)
         else:
             low_groups.append((offered, unboosted))
     for offered, low in low_groups:
         group = offered[low]
         if (edges.values[np.ix_(group, group)] == 0.0).any():
-            _split_from_unoffered(edges, offered, low)
+            edges._write(*_unoffered_block(n, offered, low), 0.0)
         else:
-            a, c = np.triu_indices(len(group), 1)
+            a, c = _upper_pairs(len(group))
             edges._write(group[a], group[c], 1.0)
     return _finalize_exact(edges)
 
@@ -438,11 +438,10 @@ def _merge_min(values: np.ndarray, rows, cols, weight) -> None:
     one gather and two scatters on the raveled matrix.
     """
     flat = values.reshape(-1)
-    n = values.shape[1]
-    index = rows * n + cols
+    index, mirror = _pair_positions(values.shape[0], rows, cols)
     merged = np.minimum(flat[index], weight)
     flat[index] = merged
-    flat[cols * n + rows] = merged
+    flat[mirror] = merged
 
 
 def _noisy_identify(
@@ -477,11 +476,8 @@ def _noisy_identify(
         if table.outside:
             unboosted = p_leq > config.beta
             if unboosted.any():
-                unoffered = np.setdiff1d(np.arange(n), offered)
-                _merge_min(
-                    values, offered[unboosted][:, None], unoffered[None, :],
-                    (1.0 - p_leq[unboosted])[:, None],
-                )
+                block = _unoffered_block(n, offered, unboosted)
+                _merge_min(values, *block, (1.0 - p_leq[unboosted])[:, None])
     if table.outside:
         _one_hop_transitivity(values, values != 0.0)  # any pair not rejected
     values[values == NOISY_NULL] = 0.0
@@ -531,11 +527,11 @@ def _threshold_comparisons(table: ChoiceCountTable, threshold: float):
     """
     skip = int(table.outside)
     for s, items in enumerate(table.assortments[1:]):
-        support = list(((0,) if table.outside else ()) + items)
-        xs, xc = table.counts[s + 1, support], table.counts[0, support]
-        m_s, m_c = table.sizes[s + 1], table.sizes[0]
+        support = ((0,) if table.outside else ()) + items
         ref = 0
         if not table.outside:
+            xs, xc = table.counts[[s + 1, 0]][:, list(items)]
+            m_s, m_c = table.sizes[[s + 1, 0]]
             seen = xc > 0
             if m_s == 0 or not seen.any():
                 continue
@@ -543,7 +539,7 @@ def _threshold_comparisons(table: ChoiceCountTable, threshold: float):
             ratio[seen] = (xs[seen] / m_s) / (xc[seen] / m_c)
             ref = int(np.lexsort((items, ratio))[0])
         a, b = _upper_pairs(len(support))
-        z = _pair_z(xs, xc, m_s, m_c, a, b)[0]
+        z = _support_z(table, s, support, a, b)[0]
         differ = np.full((len(support), len(support)), np.nan)
         differ[a, b] = differ[b, a] = np.where(np.isnan(z), np.nan, np.abs(z) > threshold)
         boosted = differ[:, ref].copy()

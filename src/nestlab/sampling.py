@@ -47,9 +47,9 @@ class ChoiceCountTable:
 
     assortments[0] is the control; labels align one to one.  counts[r, i] is
     how many of the sizes[r] customers of assortment r chose item i (0: the
-    outside option).  Items lie in 1..n, counts are non-negative, zero on
-    items the assortment does not offer and sum to the sample size;
-    construction rejects anything else.  Tables compare equal by value.
+    outside option).  Items lie in 1..n, counts and sizes are non-negative,
+    counts are zero on items the assortment does not offer and sum to the
+    sample size; construction rejects anything else.  Tables compare equal by value.
     """
 
     n: int
@@ -75,7 +75,12 @@ class ChoiceCountTable:
         if negative.size:
             r, i = negative[0]
             raise ValueError(f"negative count {counts[r, i]} for item {i} in {self.labels[r]}")
-        if (counts.sum(axis=1) != sizes).any():
+        negative = np.flatnonzero(sizes < 0)
+        if negative.size:
+            r = negative[0]
+            raise ValueError(f"negative sample size {sizes[r]} for {self.labels[r]}")
+        totals = counts.cumsum(axis=1)  # of non-negative terms: a wrap first shows as negative
+        if (totals < 0).any() or (totals[:, -1] != sizes).any():
             raise ValueError("counts must sum to the sample size")
 
     def __eq__(self, other) -> bool:

@@ -547,6 +547,26 @@ def test_count_row_with_too_few_fields_ends_in_one_line(tmp_path, thin_counts):
     assert exc.value.code == "nestlab identify: count file line 3 has 2 fields, not 4"
 
 
+def test_negative_sample_size_ends_in_one_line(tmp_path):
+    """Two control rows whose counts wrap in int64 to their negative sample size"""
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({"n": 1, "control": [1], "experiments": [
+        {"label": "S", "items": [1]}]}))
+    counts = tmp_path / "counts.csv"
+    counts.write_text(
+        "assortment_label,item_id,count,sample_size\n"
+        "control,0,5000000000000000000,-8446744073709551616\n"
+        "control,1,5000000000000000000,-8446744073709551616\n"
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["identify", "--design", str(design), "--counts", str(counts),
+              "--out-partition", str(tmp_path / "p.json")])
+    assert exc.value.code == (
+        "nestlab identify: negative sample size -8446744073709551616 for control"
+    )
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_count_field_that_is_not_an_integer_ends_in_one_line(tmp_path, thin_counts):
     """A row split by an unquoted comma in its label names the line and the field"""
     design, counts, _ = thin_counts

@@ -7,7 +7,14 @@ import re
 import numpy as np
 import pytest
 
-from nestlab.designs import ExperimentDesign, balanced_enumeration, naive_encoding, slice_design
+from nestlab.designs import (
+    ExperimentDesign,
+    balanced_enumeration,
+    design_from_dict,
+    design_to_dict,
+    naive_encoding,
+    slice_design,
+)
 from nestlab.identify import (
     EXACT_TOLERANCE,
     NOISY_NULL,
@@ -26,6 +33,7 @@ from nestlab.identify import (
     theorem_sample_size,
     theorem_z_threshold,
     z_statistic,
+    _components_of_ones,
     _finalize_exact,
     _pair_weights,
     _pair_z,
@@ -42,7 +50,13 @@ from nestlab.model import (
     generate_ground_truth,
 )
 from nestlab.recovery import recover_all
-from nestlab.sampling import ChoiceCountTable, allocate_customers, sample_choices
+from nestlab.sampling import (
+    ChoiceCountTable,
+    allocate_customers,
+    load_counts,
+    sample_choices,
+    save_counts,
+)
 
 
 def test_boost_factors_from_drink_sales():
@@ -376,6 +390,39 @@ def test_threshold_identification_skips_experiments_without_customers():
     assert partition == expected
 
 
+def test_experiment_offering_no_item_deduces_nothing(tmp_path):
+    """An experiment offering no item: exact and z-threshold rules deduce the same as without it"""
+    model = generate_ground_truth(8, np.random.default_rng(44))
+    design = slice_design(balanced_enumeration(8, 2))
+    table = sample_choices(model, design, [10**6] * (design.num_experiments + 1), seed=9)
+    data = design_to_dict(design)
+    data["experiments"].append({"label": "E", "items": []})
+    padded_design = design_from_dict(data)
+    path = tmp_path / "counts.csv"
+    save_counts(table, path)
+    with open(path, "a") as fh:
+        fh.write("E,0,1000,1000\n")
+    padded = load_counts(path, 8)
+    assert padded.assortments[-1] == () and padded_design.experiments[-1] == ()
+    exact = exact_identify_with_outside(boost_factors_from_counts(table), design)
+    assert_same_identification(
+        exact_identify_with_outside(boost_factors_from_counts(padded), padded_design), exact
+    )
+    for tau in (2.0, 5.0):
+        config = TestConfig(z_threshold=tau)
+        assert_same_identification(
+            noisy_identify_with_outside(padded, padded_design, config),
+            noisy_identify_with_outside(table, design, config),
+        )
+    # without an outside option such an experiment has no reference boost at all
+    rows = design_probabilities(generate_ground_truth(8, np.random.default_rng(45), False), design)
+    empty = ChoiceProbabilities(assortment=(), probs=np.zeros(9), outside=False)
+    assert_same_identification(
+        exact_identify_without_outside(boost_factors(rows[0], [*rows[1:], empty]), None),
+        exact_identify_without_outside(boost_factors(rows[0], rows[1:]), None),
+    )
+
+
 def test_theorem_constants_straight_line():
     # K = (|S| + 1) (n + 1 + C(n+1, 2)) pairs, n = 8 with 6 experiments
     assert theorem_pair_count(8, 6) == 7 * (9 + 36)
@@ -692,6 +739,46 @@ def reference_resolve_low_group(edges, group, offered):
         for a in range(len(group)):
             for c in range(a + 1, len(group)):
                 reference_set(edges, group[a], group[c], 1.0)
+
+
+def reference_components_of_ones(values):
+    """Depth-first search over the definite-1 edges, one nest per start item."""
+    n = len(values)
+    seen, nests = set(), []
+    for start in range(n):
+        if start in seen:
+            continue
+        stack, nest = [start], []
+        seen.add(start)
+        while stack:
+            u = stack.pop()
+            nest.append(u + 1)
+            for v in range(n):
+                if values[u, v] == 1.0 and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        nests.append(nest)
+    return NestPartition(nests)
+
+
+def test_components_of_ones_match_depth_first_search():
+    """Random graphs, shuffled paths and shuffled cliques: the same nests as the scalar search"""
+    rng = np.random.default_rng(81)
+    for trial in range(300):
+        n = int(rng.integers(1, 40))
+        values = np.where(rng.random((n, n)) < 0.5, 0.0, np.nan)
+        if trial % 3 == 0:  # sparse random edges
+            ones = rng.random((n, n)) < 0.1 * rng.random()
+            values[ones | ones.T] = 1.0
+        else:  # a path (trial % 3 == 1) or a clique through each of up to four groups
+            for group in np.split(rng.permutation(n), np.sort(rng.integers(0, n, 3))):
+                if trial % 3 == 1:
+                    a, b = group[:-1], group[1:]
+                else:
+                    a, b = (group[k] for k in np.triu_indices(len(group), 1))
+                values[a, b] = values[b, a] = 1.0
+        np.fill_diagonal(values, 0.0)
+        assert _components_of_ones(values) == reference_components_of_ones(values)
 
 
 def reference_exact_with_outside(table, tol=EXACT_TOLERANCE):

@@ -353,6 +353,18 @@ def _two_item_draw(allocation):
      "control lists sample sizes 5 and 7"),
     (lambda tmp: load_counts(_count_file(tmp / "c.csv", "S,1,5,5\nS,1,0,5\ncontrol,1,5,5\n"), 3),
      "S lists item 1 twice"),
+    # Then the table's own rules; 5e18 + 5e18 wraps in int64 to the negative size listed.
+    (lambda tmp: load_counts(_count_file(
+        tmp / "c.csv", "control,0,5000000000000000000,-8446744073709551616\n"
+        "control,1,5000000000000000000,-8446744073709551616\n"), 1),
+     "negative sample size -8446744073709551616 for control"),
+    (lambda tmp: ChoiceCountTable(n=1, outside=False, labels=("control", "S"),
+                                  assortments=((1,), (1,)), counts=[[0, 5], [0, 0]], sizes=[5, -1]),
+     "negative sample size -1 for S"),
+    (lambda tmp: ChoiceCountTable(  # 3 * 6148914691236517207 = 2**64 + 5 wraps in int64 to 5
+        n=2, outside=True, labels=("control",), assortments=((1, 2),),
+        counts=[[6148914691236517207] * 3], sizes=[5]),
+     "counts must sum to the sample size"),
 ])
 def test_sampling_boundary_checks(tmp_path, call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
