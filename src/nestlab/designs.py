@@ -70,22 +70,27 @@ class BaseBEncoding:
     def length(self) -> int:
         return self.digits.shape[1]
 
-    def sigma(self, item: int) -> tuple[int, ...]:
-        """Code of an item as a digit tuple."""
+    def _item_index(self, item: int) -> int:
         if not 1 <= item <= self.n:
             raise ValueError(f"item {item} out of range 1..{self.n}")
-        return tuple(int(d) for d in self.digits[item - 1])
+        return item - 1
+
+    def _position_index(self, position: int) -> int:
+        if not 1 <= position <= self.length:
+            raise ValueError(f"position {position} out of range 1..{self.length}")
+        return position - 1
+
+    def sigma(self, item: int) -> tuple[int, ...]:
+        """Code of an item as a digit tuple."""
+        return tuple(int(d) for d in self.digits[self._item_index(item)])
 
     def sigma_digit(self, item: int, position: int) -> int:
         """Digit of an item at a 1-based position."""
-        if not 1 <= position <= self.length:
-            raise ValueError(f"position {position} out of range 1..{self.length}")
-        return int(self.digits[item - 1, position - 1])
+        return int(self.digits[self._item_index(item), self._position_index(position)])
 
     def position_counts(self, position: int) -> np.ndarray:
         """How many items carry each digit 0..b-1 at a 1-based position."""
-        col = self.digits[:, position - 1]
-        return np.bincount(col, minlength=self.b)
+        return np.bincount(self.digits[:, self._position_index(position)], minlength=self.b)
 
 
 def naive_encoding(n: int, b: int) -> BaseBEncoding:

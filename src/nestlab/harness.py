@@ -9,8 +9,9 @@ any cell is reproducible in isolation, and writes one CSV per budget plus a
 summary JSON of means and confidence intervals.
 
 The grid runs one instance at a time (one process-pool task per instance):
-the instance's all-subset truth table is built once, shared by its cells'
-rmse_soft scores, and dropped before the next instance.
+the instance's all-subset truth cells (metrics.all_subset_cells) are built
+once, shared by its cells' rmse_soft scores, and dropped before the next
+instance.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .identify import (
 )
 from .metrics import (
     EXHAUSTIVE_LIMIT,
-    all_subset_probabilities,
+    all_subset_cells,
     confidence_interval,
     rand_index,
     rmse_soft,
@@ -208,7 +209,7 @@ def run_pipeline(
     config: ExperimentConfig,
     seed: int,
     instance: int = 0,
-    truth_table: np.ndarray | None = None,
+    truth_cells: np.ndarray | None = None,
 ) -> PipelineResult:
     """Design, sample, identify, recover, and score one grid cell.
 
@@ -217,8 +218,8 @@ def run_pipeline(
     restricted score read them.
     Baseline schemes reuse the slice design's data: default_two_nest skips
     identification in favor of a fixed half split, and point_estimate skips
-    modeling entirely, so it only gets the restricted score.  truth_table is
-    all_subset_probabilities(truth) when the caller has it; rmse_soft is the
+    modeling entirely, so it only gets the restricted score.  truth_cells is
+    all_subset_cells(truth) when the caller has it; rmse_soft is the
     same float either way, and NaN past metrics.EXHAUSTIVE_LIMIT items.
     """
     n = truth.n
@@ -251,7 +252,7 @@ def run_pipeline(
 
     result.partition = partition
     if n <= EXHAUSTIVE_LIMIT:
-        result.rmse_soft = rmse_soft(truth, estimate, truth_table)
+        result.rmse_soft = rmse_soft(truth, estimate, truth_cells)
     result.rand_index = rand_index(truth.partition, partition)
     result.rmse_soft_restricted = rmse_soft_restricted(
         true_probs, design_probabilities(estimate, design)
@@ -275,12 +276,12 @@ def _instance_models(config: ExperimentConfig) -> list[NestedLogitModel]:
 
 
 def _run_instance(args) -> list[PipelineResult]:
-    """Every (scheme, T) cell of one instance, sharing one truth table.
+    """Every (scheme, T) cell of one instance, sharing one vector of truth cells.
 
     Cells go through the module-level run_pipeline, looked up per call.
     """
     config, instance, truth = args
-    truth_table = all_subset_probabilities(truth) if truth.n <= EXHAUSTIVE_LIMIT else None
+    truth_cells = all_subset_cells(truth) if truth.n <= EXHAUSTIVE_LIMIT else None
     return [
         run_pipeline(
             truth,
@@ -289,7 +290,7 @@ def _run_instance(args) -> list[PipelineResult]:
             config,
             _cell_seed(config.seed, instance, scheme, T),
             instance,
-            truth_table=truth_table,
+            truth_cells=truth_cells,
         )
         for scheme in config.schemes
         for T in config.T_list
@@ -352,8 +353,8 @@ def compare_designs(config: ExperimentConfig) -> CompareReport:
     budget; general-position violations against the slice design get flagged
     (they void the identification guarantees, so the CLI exits nonzero).
     Work runs per instance: each instance builds its truth's all-subset
-    table once for its cells' rmse_soft and drops it when done, so at most
-    one table per worker is alive.  Results come back in (instance, scheme,
+    cells once for its cells' rmse_soft and drops them when done, so at
+    most one such vector per worker is alive.  Results come back in (instance, scheme,
     T) order.  NESTLAB_THREADS > 1 distributes instances across processes,
     at most one per CPU.
     """

@@ -120,6 +120,10 @@ class EdgeMatrix:
         return self.values.shape[0]
 
     def get(self, i: int, j: int) -> float:
+        """Edge value between items i and j; KeyError outside 1..n."""
+        for item in (i, j):
+            if not 1 <= item <= self.n:
+                raise KeyError(item)
         return float(self.values[i - 1, j - 1])
 
     def _write(self, rows: np.ndarray, cols: np.ndarray, value) -> None:

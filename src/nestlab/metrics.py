@@ -7,23 +7,27 @@ intervals are Student-t over independent instances (the only use of
 scipy, imported on first call so that importing nestlab stays light).
 
 The all-subset scores walk the bitmasks in blocks of 2**13, each through
-the model's one probability kernel: all_subset_probabilities fills its
-table block by block, and rmse_soft sums squared errors block by block
-without building the estimate's table.  A caller scoring many estimates of
-one truth (the comparison grid) builds the truth's table once and passes it
-to rmse_soft.  Probability rows are item-indexed arrays (see
+the model's one probability kernel, and keep only the cells rmse_soft
+counts: the outside option's probability and each offered item's, about
+half of the (2**n - 1) x (n + 1) table.  all_subset_cells gathers them
+into one vector, and rmse_soft sums squared errors piece by piece without
+building the estimate's.  A caller scoring many estimates of one truth
+(the comparison grid) builds the truth's vector once and passes it to
+rmse_soft.  all_subset_probabilities scatters the cells into the full
+table.  Probability rows are item-indexed arrays (see
 model.ChoiceProbabilities), so the restricted score is one array
 difference.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Iterator
 
 import numpy as np
 
-from .model import ChoiceProbabilities, NestPartition, NestedLogitModel, probability_table
+from .model import ChoiceProbabilities, NestPartition, NestedLogitModel, nest_factors
 
 EXHAUSTIVE_LIMIT = 20  # 2**n probability table; past this use the restricted form
 CONFIDENCE_LEVEL = 0.95  # two-sided coverage of confidence_interval
@@ -35,13 +39,21 @@ def _check_exhaustive(n: int) -> None:
         raise ValueError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_LIMIT}")
 
 
-def _subset_blocks(model: NestedLogitModel) -> Iterator[tuple[slice, np.ndarray]]:
-    """(rows, probability table) for each block of consecutive bitmasks.
+def _cell_count(n: int, outside: bool) -> int:
+    """Cells scored over the nonempty subsets: sum of |S|, plus one each for the outside option."""
+    return n * (1 << (n - 1)) + ((1 << n) - 1 if outside else 0)
 
-    rows selects the block's rows of the all-subset table (bitmask s on row
-    s - 1); the first block skips the empty subset.  The per-nest offered
-    weights are doubled once over the low items, in increasing item order;
-    a block's high items are then added in increasing item order too.
+
+def _subset_cells(model: NestedLogitModel) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, values): consecutive pieces of all_subset_cells(model), block by block.
+
+    A block is 2**13 consecutive bitmasks.  The per-nest offered weights are
+    doubled once over the low items, in increasing item order; a block's
+    high items are then added in increasing item order too, and one kernel
+    call gives the block's per-nest factors.  Low item t + 1 is offered on
+    every second run of 2**t bitmasks, high items on the whole block or on
+    none of it.  Block 0 is computed at full width, bitmask 0 included: that
+    subset offers no item, so only the outside option's piece drops it.
     """
     n = model.n
     low_bits = min(n, _BLOCK_BITS)
@@ -49,62 +61,94 @@ def _subset_blocks(model: NestedLogitModel) -> Iterator[tuple[slice, np.ndarray]
     labels = model.partition.labels().tolist()
     weights = model.weights
     low = np.zeros((model.partition.num_nests, width))  # column l: low subset l, 0 included
-    offered = np.empty((n, width), dtype=bool)
-    codes = np.arange(width, dtype=np.uint32)
     for t in range(low_bits):
         top = low[:, 1 << t : 2 << t]
         top[...] = low[:, : 1 << t]
         top[labels[t]] += weights[t]
-        offered[t] = (codes >> t) & 1
-    high_items = range(low_bits, n)
+    outside_cells = (1 << n) - 1 if model.outside else 0
+    starts = [outside_cells + t * (1 << (n - 1)) for t in range(n)]  # each item's next position
 
     def block_weights(high: int) -> np.ndarray:
         within = low.copy()
-        for t in high_items:
+        for t in range(low_bits, n):
             if (high >> (t - low_bits)) & 1:
                 within[labels[t]] += weights[t]
         return within
 
     for high in range(1 << (n - low_bits)):
-        offered[low_bits:] = ((high >> np.arange(n - low_bits)) & 1)[:, None]
-        first = high << low_bits
-        skip = 1 if high == 0 else 0  # bitmask 0 is the empty subset
-        rows = slice(first + skip - 1, first + width - 1)
-        # the weights are built in the call, so the kernel frees them before its table
-        yield rows, probability_table(model, block_weights(high)[:, skip:], offered[:, skip:])
+        # without an outside option bitmask 0 divides 0 by 0; no cell reads that column
+        with np.errstate(invalid="ignore") if high == 0 else contextlib.nullcontext():
+            # the weights are built in the call, so the kernel frees them before its factors
+            factor, denom = nest_factors(model, block_weights(high))
+        if model.outside:
+            skip = 1 if high == 0 else 0  # bitmask 0 is the empty subset
+            yield (high << low_bits) + skip - 1, 1.0 / denom[skip:]
+        for t, k in enumerate(labels):
+            if t < low_bits:
+                values = factor[k].reshape(-1, 2 << t)[:, 1 << t :] * weights[t]
+            elif (high >> (t - low_bits)) & 1:
+                values = factor[k] * weights[t]
+            else:
+                continue
+            yield starts[t], values.ravel()
+            starts[t] += values.size
+        del factor, denom  # freed before the next block is computed
+
+
+def all_subset_cells(model: NestedLogitModel) -> np.ndarray:
+    """Every choice probability that rmse_soft scores, as one vector.
+
+    First the outside option's probability on every nonempty subset, in
+    bitmask order (when the model has one), then item i's on every subset
+    that offers it, in bitmask order, for i = 1..n: n * 2**(n - 1) entries,
+    plus 2**n - 1 with an outside option.  A caller scoring many estimates
+    of one truth builds the truth's vector once and passes it to rmse_soft.
+    """
+    _check_exhaustive(model.n)
+    cells = np.empty(_cell_count(model.n, model.outside))
+    for start, values in _subset_cells(model):
+        cells[start : start + values.size] = values
+    return cells
 
 
 def all_subset_probabilities(model: NestedLogitModel) -> np.ndarray:
-    """Choice probabilities for every nonempty assortment, vectorized.
+    """Choice probabilities for every nonempty assortment, as one table.
 
     Row s - 1 (s = 1..2**n - 1) covers the assortment whose bitmask is s, in
     the item-indexed row format: column 0 is the outside option (all zero
     when the model has none) and column i the probability of item i, zero
     when not offered.  The table is column-major, so each column is
-    contiguous.  It is allocated once and filled block by block, so beside
-    it only one block's temporaries are alive.
+    contiguous.  It holds the entries of all_subset_cells, scattered into
+    zeros.
     """
-    _check_exhaustive(model.n)
-    table = np.empty((model.n + 1, (1 << model.n) - 1))  # one contiguous row per column
-    for rows, block in _subset_blocks(model):
-        table[:, rows] = block.T
+    n = model.n
+    cells = all_subset_cells(model)
+    items = cells[cells.size - n * (1 << (n - 1)) :].reshape(n, -1)
+    table = np.zeros((n + 1, (1 << n) - 1))  # one contiguous row per column
+    if model.outside:
+        table[0] = cells[: table.shape[1]]
+    codes = np.arange(1, 1 << n)
+    for t in range(n):
+        table[t + 1, (codes >> t) & 1 == 1] = items[t]
     return table.T
 
 
 def rmse_soft(
     truth: NestedLogitModel,
     estimate: NestedLogitModel,
-    truth_table: np.ndarray | None = None,
+    truth_cells: np.ndarray | None = None,
 ) -> float:
     """Root mean squared choice-probability error over all nonempty assortments.
 
     Each assortment contributes one squared error per offered item, plus one
-    for the outside option when present; the mean is over all contributions.
-    The squared errors are summed block by block, so the estimate's
-    all-subset table is never built.  truth_table, when given, is
-    all_subset_probabilities(truth), computed once and shared by every
-    estimate of the same truth; without it the truth's blocks are computed
-    alongside the estimate's.  The result is the same float either way.
+    for the outside option when present: the cells of all_subset_cells,
+    over which the mean is taken.  The squared errors are summed piece by
+    piece as the estimate's blocks are computed, and the pieces' sums added
+    with math.fsum, so no whole vector or table of the estimate is built.
+    truth_cells, when given, is all_subset_cells(truth), computed once and
+    shared by every estimate of the same truth; without it the truth's
+    pieces are computed alongside the estimate's.  The result is the same
+    float either way.
     """
     if truth.n != estimate.n:
         raise ValueError("models must share the item set")
@@ -112,22 +156,20 @@ def rmse_soft(
         raise ValueError("models must agree on the outside option")
     n = truth.n
     _check_exhaustive(n)
-    shape = ((1 << n) - 1, n + 1)
-    truth_blocks = None
-    if truth_table is None:
-        truth_blocks = _subset_blocks(truth)
-    elif truth_table.shape != shape:
-        raise ValueError(f"truth table shape {truth_table.shape}, expected {shape}")
-    total = 0.0
-    for rows, diff in _subset_blocks(estimate):
-        diff -= truth_table[rows] if truth_blocks is None else next(truth_blocks)[1]
-        flat = diff.ravel(order="K")  # a view, not a copy
-        total += float(np.vdot(flat, flat))
-        del diff, flat  # freed before the next block is computed
-    cells = n * (1 << (n - 1))  # sum of |S| over nonempty S
-    if truth.outside:
-        cells += (1 << n) - 1
-    return math.sqrt(total / cells)
+    count = _cell_count(n, truth.outside)
+    truth_pieces = None
+    if truth_cells is None:
+        truth_pieces = _subset_cells(truth)
+    elif truth_cells.shape != (count,):
+        raise ValueError(f"truth cells of shape {truth_cells.shape}, expected ({count},)")
+    sums = []
+    for start, diff in _subset_cells(estimate):
+        if truth_pieces is None:
+            diff -= truth_cells[start : start + diff.size]
+        else:
+            diff -= next(truth_pieces)[1]
+        sums.append(float(np.vdot(diff, diff)))
+    return math.sqrt(math.fsum(sums) / count)
 
 
 def rmse_soft_restricted(

@@ -8,13 +8,12 @@ with weight 1.
 
 Per-assortment values share one row format: an item-indexed vector of
 length n + 1, column 0 the outside option and column i item i, 0 where
-absent.  Every choice probability comes from one kernel, probability_table,
-fed per-nest offered weights (from offer masks here, by doubling over all
-subsets in metrics).  The kernel picks its branch by shape: with fewer
-assortments than items (a design, a single assortment) it sums the nests
-and fills the item columns as whole arrays; with at least as many (the
-all-subset blocks) it loops over nests and items.  Both give the same bits,
-so a row never depends on the rows computed with it.
+absent.  Every choice probability comes from one kernel, nest_factors, fed
+per-nest offered weights (from offer masks here, by doubling over all
+subsets in metrics): item i's probability is its nest's factor times v_i.
+probability_table spreads the factors into rows for designs and single
+assortments; metrics reads the all-subset blocks' offered entries straight
+from them.  A row never depends on the rows computed with it.
 """
 
 from __future__ import annotations
@@ -131,6 +130,9 @@ class NestedLogitModel:
         return self.partition.n
 
     def weight(self, item: int) -> float:
+        """Weight v_i of an item; KeyError outside 1..n."""
+        if not 1 <= item <= len(self.weights):
+            raise KeyError(item)
         return self.weights[item - 1]
 
 
@@ -180,24 +182,18 @@ def nest_sums(partition: NestPartition, values: np.ndarray) -> np.ndarray:
     return sums.reshape(partition.num_nests, rows)
 
 
-def probability_table(
-    model: NestedLogitModel, within: np.ndarray, offered: np.ndarray
-) -> np.ndarray:
-    """The one probability kernel: R assortments from their per-nest offered weights.
+def nest_factors(model: NestedLogitModel, within: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one probability kernel: (factor, denom) of R assortments, shapes (K, R) and (R,).
 
-    within[k, r] is nest k's offered weight W_N(S_r), offered[t, r] whether
-    assortment r offers item t + 1.  Nest values W_N ** lambda_N (in log
-    space; the fixed weight when lambda_N = 0, 0 for an absent nest), the
-    denominator (summed nest by nest, so no row depends on the others) and
-    one per-nest factor v_N / denom / W_N are whole-array operations; item
-    column i is factor[nest(i)] * v_i, zeroed where not offered.  With fewer
-    assortments than items (designs, single assortments) the denominator is
-    one cumulative sum over the nests and the item columns one gather; with
-    at least as many (the all-subset blocks) both stay loops over nests and
-    items, whose long rows make an extra strided pass cost more than the
-    loop.  Both branches give every entry bit for bit, whatever R is.
-    Returns the (R, n + 1) row-format table, column-major, allocated only
-    after within is dropped, so a temporary passed in is freed first.
+    within[k, r] is nest k's offered weight W_N(S_r).  Nest values
+    W_N ** lambda_N (in log space; the fixed weight when lambda_N = 0, 0 for
+    an absent nest), the denominator and the per-nest factor
+    v_N / denom / W_N are whole-array operations: item i's probability is
+    factor[nest(i)] * v_i where offered, the outside option's 1 / denom.
+    The denominator adds the nests in index order, so no assortment depends
+    on the others: with fewer assortments than items (designs, single
+    assortments) as one cumulative sum, with at least as many (the
+    all-subset blocks) as a loop that allocates no (K, R) temporary.
     """
     present = within > 0.0
     within = within + ~present  # absent nests read W = 1, so every log, exp and division is plain
@@ -208,9 +204,7 @@ def probability_table(
     for k, v in model.degenerate_weights.items():
         factor[k] = present[k] * v
     rows = within.shape[1]
-    labels = model.partition.labels()
-    wide = rows >= len(labels)  # many assortments: loops over nests and items cost little
-    if wide:
+    if rows >= model.n:
         denom = np.zeros(rows)
         for values in factor:
             denom += values
@@ -221,19 +215,26 @@ def probability_table(
     # per-nest factor v_N(S) / (denom(S) * W_N(S)), in place; absent nests stay 0
     factor /= denom
     factor /= within
-    del within, present  # free before the table is allocated
-    probs = np.empty((model.n + 1, rows))  # one contiguous row per column
+    return factor, denom
+
+
+def probability_table(
+    model: NestedLogitModel, within: np.ndarray, offered: np.ndarray
+) -> np.ndarray:
+    """Probability rows of R assortments from their per-nest offered weights.
+
+    within is as in nest_factors, offered[t, r] whether assortment r offers
+    item t + 1.  Returns the (R, n + 1) row-format table, column-major.
+    """
+    factor, denom = nest_factors(model, within)
+    probs = np.empty((model.n + 1, within.shape[1]))  # one contiguous row per column
     if model.outside:
         np.divide(1.0, denom, out=probs[0])
     else:
         probs[0] = 0.0
-    if wide:
-        for i, k in enumerate(labels.tolist(), start=1):
-            np.multiply(factor[k], model.weights[i - 1], out=probs[i])
-    else:
-        # mode="clip" writes straight into out; the default "raise" buffers it
-        np.take(factor, labels, axis=0, out=probs[1:], mode="clip")
-        probs[1:] *= np.asarray(model.weights)[:, None]
+    # mode="clip" writes straight into out; the default "raise" buffers it
+    np.take(factor, model.partition.labels(), axis=0, out=probs[1:], mode="clip")
+    probs[1:] *= np.asarray(model.weights)[:, None]
     probs[1:] *= offered
     return probs.T
 

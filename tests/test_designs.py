@@ -232,6 +232,12 @@ def test_encoding_rejects_out_of_range_queries():
         enc.sigma(5)
     with pytest.raises(ValueError):
         enc.sigma_digit(1, 0)
+    for item in (0, 5):  # item 0 would read item 4's digit
+        with pytest.raises(ValueError, match=f"item {item} out of range 1..4"):
+            enc.sigma_digit(item, 1)
+    for position in (0, 3):  # position 0 would count the last position
+        with pytest.raises(ValueError, match=f"position {position} out of range 1..2"):
+            enc.position_counts(position)
 
 
 @pytest.mark.parametrize("key", ["n", "control", "experiments", "label", "items"])

@@ -264,7 +264,7 @@ def test_compare_designs_calls_module_level_run_pipeline_per_cell(monkeypatch):
     original = harness.run_pipeline
 
     def spy(truth, scheme, T, *args, **kwargs):
-        calls.append((scheme, T, kwargs.get("truth_table") is not None))
+        calls.append((scheme, T, kwargs.get("truth_cells") is not None))
         return original(truth, scheme, T, *args, **kwargs)
 
     monkeypatch.setattr(harness, "run_pipeline", spy)

@@ -200,6 +200,15 @@ def test_exact_identification_without_outside_preserves_choice():
     assert merged >= 1
 
 
+def test_edge_matrix_get_rejects_items_outside_range():
+    """Items are 1-based: 0 and n + 1 raise KeyError instead of wrapping or an IndexError"""
+    edges = EdgeMatrix(values=np.arange(9.0).reshape(3, 3))
+    assert edges.get(1, 2) == 1.0 and edges.get(3, 1) == 6.0
+    for i, j in ((0, 1), (1, 0), (-1, 2), (4, 1), (1, 4)):
+        with pytest.raises(KeyError):
+            edges.get(i, j)
+
+
 def test_edge_matrix_records_exact_contradictions():
     n = 4
     design = ExperimentDesign(

@@ -14,6 +14,7 @@ import pytest
 import nestlab
 from nestlab.designs import balanced_enumeration, slice_design
 from nestlab.metrics import (
+    all_subset_cells,
     all_subset_probabilities,
     confidence_interval,
     rand_index,
@@ -28,7 +29,6 @@ from nestlab.model import (
     design_probabilities,
     generate_ground_truth,
     normalize_identifiable,
-    probability_table,
     singleton_partition,
 )
 
@@ -100,33 +100,53 @@ def test_all_subset_probabilities_match_choice_probabilities(outside):
             np.testing.assert_allclose(table[s - 1], want, rtol=0, atol=1e-14)
 
 
-def test_rmse_soft_with_given_truth_table_is_bitwise_equal():
+def test_rmse_soft_with_given_truth_cells_is_bitwise_equal():
     rng = np.random.default_rng(71)
     for outside in (True, False):
         for n in (2, 5, 9):
             truth = generate_ground_truth(n, rng, outside=outside)
             estimate = generate_ground_truth(n, rng, outside=outside)
-            table = all_subset_probabilities(truth)
-            before = table.copy()
-            assert rmse_soft(truth, estimate, table) == rmse_soft(truth, estimate)
-            np.testing.assert_array_equal(table, before)  # the shared table is not modified
+            cells = all_subset_cells(truth)
+            before = cells.copy()
+            assert rmse_soft(truth, estimate, cells) == rmse_soft(truth, estimate)
+            np.testing.assert_array_equal(cells, before)  # the shared vector is not modified
     truth = mixed_nest_model(True)
-    assert rmse_soft(truth, truth, all_subset_probabilities(truth)) == 0.0
+    assert rmse_soft(truth, truth, all_subset_cells(truth)) == 0.0
 
 
 def full_width_table(model):
-    """The all-subset table from one doubling over every bitmask and one kernel call."""
+    """The all-subset table in one pass over every bitmask, the kernel's arithmetic written out.
+
+    Nest weights doubled over the items in increasing order, W ** lambda in
+    log space (the fixed weight when lambda = 0, 0 for an absent nest), the
+    denominator summed nest by nest, the factor v_N / denom / W_N, and item
+    column i the factor times v_i, times 1 where offered and 0 elsewhere.
+    """
     n = model.n
-    codes = np.arange(1, 1 << n, dtype=np.uint32)
-    masks = np.empty((n, codes.size), dtype=bool)
-    for t in range(n):
-        masks[t] = (codes >> t) & 1
     sums = np.zeros((model.partition.num_nests, 1 << n))  # column s: subset s, 0 included
     for t, k in enumerate(model.partition.labels()):
         top = sums[:, 1 << t : 2 << t]
         top[...] = sums[:, : 1 << t]
         top[k] += model.weights[t]
-    return probability_table(model, sums[:, 1:], masks)
+    within = sums[:, 1:]
+    present = within > 0.0
+    safe = np.where(present, within, 1.0)
+    values = np.exp(np.log(safe) * np.asarray(model.lambdas)[:, None]) * present
+    for k, v in model.degenerate_weights.items():
+        values[k] = present[k] * v
+    denom = np.zeros(within.shape[1])
+    for row in values:
+        denom += row
+    if model.outside:
+        denom += 1.0
+    factor = values / denom / safe
+    codes = np.arange(1, 1 << n)
+    table = np.zeros((n + 1, codes.size))  # column-major, as the library's table
+    if model.outside:
+        table[0] = 1.0 / denom
+    for t, k in enumerate(model.partition.labels()):
+        table[t + 1] = factor[k] * model.weights[t] * ((codes >> t) & 1)
+    return table.T
 
 
 def degenerate_models(n, outside):
@@ -153,7 +173,7 @@ def degenerate_models(n, outside):
     return [model, normalize_identifiable(model)]
 
 
-@pytest.mark.parametrize("n", [1, 2, 12, 13, 14, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 13, 14, 16])
 @pytest.mark.parametrize("outside", [True, False])
 def test_all_subset_probabilities_equal_one_full_width_pass(n, outside):
     """Bitwise: blocks of 2**13 bitmasks reproduce one pass over all of them"""
@@ -166,7 +186,29 @@ def test_all_subset_probabilities_equal_one_full_width_pass(n, outside):
         assert np.array_equal(table, full_width_table(model))
 
 
-@pytest.mark.parametrize("n", [14, 16])
+@pytest.mark.parametrize("n", [3, 12, 13, 14, 16])
+@pytest.mark.parametrize("outside", [True, False])
+def test_all_subset_cells_are_the_offered_entries(n, outside):
+    """Bitwise: the cells are the table's offered entries, in the documented order"""
+    truth, twin = degenerate_models(n, outside)  # a lambda = 0 nest, and its normalized twin
+    estimate = generate_ground_truth(n, np.random.default_rng(200 + n), outside=outside)
+    codes = np.arange(1, 2**n)
+    for model in (truth, twin, estimate):
+        cells = all_subset_cells(model)
+        table = all_subset_probabilities(model)
+        offered = [table[:, 0]] if outside else []
+        offered += [table[(codes >> t) & 1 == 1, t + 1] for t in range(n)]
+        assert cells.shape == (n * 2 ** (n - 1) + (2**n - 1 if outside else 0),)
+        assert np.array_equal(cells, np.concatenate(offered))
+    cells = all_subset_cells(truth)
+    for model in (twin, estimate):
+        assert rmse_soft(truth, model, cells) == rmse_soft(truth, model)
+        for wrong in (cells[:-1], np.append(cells, 0.0)):
+            with pytest.raises(ValueError, match="truth cells"):
+                rmse_soft(truth, model, wrong)
+
+
+@pytest.mark.parametrize("n", [3, 12, 13, 14, 16])
 def test_rmse_soft_matches_one_whole_table_sum(n):
     rng = np.random.default_rng(73)
     for outside in (True, False):
@@ -178,13 +220,13 @@ def test_rmse_soft_matches_one_whole_table_sum(n):
             flat = diff.ravel(order="K")
             cells = n * 2 ** (n - 1) + (2**n - 1 if outside else 0)
             want = math.sqrt(float(np.vdot(flat, flat)) / cells)
-            got = rmse_soft(truth, estimate, all_subset_probabilities(truth))
+            got = rmse_soft(truth, estimate, all_subset_cells(truth))
             assert got == rmse_soft(truth, estimate)
             assert abs(got - want) <= 1e-15 * want
 
 
 def test_rmse_soft_never_holds_a_whole_table():
-    """Beside the shared truth table, one n = 16 score holds at most half a table"""
+    """Beside the shared truth cells, one n = 16 score holds at most half a table"""
     rng = np.random.default_rng(74)
     truth = generate_ground_truth(16, rng)
     estimate = NestedLogitModel(  # one nest per item: the most per-nest temporaries
@@ -192,21 +234,25 @@ def test_rmse_soft_never_holds_a_whole_table():
         outside=True,
     )
     table = all_subset_probabilities(truth)
+    cells = all_subset_cells(truth)
     tracemalloc.start()
     try:
-        rmse_soft(truth, estimate, table)
+        rmse_soft(truth, estimate, cells)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= table.nbytes / 2
 
 
-def test_rmse_soft_rejects_truth_table_of_wrong_shape():
+def test_rmse_soft_rejects_truth_cells_of_wrong_shape():
     rng = np.random.default_rng(72)
     truth = generate_ground_truth(5, rng)
     other = generate_ground_truth(4, rng)
-    with pytest.raises(ValueError, match="truth table"):
-        rmse_soft(truth, truth, all_subset_probabilities(other))
+    no_outside = generate_ground_truth(5, rng, outside=False)
+    for wrong in (all_subset_cells(other), all_subset_cells(no_outside),
+                  all_subset_probabilities(truth), all_subset_cells(truth)[None, :]):
+        with pytest.raises(ValueError, match="truth cells"):
+            rmse_soft(truth, truth, wrong)
 
 
 def test_rmse_soft_matches_brute_force():

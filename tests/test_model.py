@@ -79,6 +79,17 @@ def test_partition_nest_of_rejects_items_outside_range():
             p.nest_of(item)
 
 
+def test_model_weight_rejects_items_outside_range():
+    """Items 0, -1 and n+1 raise KeyError; a tuple index would wrap for 0 and -1"""
+    model = NestedLogitModel(
+        partition=NestPartition([(1, 2), (3,)]), weights=(2.0, 3.0, 5.0), lambdas=(0.5, 1.0)
+    )
+    assert [model.weight(i) for i in (1, 2, 3)] == [2.0, 3.0, 5.0]
+    for item in (0, -1, 4):
+        with pytest.raises(KeyError):
+            model.weight(item)
+
+
 def test_partition_labels_are_read_only():
     p = NestPartition([(2, 4), (1, 3)])
     with pytest.raises(ValueError):
