@@ -10,13 +10,11 @@ takes b*L = O(b log n / log b) experiments plus one control.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .model import from_json_object, offered_mask
+from .model import from_json_object, item_ids, item_position, offered_mask
 
 
 def _check_items(n: int) -> None:
@@ -51,6 +49,14 @@ def _base_b_digits(values: np.ndarray, b: int, width: int) -> np.ndarray:
     return out
 
 
+def _one_based(what: str, value: int, size: int) -> int:
+    """0-based index of a 1-based item or position; ValueError unless an integer in 1..size."""
+    try:
+        return item_position(value, size)
+    except KeyError:
+        raise ValueError(f"{what} {value} out of range 1..{size}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class BaseBEncoding:
     """Assignment of base-b digit strings to items 1..n.
@@ -71,14 +77,10 @@ class BaseBEncoding:
         return self.digits.shape[1]
 
     def _item_index(self, item: int) -> int:
-        if not 1 <= item <= self.n:
-            raise ValueError(f"item {item} out of range 1..{self.n}")
-        return item - 1
+        return _one_based("item", item, self.n)
 
     def _position_index(self, position: int) -> int:
-        if not 1 <= position <= self.length:
-            raise ValueError(f"position {position} out of range 1..{self.length}")
-        return position - 1
+        return _one_based("position", position, self.length)
 
     def sigma(self, item: int) -> tuple[int, ...]:
         """Code of an item as a digit tuple."""
@@ -120,13 +122,6 @@ def balanced_enumeration(n: int, b: int) -> BaseBEncoding:
     return BaseBEncoding(n=n, b=b, digits=digits)
 
 
-def _canonical_assortment(items: Iterable[int], n: int, what: str) -> tuple[int, ...]:
-    out = sorted(set(map(operator.index, items)))
-    if out and (out[0] < 1 or out[-1] > n):
-        raise ValueError(f"{what} contains items outside 1..{n}")
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class ExperimentDesign:
     """Labeled experimental assortments, compared against a control that offers every item."""
@@ -137,14 +132,8 @@ class ExperimentDesign:
 
     def __post_init__(self):
         _check_items(self.n)
-        object.__setattr__(
-            self,
-            "experiments",
-            tuple(
-                _canonical_assortment(s, self.n, f"experiment {k}")
-                for k, s in enumerate(self.experiments)
-            ),
-        )
+        rows = (item_ids(s, self.n, f"experiment {k}") for k, s in enumerate(self.experiments))
+        object.__setattr__(self, "experiments", tuple(rows))
         if len(self.labels) != len(self.experiments):
             raise ValueError("one label per experiment required")
         if len(set(self.labels)) != len(self.labels):
@@ -176,14 +165,9 @@ def slice_design(encoding: BaseBEncoding) -> ExperimentDesign:
     for pos in range(1, encoding.length + 1):
         col = encoding.digits[:, pos - 1]
         for d in range(encoding.b):
-            items = tuple(int(x) + 1 for x in np.nonzero(col != d)[0])
-            experiments.append(items)
+            experiments.append((np.flatnonzero(col != d) + 1).tolist())
             labels.append(f"S({pos},-{d})")
-    return ExperimentDesign(
-        n=encoding.n,
-        experiments=tuple(experiments),
-        labels=tuple(labels),
-    )
+    return ExperimentDesign(n=encoding.n, experiments=experiments, labels=tuple(labels))
 
 
 def randomized_design(
@@ -212,12 +196,9 @@ def randomized_design(
         sizes = np.full(num_assortments, n // 2, dtype=np.int64)
     else:
         raise ValueError(f"unknown size rule {size_rule!r}")
-    experiments = []
-    for s in sizes:
-        items = rng.choice(n, size=int(s), replace=False) + 1
-        experiments.append(tuple(sorted(int(x) for x in items)))
+    experiments = [(rng.choice(n, size=int(s), replace=False) + 1).tolist() for s in sizes]
     labels = tuple(f"RAND({k + 1})" for k in range(num_assortments))
-    return ExperimentDesign(n=n, experiments=tuple(experiments), labels=labels)
+    return ExperimentDesign(n=n, experiments=experiments, labels=labels)
 
 
 def leave_one_out_design(n: int) -> ExperimentDesign:
@@ -241,10 +222,8 @@ def incremental_design(
     """
     _check_items(n)
     rng = np.random.default_rng(rng)
-    perm = rng.permutation(n) + 1
-    experiments = tuple(
-        tuple(sorted(int(x) for x in perm[:k])) for k in range(1, n + 1)
-    )
+    perm = (rng.permutation(n) + 1).tolist()
+    experiments = [perm[:k] for k in range(1, n + 1)]
     labels = tuple(f"INC({k})" for k in range(1, n + 1))
     return ExperimentDesign(n=n, experiments=experiments, labels=labels)
 

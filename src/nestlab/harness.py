@@ -60,6 +60,7 @@ from .model import (
     design_probabilities,
     from_json_object,
     generate_ground_truth,
+    integer,
 )
 from .recovery import recover_all, recover_least_squares
 from .sampling import ChoiceCountTable, allocate_customers, draw_counts, empirical_probabilities
@@ -87,6 +88,14 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        names = ["n", "b", "instances", "seed"]
+        if self.num_random_assortments is not None:
+            names.append("num_random_assortments")
+        for name in names:
+            object.__setattr__(self, name, integer(getattr(self, name), f"config field {name}"))
+        T_list = tuple(integer(T, "config field T_list entry") for T in self.T_list)
+        object.__setattr__(self, "T_list", T_list)
+        object.__setattr__(self, "schemes", tuple(self.schemes))
         valid = set(DESIGN_SCHEMES) | set(BASELINE_SCHEMES)
         bad = [s for s in self.schemes if s not in valid]
         if bad:
@@ -106,10 +115,6 @@ def _config_from_object(data: dict) -> ExperimentConfig:
     extra = set(data) - known
     if extra:
         raise ValueError(f"unknown config fields: {sorted(extra)}")
-    data = dict(data)
-    for key in ("schemes", "T_list"):
-        if key in data:
-            data[key] = tuple(data[key])
     return ExperimentConfig(**data)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,7 @@ from .model import (
     ChoiceProbabilities,
     NestPartition,
     design_probabilities,
+    item_position,
     offered_mask,
     relative_differ,
 )
@@ -121,10 +123,7 @@ class EdgeMatrix:
 
     def get(self, i: int, j: int) -> float:
         """Edge value between items i and j; KeyError outside 1..n."""
-        for item in (i, j):
-            if not 1 <= item <= self.n:
-                raise KeyError(item)
-        return float(self.values[i - 1, j - 1])
+        return float(self.values[item_position(i, self.n), item_position(j, self.n)])
 
     def _write(self, rows: np.ndarray, cols: np.ndarray, value) -> None:
         """Set each 0-based pair (rows, cols), broadcast together, listed at most once, to value.
@@ -345,6 +344,7 @@ def z_statistic(table: ChoiceCountTable, i: int, j: int, experiment: int) -> flo
     the classical pooled form.  Exactly antisymmetric in (i, j): swapping
     the arguments negates the same float products (see _pair_z).
     """
+    i, j = operator.index(i), operator.index(j)
     if i == j:
         raise ValueError("z statistic needs two distinct choices")
     for row in (0, experiment + 1):

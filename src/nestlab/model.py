@@ -4,7 +4,8 @@ Items 1..n are partitioned into nests.  Nest N with dissimilarity lambda_N
 contributes weight (sum of member item weights in the assortment)**lambda_N,
 except lambda_N = 0 nests, which contribute a fixed weight v_N whenever any
 member is offered.  An optional outside option (id 0) sits in its own nest
-with weight 1.
+with weight 1.  Every assortment, nest and 1-based lookup takes its item
+ids through one rule: item_ids (item_position for lookups).
 
 Per-assortment values share one row format: an item-indexed vector of
 length n + 1, column 0 the outside option and column i item i, 0 where
@@ -30,6 +31,36 @@ LAMBDA_ROUNDOFF = 1e-9  # slack for clamping lambda back into [0, 1]
 EXACT_TOLERANCE = 1e-9  # relative; exact inputs only carry roundoff noise
 
 
+def item_ids(items: Iterable[int], n: int | None = None, what: str = "") -> tuple[int, ...]:
+    """The one item-id rule: the distinct items of a set, sorted.
+
+    Each id must be an integer (operator.index raises TypeError otherwise);
+    given n, an id outside 1..n is a ValueError naming the first such id of what.
+    """
+    ids = list(map(operator.index, items))
+    out = sorted(set(ids))
+    if n is not None and out and (out[0] < 1 or out[-1] > n):
+        bad = next(i for i in ids if not 1 <= i <= n)
+        raise ValueError(f"item {bad} of {what} lies outside 1..{n}")
+    return tuple(out)
+
+
+def item_position(item: int, n: int) -> int:
+    """0-based position of a 1-based id; KeyError unless item_ids takes it in 1..n."""
+    try:
+        return item_ids((item,), n)[0] - 1
+    except (TypeError, ValueError):
+        raise KeyError(item) from None
+
+
+def integer(value, what: str) -> int:
+    """operator.index(value), or one ValueError naming what the value is."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class NestPartition:
     """Partition of items 1..n into nonempty nests.
@@ -41,10 +72,7 @@ class NestPartition:
     nests: tuple[tuple[int, ...], ...]
 
     def __init__(self, nests: Iterable[Iterable[int]]):
-        canon = sorted(
-            (tuple(sorted(set(map(operator.index, nest)))) for nest in nests),
-            key=lambda t: t[0] if t else 0,
-        )
+        canon = sorted(map(item_ids, nests), key=lambda t: t[0] if t else 0)
         if any(len(nest) == 0 for nest in canon):
             raise ValueError("empty nest")
         object.__setattr__(self, "nests", tuple(canon))
@@ -73,9 +101,7 @@ class NestPartition:
 
     def nest_of(self, item: int) -> int:
         """Index of the nest containing an item; KeyError outside 1..n."""
-        if not 1 <= item <= len(self._labels):
-            raise KeyError(item)
-        return int(self._labels[item - 1])
+        return int(self._labels[item_position(item, self.n)])
 
     def labels(self) -> np.ndarray:
         """Per-item nest indices, position i-1 for item i; read-only."""
@@ -111,8 +137,8 @@ class NestedLogitModel:
         )
         if len(self.weights) != n:
             raise ValueError("one weight per item required")
-        if any(v <= 0 for v in self.weights):
-            raise ValueError("item weights must be positive")
+        if not all(0.0 < v < math.inf for v in self.weights):
+            raise ValueError("item weights must be positive and finite")
         if len(self.lambdas) != self.partition.num_nests:
             raise ValueError("one lambda per nest required")
         if any(not 0.0 <= l <= 1.0 for l in self.lambdas):
@@ -122,8 +148,8 @@ class NestedLogitModel:
             raise ValueError(
                 "degenerate_weights must cover exactly the nests with lambda = 0"
             )
-        if any(v <= 0 for v in self.degenerate_weights.values()):
-            raise ValueError("degenerate nest weights must be positive")
+        if not all(0.0 < v < math.inf for v in self.degenerate_weights.values()):
+            raise ValueError("degenerate nest weights must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -131,9 +157,7 @@ class NestedLogitModel:
 
     def weight(self, item: int) -> float:
         """Weight v_i of an item; KeyError outside 1..n."""
-        if not 1 <= item <= len(self.weights):
-            raise KeyError(item)
-        return self.weights[item - 1]
+        return self.weights[item_position(item, self.n)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,25 +171,18 @@ class ChoiceProbabilities:
     probs: np.ndarray
     outside: bool
 
-    def prob(self, item: int) -> float:
-        return float(self.probs[item])
-
 
 def offered_mask(
     n: int, outside: bool, assortments: Sequence[Sequence[int]], labels: Sequence[str]
 ) -> np.ndarray:
     """Bool (len(assortments), n + 1) mask of the offered entries of each row.
 
-    Column 0, the outside option, is set on every row when present.  Items
-    outside 1..n are rejected, naming the row's label.
+    Column 0, the outside option, is set on every row when present.  Each
+    row's items go through item_ids, which names the row's label.
     """
     mask = np.zeros((len(assortments), n + 1), dtype=bool)
     for label, row, items in zip(labels, mask, assortments):
-        cols = np.asarray(items, dtype=np.int64)
-        bad = cols[(cols < 1) | (cols > n)]
-        if bad.size:
-            raise ValueError(f"item {bad[0]} of {label} lies outside 1..{n}")
-        row[cols] = True
+        row[np.fromiter(item_ids(items, n, label), np.intp)] = True
     mask[:, 0] = outside
     return mask
 
@@ -239,23 +256,18 @@ def probability_table(
     return probs.T
 
 
-def _check_assortment(assortment: Sequence[int]) -> tuple[int, ...]:
-    items = np.sort(np.fromiter(assortment, dtype=np.int64))
-    if not items.size:
-        raise ValueError("assortment must be nonempty")
-    return tuple(items[np.concatenate(([True], items[1:] != items[:-1]))].tolist())
-
-
 def _assortment_probabilities(
     model: NestedLogitModel, assortments: Sequence[Sequence[int]]
 ) -> list[ChoiceProbabilities]:
-    rows = [_check_assortment(items) for items in assortments]
-    offered = offered_mask(model.n, False, rows, rows)[:, 1:].T  # item-major
+    mask = offered_mask(model.n, False, assortments, ["assortment"] * len(assortments))
+    if not mask.any(axis=1).all():
+        raise ValueError("assortment must be nonempty")
+    offered = mask[:, 1:].T  # item-major
     within = nest_sums(model.partition, offered * np.asarray(model.weights)[:, None])
     table = probability_table(model, within, offered)
-    return [
-        ChoiceProbabilities(assortment=items, probs=row, outside=model.outside)
-        for items, row in zip(rows, table)
+    return [  # each row's items as item_ids gives them: its mask's columns
+        ChoiceProbabilities(tuple(np.flatnonzero(items).tolist()), row, model.outside)
+        for items, row in zip(mask, table)
     ]
 
 
@@ -332,11 +344,7 @@ def generate_ground_truth(
     perm = rng.permutation(n) + 1
     k = int(rng.integers(1, n // 2 + 1))
     cuts = np.sort(rng.choice(n - 1, size=k - 1, replace=False)) + 1
-    bounds = [0, *cuts.tolist(), n]
-    nests = [
-        tuple(sorted(int(x) for x in perm[bounds[j]:bounds[j + 1]]))
-        for j in range(k)
-    ]
+    nests = np.split(perm, cuts)
     partition = NestPartition(nests)
     weights = tuple(float(w) for w in rng.uniform(1.0, 10.0, size=n))
     lambdas = tuple(float(l) for l in rng.uniform(0.3, 0.6, size=k))

@@ -18,7 +18,9 @@ from typing import Any
 import numpy as np
 
 from .designs import ExperimentDesign
-from .model import ChoiceProbabilities, NestedLogitModel, design_probabilities, offered_mask
+from .model import (
+    ChoiceProbabilities, NestedLogitModel, design_probabilities, integer, offered_mask,
+)
 
 INT64 = np.iinfo(np.int64)
 
@@ -29,6 +31,7 @@ def allocate_customers(total: int, num_assortments: int) -> list[int]:
     Remainder seats go round-robin starting from the first assortment, so
     sizes differ by at most 1.
     """
+    total, num_assortments = integer(total, "budget"), integer(num_assortments, "assortment count")
     if num_assortments < 1:
         raise ValueError("need at least one assortment")
     if total > INT64.max:

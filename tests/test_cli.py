@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -514,7 +515,15 @@ def test_failed_simulate_leaves_no_model_file(tmp_path, capsys):
      "model has a field of the wrong type: 'int' object is not iterable"),
     ("evaluate", "--est", lambda d: {**d, "lambda": None},
      "model has a field of the wrong type: 'NoneType' object is not iterable"),
+    ("evaluate", "--est", lambda d: {**d, "v": [math.nan, *d["v"][1:]]},
+     "item weights must be positive and finite"),
+    ("evaluate", "--true", lambda d: {**d, "v": [*d["v"][:-1], math.inf]},
+     "item weights must be positive and finite"),
     ("compare", "--config", lambda d: [1, 2], "config file must hold a JSON object"),
+    ("compare", "--config", lambda d: {**d, "T_list": [9000.5]},
+     "config field T_list entry must be an integer, got 9000.5"),
+    ("compare", "--config", lambda d: {**d, "instances": 1.0},
+     "config field instances must be an integer, got 1.0"),
 ])
 def test_malformed_input_files_end_in_one_line(tmp_path, thin_counts, command, flag, rewrite,
                                                message):

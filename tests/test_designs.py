@@ -232,12 +232,24 @@ def test_encoding_rejects_out_of_range_queries():
         enc.sigma(5)
     with pytest.raises(ValueError):
         enc.sigma_digit(1, 0)
-    for item in (0, 5):  # item 0 would read item 4's digit
-        with pytest.raises(ValueError, match=f"item {item} out of range 1..4"):
+    for item in (0, 5, 1.5, 2.0):  # item 0 would read item 4's digit, 1.5 fail as an index
+        with pytest.raises(ValueError, match=f"^item {item} out of range 1..4$"):
             enc.sigma_digit(item, 1)
-    for position in (0, 3):  # position 0 would count the last position
+        with pytest.raises(ValueError, match=f"^item {item} out of range 1..4$"):
+            enc.sigma(item)
+    for position in (0, 3, 1.0):  # position 0 would count the last position
         with pytest.raises(ValueError, match=f"position {position} out of range 1..2"):
             enc.position_counts(position)
+
+
+def test_design_experiments_follow_the_item_id_rule():
+    """Ids are sorted and deduplicated; the first id outside 1..n is named; floats are refused"""
+    design = ExperimentDesign(n=3, experiments=[np.array([3, 1, 3]), (2,)], labels=("A", "B"))
+    assert design.experiments == ((1, 3), (2,))
+    with pytest.raises(ValueError, match=r"^item 4 of experiment 1 lies outside 1\.\.3$"):
+        ExperimentDesign(n=3, experiments=[(1,), (2, 4, 0)], labels=("A", "B"))
+    with pytest.raises(TypeError):
+        ExperimentDesign(n=3, experiments=[(1, 2.5)], labels=("A",))
 
 
 @pytest.mark.parametrize("key", ["n", "control", "experiments", "label", "items"])

@@ -379,3 +379,26 @@ def test_report_writes_one_file_per_budget(tmp_path):
 def test_harness_boundary_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("T_list", (9000.5,), "config field T_list entry must be an integer, got 9000.5"),
+    ("T_list", (7000, 9000.0), "config field T_list entry must be an integer, got 9000.0"),
+    ("n", 8.0, "config field n must be an integer, got 8.0"),
+    ("b", "2", "config field b must be an integer, got '2'"),
+    ("instances", 1.5, "config field instances must be an integer, got 1.5"),
+    ("seed", None, "config field seed must be an integer, got None"),
+    ("num_random_assortments", 4.0,
+     "config field num_random_assortments must be an integer, got 4.0"),
+])
+def test_config_integer_fields_are_integers(field, value, message):
+    """A float budget used to end in a TypeError from the cell seed, deep inside the grid"""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tiny_config(**{field: value})
+
+
+def test_config_integer_fields_become_python_ints():
+    config = config_from_dict({"n": np.int64(8), "T_list": [np.int64(7000)], "seed": np.int32(5)})
+    assert config.T_list == (7000,) and type(config.T_list[0]) is int
+    assert type(config.n) is int and type(config.seed) is int
+    assert config.to_dict()["T_list"] == [7000]

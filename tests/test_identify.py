@@ -204,7 +204,7 @@ def test_edge_matrix_get_rejects_items_outside_range():
     """Items are 1-based: 0 and n + 1 raise KeyError instead of wrapping or an IndexError"""
     edges = EdgeMatrix(values=np.arange(9.0).reshape(3, 3))
     assert edges.get(1, 2) == 1.0 and edges.get(3, 1) == 6.0
-    for i, j in ((0, 1), (1, 0), (-1, 2), (4, 1), (1, 4)):
+    for i, j in ((0, 1), (1, 0), (-1, 2), (4, 1), (1, 4), (1.5, 1), (1, 2.0)):
         with pytest.raises(KeyError):
             edges.get(i, j)
 
@@ -313,6 +313,22 @@ def test_z_statistic_zero_when_shares_match():
         sizes=(100, 70),
     )
     assert z_statistic(table, 1, 2, 0) == 0.0
+
+
+def test_z_statistic_rejects_non_integer_ids():
+    """2.0 passed the offer check (2.0 in (1, 2)) and then failed as an array index"""
+    table = ChoiceCountTable(
+        n=2,
+        outside=True,
+        labels=("control", "S"),
+        assortments=((1, 2), (1, 2)),
+        counts=([10, 30, 60], [40, 10, 20]),
+        sizes=(100, 70),
+    )
+    assert z_statistic(table, np.int64(1), 2, 0) == 0.0
+    for i, j in ((1, 2.0), (1.5, 2)):
+        with pytest.raises(TypeError):
+            z_statistic(table, i, j, 0)
 
 
 def test_z_statistic_rejects_empty_evidence():

@@ -63,8 +63,8 @@ def test_all_subset_probabilities_order_is_bitmask():
     table = all_subset_probabilities(model)
     # subset mask s occupies row s - 1; mask 0b0101 offers items 1 and 3
     cp = choice_probabilities(model, (1, 3))
-    np.testing.assert_allclose(table[0b0101 - 1, 1], cp.prob(1), atol=1e-14)
-    np.testing.assert_allclose(table[0b0101 - 1, 3], cp.prob(3), atol=1e-14)
+    np.testing.assert_allclose(table[0b0101 - 1, 1], cp.probs[1], atol=1e-14)
+    np.testing.assert_allclose(table[0b0101 - 1, 3], cp.probs[3], atol=1e-14)
     assert table[0b0101 - 1, 2] == 0.0
 
 

@@ -25,6 +25,8 @@ from nestlab.model import (
     choice_probabilities,
     design_probabilities,
     generate_ground_truth,
+    item_ids,
+    item_position,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -72,22 +74,54 @@ def test_partition_labels():
 
 
 def test_partition_nest_of_rejects_items_outside_range():
-    """Items 0, -1 and n+1 raise KeyError; an array index would wrap for 0 and -1"""
+    """Items 0, -1 and n+1 raise KeyError; an array index would wrap for 0 and -1, fail on 1.5"""
     p = NestPartition([(2, 4), (1, 3)])
-    for item in (0, -1, 5):
+    for item in (0, -1, 5, 1.5, 2.0):
         with pytest.raises(KeyError):
             p.nest_of(item)
 
 
 def test_model_weight_rejects_items_outside_range():
-    """Items 0, -1 and n+1 raise KeyError; a tuple index would wrap for 0 and -1"""
+    """Items 0, -1 and n+1 raise KeyError; a tuple index would wrap for 0 and -1, fail on 1.5"""
     model = NestedLogitModel(
         partition=NestPartition([(1, 2), (3,)]), weights=(2.0, 3.0, 5.0), lambdas=(0.5, 1.0)
     )
     assert [model.weight(i) for i in (1, 2, 3)] == [2.0, 3.0, 5.0]
-    for item in (0, -1, 4):
+    for item in (0, -1, 4, 1.5, 2.0):
         with pytest.raises(KeyError):
             model.weight(item)
+
+
+def test_item_ids_is_the_one_id_rule():
+    """Sorted distinct ids; non-integers are a TypeError, the first id outside 1..n is named"""
+    assert item_ids([3, 1, 3, np.int64(2)]) == (1, 2, 3)
+    assert item_ids((), 4, "S") == ()
+    assert all(type(i) is int for i in item_ids(np.array([2, 1]), 2, "S"))
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        item_ids([1, 2.0], 4, "S")
+    with pytest.raises(ValueError, match=r"^item 9 of S lies outside 1\.\.4$"):
+        item_ids([2, 9, 0], 4, "S")
+    assert [item_position(i, 3) for i in (1, np.int64(3))] == [0, 2]
+    for item in (0, 4, 1.0, 1.5):
+        with pytest.raises(KeyError):
+            item_position(item, 3)
+
+
+@pytest.mark.parametrize("assortment", [[2.9, 1], [1, 2.0], ["1"]])
+def test_assortment_items_must_be_integers(assortment):
+    """A float id is refused, not truncated: [2.9, 1] used to read as assortment (1, 2)"""
+    with pytest.raises(TypeError):
+        choice_probabilities(two_nest_model(), assortment)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_weights_must_be_finite(bad):
+    """NaN passed the old v <= 0 check, so evaluate printed NaN scores"""
+    with pytest.raises(ValueError, match="^item weights must be positive and finite$"):
+        NestedLogitModel(partition=NestPartition([(1, 2)]), weights=(bad, 2.0), lambdas=(0.5,))
+    with pytest.raises(ValueError, match="^degenerate nest weights must be positive and finite$"):
+        NestedLogitModel(partition=NestPartition([(1, 2)]), weights=(1.0, 2.0), lambdas=(0.0,),
+                         degenerate_weights={0: bad})
 
 
 def test_partition_labels_are_read_only():
@@ -126,16 +160,16 @@ def test_probabilities_match_hand_computed_values():
     vN1 = (1.0 + 2.0) ** 0.5
     vN2 = 4.0
     denom = 1.0 + vN1 + vN2
-    assert cp.prob(0) == pytest.approx(1.0 / denom, abs=1e-15)
-    assert cp.prob(1) == pytest.approx(vN1 / denom * (1.0 / 3.0), abs=1e-15)
-    assert cp.prob(2) == pytest.approx(vN1 / denom * (2.0 / 3.0), abs=1e-15)
-    assert cp.prob(3) == pytest.approx(vN2 / denom, abs=1e-15)
+    assert cp.probs[0] == pytest.approx(1.0 / denom, abs=1e-15)
+    assert cp.probs[1] == pytest.approx(vN1 / denom * (1.0 / 3.0), abs=1e-15)
+    assert cp.probs[2] == pytest.approx(vN1 / denom * (2.0 / 3.0), abs=1e-15)
+    assert cp.probs[3] == pytest.approx(vN2 / denom, abs=1e-15)
 
     # drop item 2: nest weight shrinks to 1^0.5
     cp = choice_probabilities(model, (1, 3))
     denom = 1.0 + 1.0 + 4.0
-    assert cp.prob(1) == pytest.approx(1.0 / denom, abs=1e-15)
-    assert cp.prob(3) == pytest.approx(4.0 / denom, abs=1e-15)
+    assert cp.probs[1] == pytest.approx(1.0 / denom, abs=1e-15)
+    assert cp.probs[3] == pytest.approx(4.0 / denom, abs=1e-15)
 
 
 def test_probabilities_without_outside_drop_the_one():
@@ -143,8 +177,8 @@ def test_probabilities_without_outside_drop_the_one():
     cp = choice_probabilities(model, (1, 2, 3))
     vN1 = 3.0 ** 0.5
     denom = vN1 + 4.0
-    assert cp.prob(3) == pytest.approx(4.0 / denom, abs=1e-15)
-    assert cp.prob(0) == 0.0
+    assert cp.probs[3] == pytest.approx(4.0 / denom, abs=1e-15)
+    assert cp.probs[0] == 0.0
 
 
 def test_probabilities_sum_to_one():
@@ -157,7 +191,7 @@ def test_probabilities_sum_to_one():
                 items = [1]
             cp = choice_probabilities(model, items)
             assert cp.probs.sum() == pytest.approx(1.0, abs=1e-12)
-            assert (cp.prob(0) > 0.0) == outside
+            assert (cp.probs[0] > 0.0) == outside
 
 
 def test_degenerate_nest_uses_fixed_weight():
@@ -170,14 +204,14 @@ def test_degenerate_nest_uses_fixed_weight():
         degenerate_weights={0: 3.7},
     )
     # the nest's value is 3.7 whichever members are offered
-    assert choice_probabilities(model, (1, 2)).prob(0) == pytest.approx(1.0 / 4.7)
-    assert choice_probabilities(model, (1,)).prob(0) == pytest.approx(1.0 / 4.7)
+    assert choice_probabilities(model, (1, 2)).probs[0] == pytest.approx(1.0 / 4.7)
+    assert choice_probabilities(model, (1,)).probs[0] == pytest.approx(1.0 / 4.7)
     cp_full = choice_probabilities(model, (1, 2, 3))
     cp_part = choice_probabilities(model, (1, 3))
     # the nest's total share is unchanged by dropping a member
-    assert cp_full.prob(1) + cp_full.prob(2) == pytest.approx(cp_part.prob(1), abs=1e-12)
+    assert cp_full.probs[1] + cp_full.probs[2] == pytest.approx(cp_part.probs[1], abs=1e-12)
     # within the nest the split follows the item weights
-    assert cp_full.prob(2) / cp_full.prob(1) == pytest.approx(3.0, abs=1e-12)
+    assert cp_full.probs[2] / cp_full.probs[1] == pytest.approx(3.0, abs=1e-12)
 
 
 def reference_choice_probabilities(model, items):
@@ -609,7 +643,7 @@ def test_model_from_dict_names_a_missing_key(key):
      "one lambda per nest required"),
     (lambda: NestedLogitModel(partition=NestPartition([(1, 2)]), weights=(1.0, 2.0),
                               lambdas=(0.0,), degenerate_weights={0: 0.0}),
-     "degenerate nest weights must be positive"),
+     "degenerate nest weights must be positive and finite"),
     (lambda: generate_ground_truth(1), "ground truth generation needs n >= 2"),
     (lambda: model_from_dict([1, 2]), "model file must hold a JSON object"),
     (lambda: model_from_dict({**model_to_dict(generate_ground_truth(4, 0)), "nests": 5}),

@@ -117,7 +117,7 @@ def test_single_nest_without_outside_falls_back_to_flat_weights():
     got = choice_probabilities(recovered, (1, 2, 3))
     want = choice_probabilities(model, (1, 2, 3))
     for i in (1, 2, 3):
-        assert got.prob(i) == pytest.approx(want.prob(i), abs=1e-12)
+        assert got.probs[i] == pytest.approx(want.probs[i], abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -601,3 +601,48 @@ def test_recovery_boundary_checks(call, message):
     """Each message starts with its text; a fitted lambda's digits past the fourth are not pinned"""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         call()
+
+
+def test_clamp_lambda_absorbs_roundoff_only():
+    """Within LAMBDA_ROUNDOFF of [0, 1] a solved lambda is clamped; beyond it, refused"""
+    roundoff = recovery.LAMBDA_ROUNDOFF
+    assert recovery._clamp_lambda(-1e-16, "nest 1") == 0.0
+    assert recovery._clamp_lambda(-roundoff, "nest 1") == 0.0
+    assert recovery._clamp_lambda(1.0 + roundoff, "nest 1") == 1.0
+    assert recovery._clamp_lambda(0.25, "nest 1") == 0.25
+    for lam in (-2 * roundoff, 1.0 + 2 * roundoff):
+        with pytest.raises(RecoveryError, match="^nest 1: lambda = "):
+            recovery._clamp_lambda(lam, "nest 1")
+
+
+def test_exact_recovery_reads_a_roundoff_lambda_as_a_fixed_weight_nest():
+    """A lambda = 0 nest solves to about +-1e-16; both signs recover lambda 0 and its weight"""
+    for w in ((1.0, 2.0, 3.0, 4.0), (2.0, 5.0, 3.0, 7.0), (4.0, 1.0, 2.0, 6.0)):
+        for outside in (True, False):
+            truth = NestedLogitModel(
+                partition=NestPartition([(1, 2), (3, 4)]), weights=w, lambdas=(0.5, 0.0),
+                outside=outside, degenerate_weights={1: 3.0},
+            )
+            probs = design_probabilities(truth, SLICE_4)
+            fitted = recover_all(probs, truth.partition, SLICE_4)
+            assert fitted.lambdas[1] == 0.0
+            assert rmse_soft(truth, fitted) < 1e-12
+
+
+def test_least_squares_caps_the_scale_of_a_vanishing_lambda():
+    """A lambda = 0 nest fitted as lambda ~ 3e-10 would need scale exp(s_N / lambda); it is capped"""
+    truth = NestedLogitModel(
+        partition=NestPartition([(1, 2), (3, 4)]), weights=(2.0, 5.0, 3.0, 7.0),
+        lambdas=(0.5, 0.0), degenerate_weights={1: 3.0},
+    )
+    probs = design_probabilities(truth, SLICE_4)
+    counts = np.array([np.round(cp.probs * 1e10) for cp in probs]).astype(np.int64)
+    table = ChoiceCountTable(
+        n=4, outside=True, labels=("control", *SLICE_4.labels),
+        assortments=(SLICE_4.control, *SLICE_4.experiments), counts=counts,
+        sizes=counts.sum(axis=1),
+    )
+    fit = recover_least_squares(table, truth.partition, SLICE_4)
+    assert fit.flags == ["nest-1-scale-capped"]
+    assert 0.0 < fit.model.lambdas[1] < 1e-9
+    assert fit.model.weights[2] == math.exp(recovery.LOG_CAP)

@@ -50,6 +50,18 @@ def test_allocate_customers_invariants():
         assert max(alloc) - min(alloc) <= 1
 
 
+@pytest.mark.parametrize("total, k, message", [
+    (10.5, 2, "budget must be an integer, got 10.5"),
+    (10.0, 2, "budget must be an integer, got 10.0"),
+    (10, 2.0, "assortment count must be an integer, got 2.0"),
+])
+def test_allocate_customers_rejects_non_integers(total, k, message):
+    """10.5 customers used to split as [6.0, 5.0], 11 in all"""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        allocate_customers(total, k)
+    assert allocate_customers(np.int64(10), np.int64(3)) == [4, 3, 3]
+
+
 def test_allocate_customers_rejects_starvation():
     with pytest.raises(ValueError):
         allocate_customers(2, 3)
@@ -246,6 +258,19 @@ def test_count_table_rejects_items_outside_range():
             outside=False,
             labels=("control", "S"),
             assortments=((1, 2), (1, 7)),
+            counts=([0, 2, 3], [0, 1, 4]),
+            sizes=(5, 5),
+        )
+
+
+def test_count_table_rejects_non_integer_items():
+    """(1, 2.9) used to count as offering item 2, and save_counts then failed on it"""
+    with pytest.raises(TypeError):
+        ChoiceCountTable(
+            n=2,
+            outside=False,
+            labels=("control", "S"),
+            assortments=((1, 2), (1, 2.9)),
             counts=([0, 2, 3], [0, 1, 4]),
             sizes=(5, 5),
         )
