@@ -102,6 +102,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown schemes {bad}; expected one of {sorted(valid)}")
         if self.mode not in ("noisy", "exact"):
             raise ValueError(f"mode must be 'noisy' or 'exact', got {self.mode!r}")
+        self.test_config()  # TestConfig checks alpha and beta at load time
 
     def test_config(self) -> TestConfig:
         return TestConfig(alpha=self.alpha, beta=self.beta)

@@ -160,6 +160,22 @@ class NestedLogitModel:
         return self.weights[item_position(item, self.n)]
 
 
+def _model_from_nests(
+    nests: Sequence[Sequence[int]], weights: Sequence[float], lambdas: Sequence[float],
+    outside: bool, degenerate_weights: Mapping[int, float],
+) -> NestedLogitModel:
+    """The model whose k-th lambda and fixed weight belong to nests[k], in any nest order."""
+    nests, lambdas = list(nests), list(lambdas)
+    partition = NestPartition(nests)  # which sorts the nests by smallest member
+    moved = dict(enumerate(partition.labels()[[nest[0] - 1 for nest in nests]].tolist()))
+    # an index past the last nest stays put, for NestedLogitModel to refuse
+    order = sorted(range(len(lambdas)), key=lambda k: moved.get(k, k))
+    return NestedLogitModel(
+        partition, weights, [lambdas[k] for k in order], outside,
+        {moved.get(k, k): v for k, v in degenerate_weights.items()},
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class ChoiceProbabilities:
     """Choice distribution over one assortment as a row of length n + 1.
@@ -316,15 +332,7 @@ def normalize_identifiable(model: NestedLogitModel) -> NestedLogitModel:
                 degenerate[len(nests)] = model.degenerate_weights[k]
             nests.append(nest)
             lambdas.append(lam)
-    order = sorted(range(len(nests)), key=lambda k: nests[k][0])
-    remap = {old: new for new, old in enumerate(order)}
-    return NestedLogitModel(
-        partition=NestPartition([nests[k] for k in order]),
-        weights=tuple(weights),
-        lambdas=tuple(lambdas[k] for k in order),
-        outside=model.outside,
-        degenerate_weights={remap[k]: v for k, v in degenerate.items()},
-    )
+    return _model_from_nests(nests, weights, lambdas, model.outside, degenerate)
 
 
 def generate_ground_truth(
@@ -345,18 +353,9 @@ def generate_ground_truth(
     k = int(rng.integers(1, n // 2 + 1))
     cuts = np.sort(rng.choice(n - 1, size=k - 1, replace=False)) + 1
     nests = np.split(perm, cuts)
-    partition = NestPartition(nests)
-    weights = tuple(float(w) for w in rng.uniform(1.0, 10.0, size=n))
-    lambdas = tuple(float(l) for l in rng.uniform(0.3, 0.6, size=k))
-    # Dataclass canonicalizes nest order; realign lambdas before constructing.
-    order = sorted(range(k), key=lambda j: min(nests[j]))
-    model = NestedLogitModel(
-        partition=partition,
-        weights=weights,
-        lambdas=tuple(lambdas[j] for j in order),
-        outside=outside,
-    )
-    return normalize_identifiable(model)
+    weights = rng.uniform(1.0, 10.0, size=n).tolist()
+    lambdas = rng.uniform(0.3, 0.6, size=k).tolist()
+    return normalize_identifiable(_model_from_nests(nests, weights, lambdas, outside, {}))
 
 
 def relative_differ(values: np.ndarray, tol: float = EXACT_TOLERANCE) -> np.ndarray:
@@ -440,13 +439,13 @@ def from_json_object(
 
 
 def _model_from_object(data: dict) -> NestedLogitModel:
-    return NestedLogitModel(
-        partition=NestPartition(data["nests"]),
-        weights=data["v"],
-        lambdas=data["lambda"],
-        outside=bool(data["outside_option"]),
-        degenerate_weights=data.get("v_nest_degenerate", {}),
+    degenerate = {int(k): v for k, v in dict(data.get("v_nest_degenerate", {})).items()}
+    model = _model_from_nests(
+        data["nests"], data["v"], data["lambda"], bool(data["outside_option"]), degenerate
     )
+    if data.get("n", model.n) != model.n:
+        raise ValueError(f"model n is {data['n']!r} but its nests cover items 1..{model.n}")
+    return model
 
 
 def model_from_dict(data: dict) -> NestedLogitModel:

@@ -17,7 +17,9 @@ means solvable.  Noisy inputs use every usable assortment in one
 least-squares fit, solved in closed form: one slope-and-intercept
 regression per nest, after a shared anchor lambda is eliminated by one
 scalar equation.  Both paths build their rows the same way
-(_log_linear_system, whose right-hand side the closed form shares).
+(_log_linear_system, whose right-hand side the closed form shares) and
+turn each nest's solved (lambda_N, s_N) into parameters by one rule
+(_fitted_model).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ SINGULARITY_RTOL = 1e-10  # |det| below this times the row-norm product is singu
 ANCHOR_AGREEMENT = 1e-8  # independent estimates of lambda_anchor must agree this well
 DEGENERATE_LAMBDA = 1e-9  # solved lambda below this is read as a lambda = 0 nest
 COUNT_FLOOR = 0.5  # pseudo-count for empty cells in the noisy path
-LOG_CAP = 700.0  # exp() overflow guard for pathological least-squares scales
+LOG_CAP = 700.0  # exp() overflow guard for pathological scales
 
 
 class RecoveryError(ValueError):
@@ -241,26 +243,39 @@ def _system_rows(
     return a[cols], b[k, cols], y[k, cols]
 
 
-def _mnl_from_control(control: ChoiceProbabilities, n: int, outside: bool) -> NestedLogitModel:
+def _mnl_from_control(control: ChoiceProbabilities, n: int) -> NestedLogitModel:
     # A lone nest covering [n] with no outside option leaves lambda free;
     # any value induces the same choices, so report the flat-logit form.
-    return NestedLogitModel(
-        partition=singleton_partition(n),
-        weights=tuple(control.probs[1:] / control.probs[1]),
-        lambdas=tuple([1.0] * n),
-        outside=outside,
-    )
+    weights = control.probs / control.probs[1]
+    return _fitted_model(singleton_partition(n), weights, [1.0] * n, [0.0] * n, False)[0]
 
 
 def _fitted_model(
     partition: NestPartition, weights: np.ndarray, lambdas: list[float],
-    scales: np.ndarray, degenerate: dict[int, float], outside: bool,
-) -> NestedLogitModel:
-    """Item weights are within-nest weights times their nest's scale c_N.
+    s: list[float], outside: bool,
+) -> tuple[NestedLogitModel, list[int]]:
+    """The one rule from each nest's solved (lambda_N in [0, 1], s_N) to model parameters.
 
-    Without an outside option, an anchor whose lambda came out 0 has nest
-    value W^0 = 1 under the scale normalization: a fixed weight of 1.
+    Item weights are within-nest weights times their nest's scale
+    c_N = exp(s_N / lambda_N); a lambda below DEGENERATE_LAMBDA makes a
+    lambda = 0 nest of fixed weight exp(s_N) instead.  Either log is capped
+    at LOG_CAP in size, and the capped nests are returned with the model.
+    The anchor (nest 0 without an outside option) keeps scale 1, and a
+    fixed weight of 1 (its nest value W^0) if its lambda is exactly 0.
     """
+    lambdas, scales = list(lambdas), np.ones(len(lambdas))
+    degenerate: dict[int, float] = {}
+    capped: list[int] = []
+    for k in range(0 if outside else 1, len(lambdas)):
+        fixed = lambdas[k] < DEGENERATE_LAMBDA
+        log_c = s[k] if fixed else s[k] / lambdas[k]
+        if abs(log_c) > LOG_CAP:
+            capped.append(k)
+            log_c = math.copysign(LOG_CAP, log_c)
+        if fixed:
+            lambdas[k], degenerate[k] = 0.0, math.exp(log_c)
+        else:
+            scales[k] = math.exp(log_c)
     if not outside and lambdas[0] == 0.0:
         degenerate[0] = 1.0
     return NestedLogitModel(
@@ -269,7 +284,7 @@ def _fitted_model(
         lambdas=tuple(lambdas),
         outside=outside,
         degenerate_weights=degenerate,
-    )
+    ), capped
 
 
 def recover_all(
@@ -295,7 +310,7 @@ def recover_all(
     nests = partition.nests
 
     if not outside and len(nests) == 1:
-        return _mnl_from_control(control, n, outside)
+        return _mnl_from_control(control, n)
 
     labels = ("control", *design.labels)
     offered = offered_mask(n, outside, [cp.assortment for cp in probs], labels)
@@ -304,8 +319,7 @@ def recover_all(
     anchor_free = anchor_idx is not None and len(nests[anchor_idx]) > 1
     anchor_estimates: list[float] = []
     lambdas = [1.0] * len(nests)
-    scales = np.ones(len(nests))  # c_N; the anchor and degenerate nests keep 1
-    degenerate: dict[int, float] = {}
+    s = [0.0] * len(nests)
     # F[k, e]: log of the share of nest k's weight that experiment e offers
     # (B minus the control's B, which offers every item); NaN where e offers
     # no member, exactly 0 where it offers all.  Relative to the control
@@ -326,8 +340,8 @@ def recover_all(
                     f"no experiment pair jointly splits the anchor and nest {k}"
                 )
             cross = np.outer(fractions[anchor_idx, both], fractions[k, both])
-            s, s2 = np.unravel_index(np.argmax(np.abs(cross - cross.T)), cross.shape)
-            chosen = [-1, int(both[s]), int(both[s2])]
+            i, j = np.unravel_index(np.argmax(np.abs(cross - cross.T)), cross.shape)
+            chosen = [-1, int(both[i]), int(both[j])]
         elif anchor_free or target_free:
             if both.size == 0:
                 raise RecoveryError(
@@ -351,13 +365,9 @@ def recover_all(
         sol = np.linalg.solve(matrix, rhs)
         if anchor_free:
             anchor_estimates.append(_clamp_lambda(float(sol[0]), f"nest {k} anchor"))
-        lam = _clamp_lambda(float(sol[-2]), f"nest {k}") if target_free else 1.0
-        s_n = float(sol[-1])
-        if target_free and lam < DEGENERATE_LAMBDA:
-            # Heuristic: a vanishing exponent reads as a fixed-weight nest.
-            lambdas[k], degenerate[k] = 0.0, math.exp(s_n)
-        else:
-            lambdas[k], scales[k] = lam, math.exp(s_n / lam)
+        if target_free:
+            lambdas[k] = _clamp_lambda(float(sol[-2]), f"nest {k}")
+        s[k] = float(sol[-1])
 
     if anchor_estimates:
         spread = max(anchor_estimates) - min(anchor_estimates)
@@ -366,7 +376,7 @@ def recover_all(
                 f"anchor lambda estimates disagree by {spread:.3e}"
             )
         lambdas[anchor_idx] = float(np.mean(anchor_estimates))
-    return _fitted_model(partition, weights, lambdas, scales, degenerate, outside)
+    return _fitted_model(partition, weights, lambdas, s, outside)[0]
 
 
 @dataclass
@@ -394,13 +404,12 @@ def recover_least_squares(
     probs = np.where(offered, np.maximum(table.counts, COUNT_FLOOR), 0.0) / table.sizes[:, None]
     outside = table.outside
     control = ChoiceProbabilities(assortment=table.assortments[0], probs=probs[0], outside=outside)
-    n = partition.n
     flags: list[str] = []
     weights = within_nest_weights(control, partition)
     nests = partition.nests
 
     if not outside and len(nests) == 1:
-        return LeastSquaresRecovery(_mnl_from_control(control, n, outside), ["single-nest-mnl"])
+        return LeastSquaresRecovery(_mnl_from_control(control, partition.n), ["single-nest-mnl"])
 
     anchor_idx = None if outside else 0
     anchor_free = anchor_idx is not None and len(nests[anchor_idx]) > 1
@@ -447,21 +456,10 @@ def recover_least_squares(
     for k in np.flatnonzero(lam_col >= 0).tolist():
         lambdas[k] = min(1.0, max(0.0, float(sol[lam_col[k]])))
 
-    # Re-fit each scale as the mean residual under the final lambdas.
-    scales = np.ones(len(nests))  # the anchor and degenerate nests keep 1
-    degenerate: dict[int, float] = {}
+    # Re-fit each s_N as the mean residual under the final lambdas.
     lam_anchor_eff = lambdas[anchor_idx] if anchor_idx is not None else 0.0
     residual = lam_anchor_eff * a_t - np.array(lambdas)[kk] * b_t - y_t
-    mean_residual = np.add.reduceat(residual, starts) / np.diff(starts, append=len(kk))
-    for k, s_n in zip(targets.tolist(), mean_residual.tolist()):
-        if lambdas[k] == 0.0:
-            degenerate[k] = math.exp(min(s_n, LOG_CAP))
-        else:
-            log_c = s_n / lambdas[k]
-            if abs(log_c) > LOG_CAP:
-                flags.append(f"nest-{k}-scale-capped")
-                log_c = math.copysign(LOG_CAP, log_c)
-            scales[k] = math.exp(log_c)
-    return LeastSquaresRecovery(
-        _fitted_model(partition, weights, lambdas, scales, degenerate, outside), flags
-    )
+    s = np.zeros(len(nests))
+    s[targets] = np.add.reduceat(residual, starts) / np.diff(starts, append=len(kk))
+    model, capped = _fitted_model(partition, weights, lambdas, s.tolist(), outside)
+    return LeastSquaresRecovery(model, flags + [f"nest-{k}-scale-capped" for k in capped])

@@ -66,6 +66,19 @@ def test_evaluate_without_design_skips_restricted_score(tmp_path, capsys):
     assert "rmse_soft_restricted" not in report
 
 
+def test_evaluate_reads_each_lambda_with_its_nest(tmp_path, thin_counts, capsys):
+    """A model file listing its nests and their lambdas in reverse order is the same model"""
+    truth = json.loads((tmp_path / "truth.json").read_text())
+    assert len(set(truth["lambda"])) > 1
+    rev = {**truth, "nests": truth["nests"][::-1], "lambda": truth["lambda"][::-1]}
+    (tmp_path / "rev.json").write_text(json.dumps(rev))
+    assert main(["evaluate", "--true", str(tmp_path / "truth.json"),
+                 "--est", str(tmp_path / "rev.json")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["rand_index"] == 1.0
+    assert report["rmse_soft"] == 0.0
+
+
 def test_identify_ztheorem_prints_threshold(tmp_path, capsys):
     design = tmp_path / "design.json"
     counts = tmp_path / "counts.csv"
@@ -524,6 +537,8 @@ def test_failed_simulate_leaves_no_model_file(tmp_path, capsys):
      "config field T_list entry must be an integer, got 9000.5"),
     ("compare", "--config", lambda d: {**d, "instances": 1.0},
      "config field instances must be an integer, got 1.0"),
+    ("compare", "--config", lambda d: {**d, "alpha": 1.5}, "alpha must lie in [0, 1]"),
+    ("compare", "--config", lambda d: {**d, "beta": -1}, "beta must lie in [0, 1]"),
 ])
 def test_malformed_input_files_end_in_one_line(tmp_path, thin_counts, command, flag, rewrite,
                                                message):

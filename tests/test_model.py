@@ -629,6 +629,24 @@ def test_design_probabilities_rejects_a_design_of_other_items():
         design_probabilities(generate_ground_truth(8, np.random.default_rng(1)), design)
 
 
+def test_model_file_carries_each_lambda_with_its_nest():
+    """Nests may be listed in any order; lambda and v_nest_degenerate follow the nests as listed"""
+    model = NestedLogitModel(
+        partition=NestPartition([(1, 4), (2, 5), (3, 6)]),
+        weights=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+        lambdas=(0.3, 0.0, 0.7),
+        degenerate_weights={1: 2.5},
+    )
+    data = model_to_dict(model)
+    shuffled = {**data, "nests": [[6, 3], [5, 2], [1, 4]], "lambda": [0.7, 0.0, 0.3],
+                "v_nest_degenerate": {"1": 2.5}}
+    assert model_from_dict(shuffled) == model
+    assert model_from_dict({**data, "nests": [[5, 2], [1, 4], [3, 6]], "lambda": [0.0, 0.3, 0.7],
+                            "v_nest_degenerate": {"0": 2.5}}) == model
+    with pytest.raises(ValueError, match="^degenerate_weights must cover exactly"):
+        model_from_dict({**shuffled, "v_nest_degenerate": {"3": 2.5}})
+
+
 @pytest.mark.parametrize("key", ["nests", "v", "lambda", "outside_option"])
 def test_model_from_dict_names_a_missing_key(key):
     data = model_to_dict(generate_ground_truth(5, np.random.default_rng(2)))
@@ -653,6 +671,8 @@ def test_model_from_dict_names_a_missing_key(key):
     (lambda: model_from_dict({**model_to_dict(generate_ground_truth(4, 0)),
                               "nests": [[1, 2.9], [3, 4]]}),
      "model has a field of the wrong type: 'float' object cannot be interpreted as an integer"),
+    (lambda: model_from_dict({**model_to_dict(generate_ground_truth(4, 0)), "n": 7}),
+     "model n is 7 but its nests cover items 1..4"),
 ])
 def test_model_boundary_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -629,20 +629,58 @@ def test_exact_recovery_reads_a_roundoff_lambda_as_a_fixed_weight_nest():
             assert rmse_soft(truth, fitted) < 1e-12
 
 
-def test_least_squares_caps_the_scale_of_a_vanishing_lambda():
-    """A lambda = 0 nest fitted as lambda ~ 3e-10 would need scale exp(s_N / lambda); it is capped"""
+def _fit_rounded_counts(scale: float) -> tuple[NestedLogitModel, recovery.LeastSquaresRecovery]:
+    """Least squares on scale times the exact probabilities of a lambda = 0 nest's model, rounded"""
     truth = NestedLogitModel(
         partition=NestPartition([(1, 2), (3, 4)]), weights=(2.0, 5.0, 3.0, 7.0),
         lambdas=(0.5, 0.0), degenerate_weights={1: 3.0},
     )
     probs = design_probabilities(truth, SLICE_4)
-    counts = np.array([np.round(cp.probs * 1e10) for cp in probs]).astype(np.int64)
+    counts = np.array([np.round(cp.probs * scale) for cp in probs]).astype(np.int64)
     table = ChoiceCountTable(
         n=4, outside=True, labels=("control", *SLICE_4.labels),
         assortments=(SLICE_4.control, *SLICE_4.experiments), counts=counts,
         sizes=counts.sum(axis=1),
     )
-    fit = recover_least_squares(table, truth.partition, SLICE_4)
+    return truth, recover_least_squares(table, truth.partition, SLICE_4)
+
+
+def test_least_squares_reads_a_vanishing_lambda_as_a_fixed_weight_nest():
+    """A lambda = 0 nest fitted as lambda ~ 3e-10 at 1e10 counts becomes lambda 0, weight 3"""
+    truth, fit = _fit_rounded_counts(1e10)
+    assert fit.flags == []
+    assert fit.model.lambdas[1] == 0.0
+    assert fit.model.degenerate_weights[1] == pytest.approx(3.0, abs=1e-6)
+    score = rmse_soft(truth, fit.model)
+    assert score < 1e-9
+    assert score < rmse_soft(truth, _fit_rounded_counts(1e9)[1].model)  # more data, better fit
+
+
+def test_least_squares_caps_the_scale_of_a_vanishing_lambda():
+    """At 1e7 counts the lambda = 0 nest fits lambda ~ 7e-9, above DEGENERATE_LAMBDA; exp(s_N / lambda) is capped"""
+    fit = _fit_rounded_counts(1e7)[1]
     assert fit.flags == ["nest-1-scale-capped"]
-    assert 0.0 < fit.model.lambdas[1] < 1e-9
+    assert recovery.DEGENERATE_LAMBDA <= fit.model.lambdas[1] < 1e-8
     assert fit.model.weights[2] == math.exp(recovery.LOG_CAP)
+
+
+def test_fitted_model_is_the_one_nest_rule():
+    """(lambda_N, s_N) to a scale, a fixed weight or a capped scale; the anchor keeps scale 1"""
+    partition = NestPartition([(1, 2), (3, 4), (5,), (6, 7)])
+    weights = np.array([0.0, 1.0, 2.0, 1.0, 3.0, 1.0, 1.0, 4.0])
+    s = [math.log(5.0), math.log(2.0), 2.0, -1.0]
+    for outside in (True, False):
+        model, capped = recovery._fitted_model(partition, weights, [0.0, 0.5, 1.0, 1e-3], s, outside)
+        assert model.lambdas == (0.0, 0.5, 1.0, 1e-3)
+        # a fixed-weight nest, like the anchor, keeps scale 1
+        assert model.weights[:5] == pytest.approx((1.0, 2.0, 4.0, 12.0, math.exp(2.0)))
+        assert model.weights[5:] == (math.exp(-recovery.LOG_CAP), 4 * math.exp(-recovery.LOG_CAP))
+        assert capped == [3]
+        # exp(s_N) for a lambda = 0 nest; an anchor with lambda exactly 0 has nest value 1
+        assert model.degenerate_weights == {0: pytest.approx(5.0 if outside else 1.0)}
+    # Below DEGENERATE_LAMBDA a nest reads as lambda = 0 with fixed weight exp(s_N);
+    # an anchor keeps its own lambda unless it is exactly 0.
+    model, capped = recovery._fitted_model(partition, weights, [1e-10, 1e-10, 1.0, 0.5], s, False)
+    assert model.lambdas == (1e-10, 0.0, 1.0, 0.5)
+    assert model.degenerate_weights == {1: pytest.approx(2.0)}
+    assert capped == []
