@@ -118,9 +118,7 @@ def _cmd_identify(args) -> int:
     edges, partition = harness.identify_partition(table, design, config, boosts, tol)
     if edges.inconsistencies:
         print(f"note: {len(edges.inconsistencies)} contradictory deductions", file=sys.stderr)
-    with open(args.out_partition, "w") as fh:
-        json.dump({"n": partition.n, "nests": [list(nest) for nest in partition.nests]}, fh, indent=2)
-        fh.write("\n")
+    model.write_json(model.partition_to_dict(partition), args.out_partition)
     print(f"wrote {args.out_partition} ({partition.num_nests} nests)")
     if args.out_edges:
         _write_edges(edges, args.out_edges)
@@ -128,17 +126,11 @@ def _cmd_identify(args) -> int:
     return 0
 
 
-def _load_partition(path: str) -> model.NestPartition:
-    with open(path) as fh:
-        data = json.load(fh)
-    return model.from_json_object(
-        data, "partition", ("nests",), lambda d: model.NestPartition(d["nests"])
-    )
-
-
 def _cmd_recover(args) -> int:
     design, table = _load_design_and_counts(args)
-    partition = _load_partition(args.partition)
+    partition = model.load_partition(args.partition)
+    if partition.n != design.n:
+        raise ValueError(f"design has {design.n} items, partition has {partition.n}")
     probs = sampling.empirical_probabilities(table) if args.exact else None
     fitted, flags = harness.recover_model(table, partition, design, probs)
     for flag in flags:

@@ -9,12 +9,11 @@ takes b*L = O(b log n / log b) experiments plus one control.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import from_json_object, item_ids, item_position, offered_mask
+from .model import from_json_object, item_ids, item_position, offered_mask, read_json, write_json
 
 
 def _check_items(n: int) -> None:
@@ -255,32 +254,31 @@ def design_to_dict(design: ExperimentDesign) -> dict:
     }
 
 
+_DESIGN_KEYS = ("n", "control", "experiments")
+
+
 def _design_from_object(data: dict) -> ExperimentDesign:
     missing = [key for e in data["experiments"] for key in ("label", "items") if key not in e]
     if missing:
         raise ValueError(f"design has no {missing[0]!r} key")
-    _check_items(data["n"])
-    if data["control"] != list(range(1, data["n"] + 1)):
-        raise ValueError(f"design control must list every item 1..{data['n']}")
-    return ExperimentDesign(
+    design = ExperimentDesign(
         n=data["n"],
         experiments=tuple(tuple(e["items"]) for e in data["experiments"]),
         labels=tuple(e["label"] for e in data["experiments"]),
     )
+    if data["control"] != list(design.control):
+        raise ValueError(f"design control must list every item 1..{design.n}")
+    return design
 
 
 def design_from_dict(data: dict) -> ExperimentDesign:
     """The design of a JSON object; a "b" key that older files carry is ignored."""
-    keys = ("n", "control", "experiments")
-    return from_json_object(data, "design", keys, _design_from_object)
+    return from_json_object(data, "design", _DESIGN_KEYS, _design_from_object)
 
 
 def save_design(design: ExperimentDesign, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(design_to_dict(design), fh, indent=2)
-        fh.write("\n")
+    write_json(design_to_dict(design), path)
 
 
 def load_design(path: str) -> ExperimentDesign:
-    with open(path) as fh:
-        return design_from_dict(json.load(fh))
+    return read_json(path, "design", _DESIGN_KEYS, _design_from_object)

@@ -17,7 +17,6 @@ instance.
 from __future__ import annotations
 
 import csv
-import json
 import os
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -61,6 +60,8 @@ from .model import (
     from_json_object,
     generate_ground_truth,
     integer,
+    read_json,
+    write_json,
 )
 from .recovery import recover_all, recover_least_squares
 from .sampling import ChoiceCountTable, allocate_customers, draw_counts, empirical_probabilities
@@ -124,8 +125,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))
+    return read_json(path, "config", (), _config_from_object)
 
 
 def default_two_nest_partition(n: int) -> NestPartition:
@@ -410,6 +410,4 @@ def write_report(report: CompareReport, output_dir: str) -> None:
                     r.instance, r.scheme, r.T, *(f"{getattr(r, name):.10g}" for name in SCORES),
                     int(r.failed), r.failed_stage or "", "; ".join(r.flags), groups,
                 ])
-    with open(os.path.join(output_dir, "summary.json"), "w") as fh:
-        json.dump(report.summary(), fh, indent=2)
-        fh.write("\n")
+    write_json(report.summary(), os.path.join(output_dir, "summary.json"))

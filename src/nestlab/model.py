@@ -29,6 +29,7 @@ import numpy as np
 
 LAMBDA_ROUNDOFF = 1e-9  # slack for clamping lambda back into [0, 1]
 EXACT_TOLERANCE = 1e-9  # relative; exact inputs only carry roundoff noise
+_MODEL_KEYS = ("nests", "v", "lambda", "outside_option")  # the keys a model file must hold
 
 
 def item_ids(items: Iterable[int], n: int | None = None, what: str = "") -> tuple[int, ...]:
@@ -405,10 +406,13 @@ def check_general_position(model: NestedLogitModel, design) -> list[tuple[str, i
     return violations
 
 
+def partition_to_dict(partition: NestPartition) -> dict:
+    return {"n": partition.n, "nests": [list(nest) for nest in partition.nests]}
+
+
 def model_to_dict(model: NestedLogitModel) -> dict:
     return {
-        "n": model.n,
-        "nests": [list(nest) for nest in model.partition.nests],
+        **partition_to_dict(model.partition),
         "v": list(model.weights),
         "lambda": list(model.lambdas),
         "v_nest_degenerate": {str(k): v for k, v in model.degenerate_weights.items()},
@@ -426,6 +430,8 @@ def from_json_object(
 
     A field of the wrong type (a number where a list belongs, null for a
     list) surfaces in build as a TypeError and is reported the same way.
+    An "n" key must be the n of what build returns (the items that a model's or
+    partition's nests cover; a design or config takes its n from that key).
     """
     if not isinstance(data, dict):
         raise ValueError(f"{kind} file must hold a JSON object")
@@ -433,32 +439,45 @@ def from_json_object(
     if missing:
         raise ValueError(f"{kind} has no {missing[0]!r} key")
     try:
-        return build(data)
+        built = build(data)
     except TypeError as exc:
         raise ValueError(f"{kind} has a field of the wrong type: {exc}") from None
+    if data.get("n", built.n) != built.n:
+        raise ValueError(f"{kind} n is {data['n']!r} but its nests cover items 1..{built.n}")
+    return built
+
+
+def read_json(path: str, kind: str, keys: Sequence[str], build: Callable[[dict], _Built]) -> _Built:
+    """The one JSON reader: from_json_object on the file's contents."""
+    with open(path) as fh:
+        return from_json_object(json.load(fh), kind, keys, build)
+
+
+def write_json(data: dict, path: str) -> None:
+    """The one JSON writer: data indented by two spaces, then a final newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+
+
+def load_partition(path: str) -> NestPartition:
+    return read_json(path, "partition", ("nests",), lambda data: NestPartition(data["nests"]))
 
 
 def _model_from_object(data: dict) -> NestedLogitModel:
     degenerate = {int(k): v for k, v in dict(data.get("v_nest_degenerate", {})).items()}
-    model = _model_from_nests(
+    return _model_from_nests(
         data["nests"], data["v"], data["lambda"], bool(data["outside_option"]), degenerate
     )
-    if data.get("n", model.n) != model.n:
-        raise ValueError(f"model n is {data['n']!r} but its nests cover items 1..{model.n}")
-    return model
 
 
 def model_from_dict(data: dict) -> NestedLogitModel:
-    keys = ("nests", "v", "lambda", "outside_option")
-    return from_json_object(data, "model", keys, _model_from_object)
+    return from_json_object(data, "model", _MODEL_KEYS, _model_from_object)
 
 
 def save_model(model: NestedLogitModel, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+    write_json(model_to_dict(model), path)
 
 
 def load_model(path: str) -> NestedLogitModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    return read_json(path, "model", _MODEL_KEYS, _model_from_object)

@@ -521,6 +521,10 @@ def test_failed_simulate_leaves_no_model_file(tmp_path, capsys):
      "partition has a field of the wrong type: 'int' object is not iterable"),
     ("recover", "--partition", lambda d: {**d, "nests": [[1, 2.9], *d["nests"][1:]]},
      "partition has a field of the wrong type: 'float' object cannot be interpreted as an integer"),
+    ("recover", "--partition", lambda d: {**d, "n": 12},
+     "partition n is 12 but its nests cover items 1..8"),
+    ("recover", "--partition", lambda d: {"nests": [[1, 2], [3, 4]]},
+     "design has 8 items, partition has 4"),
     ("identify", "--design", lambda d: {**d, "experiments": [{"label": "A", "items": [1.7, 3]}]},
      "design has a field of the wrong type: 'float' object cannot be interpreted as an integer"),
     ("evaluate", "--est", lambda d: [1, 2], "model file must hold a JSON object"),

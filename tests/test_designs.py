@@ -222,6 +222,29 @@ def test_design_json_round_trip(tmp_path):
     raw = json.loads(path.read_text())
     assert raw["n"] == 6
     assert {rec["label"] for rec in raw["experiments"]} == set(design.labels)
+    # indented by two spaces, with a final newline
+    save_design(ExperimentDesign(n=3, experiments=[(2, 1)], labels=("A",)), path)
+    assert path.read_text() == SMALL_DESIGN_FILE
+
+
+SMALL_DESIGN_FILE = """{
+  "n": 3,
+  "control": [
+    1,
+    2,
+    3
+  ],
+  "experiments": [
+    {
+      "label": "A",
+      "items": [
+        1,
+        2
+      ]
+    }
+  ]
+}
+"""
 
 
 def test_encoding_rejects_out_of_range_queries():

@@ -357,6 +357,45 @@ def test_report_keeps_the_recovery_flags(tmp_path):
     with open(tmp_path / "results_T7000.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["flags"] for r in rows] == ["nest-0-lambda-defaulted; rank-deficient", ""]
+    assert (tmp_path / "summary.json").read_text() == SUMMARY_FILE
+
+
+# indented by two spaces, with a final newline; no score has two finite values
+SUMMARY_FILE = """{
+  "config": {
+    "n": 8,
+    "b": 2,
+    "schemes": [
+      "slice"
+    ],
+    "T_list": [
+      7000
+    ],
+    "instances": 1,
+    "seed": 5,
+    "outside": true,
+    "mode": "noisy",
+    "alpha": 0.05,
+    "beta": null,
+    "num_random_assortments": null,
+    "size_rule": "half",
+    "output_dir": null
+  },
+  "cells": [
+    {
+      "scheme": "slice",
+      "T": 7000,
+      "runs": 2,
+      "failures": 0,
+      "failures_by_stage": {
+        "identify": 0,
+        "recovery": 0
+      }
+    }
+  ],
+  "assumption_violations": []
+}
+"""
 
 
 def test_report_writes_one_file_per_budget(tmp_path):

@@ -28,12 +28,15 @@ from nestlab.model import (
     item_ids,
     item_position,
     load_model,
+    load_partition,
     model_from_dict,
     model_to_dict,
     nest_multipliers,
     normalize_identifiable,
+    partition_to_dict,
     save_model,
     singleton_partition,
+    write_json,
 )
 
 
@@ -592,6 +595,59 @@ def test_model_json_round_trip(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     assert load_model(path) == model
+    assert path.read_text() == MODEL_FILE
+
+    path = tmp_path / "partition.json"
+    write_json(partition_to_dict(model.partition), path)
+    assert load_partition(path) == model.partition
+    assert path.read_text() == PARTITION_FILE
+    path.write_text(PARTITION_FILE.replace('"n": 3', '"n": 4'))
+    with pytest.raises(ValueError, match=r"^partition n is 4 but its nests cover items 1\.\.3$"):
+        load_partition(path)
+    path.write_text('{"nests": [[3, 1], [2]]}')  # n may be left out
+    assert load_partition(path) == model.partition
+
+
+# Both files are indented by two spaces and end in a newline.
+MODEL_FILE = """{
+  "n": 3,
+  "nests": [
+    [
+      1,
+      3
+    ],
+    [
+      2
+    ]
+  ],
+  "v": [
+    1.0,
+    2.0,
+    0.5
+  ],
+  "lambda": [
+    0.0,
+    1.0
+  ],
+  "v_nest_degenerate": {
+    "0": 1.25
+  },
+  "outside_option": false
+}
+"""
+PARTITION_FILE = """{
+  "n": 3,
+  "nests": [
+    [
+      1,
+      3
+    ],
+    [
+      2
+    ]
+  ]
+}
+"""
 
 
 def test_generator_accepts_integer_seed():
