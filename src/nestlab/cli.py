@@ -129,8 +129,6 @@ def _cmd_identify(args) -> int:
 def _cmd_recover(args) -> int:
     design, table = _load_design_and_counts(args)
     partition = model.load_partition(args.partition)
-    if partition.n != design.n:
-        raise ValueError(f"design has {design.n} items, partition has {partition.n}")
     probs = sampling.empirical_probabilities(table) if args.exact else None
     fitted, flags = harness.recover_model(table, partition, design, probs)
     for flag in flags:

@@ -32,6 +32,7 @@ from .model import (
     EXACT_TOLERANCE,
     ChoiceProbabilities,
     NestPartition,
+    check_control_row,
     design_probabilities,
     item_position,
     offered_mask,
@@ -73,31 +74,22 @@ def boost_factors(
 ) -> BoostTable:
     """Ratio of each experiment probability to the control probability.
 
-    Control must be over the full item set; items (or the outside option)
-    with zero control probability have no defined boost and are rejected.
+    The control row must pass check_control_row: every item 1..n, each (and
+    the outside option) with a positive probability to divide by.
     """
+    check_control_row(control)
     n = len(control.assortment)
-    if control.assortment != tuple(range(1, n + 1)):
-        raise ValueError("control probabilities must cover items 1..n")
     if labels is None:
         labels = tuple(f"S{k + 1}" for k in range(len(experiments)))
     if any(cp.outside != control.outside for cp in experiments):
         raise ValueError("outside-option flag differs between assortments")
     assortments = tuple(cp.assortment for cp in experiments)
     offered = offered_mask(n, control.outside, assortments, labels)
-    dead = np.argwhere(offered & (control.probs == 0.0))
-    if dead.size:
-        raise ValueError(f"zero control probability for item {dead[0, 1]}")
     probs = np.array([cp.probs for cp in experiments]).reshape(len(experiments), n + 1)
     factors = np.full(probs.shape, np.nan)
     np.divide(probs, control.probs, out=factors, where=offered)
-    return BoostTable(
-        n=n,
-        outside=control.outside,
-        labels=tuple(labels),
-        assortments=assortments,
-        factors=factors,
-    )
+    return BoostTable(n=n, outside=control.outside, labels=tuple(labels),
+                      assortments=assortments, factors=factors)
 
 
 def _pair_positions(n: int, rows, cols) -> tuple[np.ndarray, np.ndarray]:

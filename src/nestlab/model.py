@@ -5,7 +5,8 @@ contributes weight (sum of member item weights in the assortment)**lambda_N,
 except lambda_N = 0 nests, which contribute a fixed weight v_N whenever any
 member is offered.  An optional outside option (id 0) sits in its own nest
 with weight 1.  Every assortment, nest and 1-based lookup takes its item
-ids through one rule: item_ids (item_position for lookups).
+ids through one rule: item_ids (item_position for lookups); every control
+row that boosts or recovery read, through check_control_row.
 
 Per-assortment values share one row format: an item-indexed vector of
 length n + 1, column 0 the outside option and column i item i, 0 where
@@ -60,6 +61,26 @@ def integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def check_control_row(control: ChoiceProbabilities, partition: NestPartition | None = None) -> None:
+    """The one control-row rule, for boosts and both recoveries.
+
+    The row must offer exactly items 1..n (the partition's n, else the row's
+    own length), each with positive probability, as must the outside option
+    when the row has one.  A mismatch names both item sets.
+    """
+    items = control.assortment
+    n = len(items) if partition is None else partition.n
+    if items != tuple(range(1, n + 1)):
+        offered = f"1..{len(items)}" if items == tuple(range(1, len(items) + 1)) else list(items)
+        expected = "not" if partition is None else "partition covers"
+        raise ValueError(f"control row offers items {offered}, {expected} items 1..{n}")
+    dead = (np.flatnonzero(control.probs[1:] == 0.0) + 1).tolist()
+    if dead:
+        raise ValueError(f"zero control probability for items {dead}")
+    if control.outside and control.probs[0] == 0.0:
+        raise ValueError("zero control probability for the outside option")
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .model import (
     ChoiceProbabilities,
     NestPartition,
     NestedLogitModel,
+    check_control_row,
     nest_sums,
     offered_mask,
     singleton_partition,
@@ -62,22 +63,14 @@ def within_nest_weights(
 
     Control probabilities of same-nest items have the same nest factor, so
     their ratio is the weight ratio.  Returns an item-indexed vector of
-    length n + 1 (entry 0 unused, 0).  Items with zero control probability
-    are rejected; they carry no weight information.  So is a zero outside
-    option, the anchor every nest is measured against.
+    length n + 1 (entry 0 unused, 0).  The row must pass check_control_row
+    over the partition's items: a zero item carries no weight information,
+    a zero outside option is the anchor every nest is measured against.
     """
-    n = partition.n
-    if control.assortment != tuple(range(1, n + 1)):
-        raise ValueError("control probabilities must cover items 1..n")
-    probs = control.probs
-    dead = (np.flatnonzero(probs[1:] == 0.0) + 1).tolist()
-    if dead:
-        raise ValueError(f"zero control probability for items {dead}")
-    if control.outside and probs[0] == 0.0:
-        raise ValueError("zero control probability for the outside option")
+    check_control_row(control, partition)
     first = np.array([nest[0] for nest in partition.nests])
-    weights = np.zeros(n + 1)
-    weights[1:] = probs[1:] / probs[first[partition.labels()]]
+    weights = np.zeros(partition.n + 1)
+    weights[1:] = control.probs[1:] / control.probs[first[partition.labels()]]
     return weights
 
 
@@ -91,15 +84,10 @@ def _check_determinant(matrix: np.ndarray) -> None:
 
 
 def _clamp_lambda(lam: float, context: str) -> float:
-    if lam < 0.0:
-        if lam < -LAMBDA_ROUNDOFF:
-            raise RecoveryError(f"{context}: lambda = {lam} outside [0, 1]")
-        return 0.0
-    if lam > 1.0:
-        if lam > 1.0 + LAMBDA_ROUNDOFF:
-            raise RecoveryError(f"{context}: lambda = {lam} outside [0, 1]")
-        return 1.0
-    return lam
+    """lam clamped into [0, 1] if within LAMBDA_ROUNDOFF of it, else a RecoveryError."""
+    if not -LAMBDA_ROUNDOFF <= lam <= 1.0 + LAMBDA_ROUNDOFF:
+        raise RecoveryError(f"{context}: lambda = {lam} outside [0, 1]")
+    return min(1.0, max(0.0, lam))
 
 
 def _log_linear_rhs(
@@ -257,25 +245,23 @@ def _fitted_model(
     """The one rule from each nest's solved (lambda_N in [0, 1], s_N) to model parameters.
 
     Item weights are within-nest weights times their nest's scale
-    c_N = exp(s_N / lambda_N); a lambda below DEGENERATE_LAMBDA makes a
-    lambda = 0 nest of fixed weight exp(s_N) instead.  Either log is capped
-    at LOG_CAP in size, and the capped nests are returned with the model.
-    The anchor (nest 0 without an outside option) keeps scale 1, and a
-    fixed weight of 1 (its nest value W^0) if its lambda is exactly 0.
+    c_N = exp(s_N / lambda_N).  A lambda below DEGENERATE_LAMBDA, or one so
+    small that |log c_N| would pass LOG_CAP, makes a lambda = 0 nest of
+    fixed weight exp(s_N) instead: its log is capped at LOG_CAP in size, and
+    the capped nests are returned with the model.  The anchor (nest 0
+    without an outside option) keeps scale 1, and a fixed weight of 1 (its
+    nest value W^0) if its lambda is exactly 0.
     """
     lambdas, scales = list(lambdas), np.ones(len(lambdas))
     degenerate: dict[int, float] = {}
     capped: list[int] = []
     for k in range(0 if outside else 1, len(lambdas)):
-        fixed = lambdas[k] < DEGENERATE_LAMBDA
-        log_c = s[k] if fixed else s[k] / lambdas[k]
-        if abs(log_c) > LOG_CAP:
+        if lambdas[k] >= DEGENERATE_LAMBDA and abs(s[k]) <= LOG_CAP * lambdas[k]:
+            scales[k] = math.exp(s[k] / lambdas[k])
+            continue
+        if abs(s[k]) > LOG_CAP:
             capped.append(k)
-            log_c = math.copysign(LOG_CAP, log_c)
-        if fixed:
-            lambdas[k], degenerate[k] = 0.0, math.exp(log_c)
-        else:
-            scales[k] = math.exp(log_c)
+        lambdas[k], degenerate[k] = 0.0, math.exp(min(max(s[k], -LOG_CAP), LOG_CAP))
     if not outside and lambdas[0] == 0.0:
         degenerate[0] = 1.0
     return NestedLogitModel(

@@ -300,8 +300,23 @@ def test_data_errors_end_in_one_line(tmp_path, thin_counts):
     assert "\n" not in exc.value.code
     with pytest.raises(SystemExit) as exc:
         main(["identify", *files, "--mode", "exact", "--out-partition", str(out)])
-    assert exc.value.code.startswith("nestlab identify: zero control probability for item ")
+    assert exc.value.code.startswith("nestlab identify: zero control probability for items [")
     assert "\n" not in exc.value.code
+    assert not out.exists()
+
+
+def test_both_recoveries_refuse_a_partition_of_other_items(tmp_path, thin_counts):
+    """Least squares and --exact each refuse a 4-item partition of 8-item counts in the library"""
+    design, counts, partition = thin_counts
+    partition.write_text(json.dumps({"nests": [[1, 2], [3, 4]]}))
+    out = tmp_path / "out.json"
+    for exact in ([], ["--exact"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["recover", "--design", str(design), "--counts", str(counts),
+                  "--partition", str(partition), *exact, "--out", str(out)])
+        assert exc.value.code == (
+            "nestlab recover: control row offers items 1..8, partition covers items 1..4"
+        )
     assert not out.exists()
 
 
@@ -524,7 +539,7 @@ def test_failed_simulate_leaves_no_model_file(tmp_path, capsys):
     ("recover", "--partition", lambda d: {**d, "n": 12},
      "partition n is 12 but its nests cover items 1..8"),
     ("recover", "--partition", lambda d: {"nests": [[1, 2], [3, 4]]},
-     "design has 8 items, partition has 4"),
+     "control row offers items 1..8, partition covers items 1..4"),
     ("identify", "--design", lambda d: {**d, "experiments": [{"label": "A", "items": [1.7, 3]}]},
      "design has a field of the wrong type: 'float' object cannot be interpreted as an integer"),
     ("evaluate", "--est", lambda d: [1, 2], "model file must hold a JSON object"),

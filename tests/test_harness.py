@@ -28,6 +28,7 @@ from nestlab.harness import (
 )
 from nestlab.metrics import rmse_soft_restricted
 from nestlab.model import NestPartition, design_probabilities, generate_ground_truth
+from nestlab.recovery import recover_all, recover_least_squares
 from nestlab.sampling import allocate_customers, empirical_probabilities, sample_choices
 
 
@@ -418,6 +419,23 @@ def test_report_writes_one_file_per_budget(tmp_path):
 def test_harness_boundary_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_every_recovery_refuses_a_partition_of_other_items():
+    """Harness stage, least squares and exact recovery all refuse an 8-item partition of n=14 data"""
+    truth = generate_ground_truth(14, 3)
+    design = build_design("slice", 14, 2, tiny_config(), np.random.default_rng(0))
+    table = harness.sample_counts(design_probabilities(truth, design), design, 70000, 1)
+    partition = NestPartition([(1, 2, 3), (4, 5), (6, 7, 8)])
+    message = "^control row offers items 1..14, partition covers items 1..8$"
+    for call in (
+        lambda: harness.recover_model(table, partition, design),
+        lambda: harness.recover_model(table, partition, design, empirical_probabilities(table)),
+        lambda: recover_least_squares(table, partition, design),
+        lambda: recover_all(design_probabilities(truth, design), partition, design),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -1106,7 +1106,7 @@ TWO_ITEMS = ExperimentDesign(n=2, experiments=[(1,)], labels=("S",))
 @pytest.mark.parametrize("call, message", [
     (lambda: boost_factors(
         ChoiceProbabilities(assortment=(1, 3), probs=np.array([0.2, 0.4, 0.0]), outside=True), []),
-     "control probabilities must cover items 1..n"),
+     "control row offers items [1, 3], not items 1..2"),
     (lambda: boost_factors(
         ChoiceProbabilities(assortment=(1, 2), probs=np.array([0.2, 0.4, 0.4]), outside=True),
         [ChoiceProbabilities(assortment=(1,), probs=np.array([0.0, 1.0, 0.0]), outside=False)]),

@@ -581,7 +581,7 @@ def _outside_share_moved(row):
     (lambda: within_nest_weights(
         ChoiceProbabilities(assortment=(1, 3), probs=np.array([0.0, 0.5, 0.0, 0.5]), outside=False),
         NestPartition([(1, 2, 3)])),
-     "control probabilities must cover items 1..n"),
+     "control row offers items [1, 3], partition covers items 1..3"),
     (lambda: recover_least_squares(
         ChoiceCountTable(n=2, outside=True, labels=("control", "S"), assortments=((1, 2), (1,)),
                          counts=([1, 2, 2], [0, 0, 0]), sizes=(5, 0)),
@@ -656,12 +656,24 @@ def test_least_squares_reads_a_vanishing_lambda_as_a_fixed_weight_nest():
     assert score < rmse_soft(truth, _fit_rounded_counts(1e9)[1].model)  # more data, better fit
 
 
-def test_least_squares_caps_the_scale_of_a_vanishing_lambda():
-    """At 1e7 counts the lambda = 0 nest fits lambda ~ 7e-9, above DEGENERATE_LAMBDA; exp(s_N / lambda) is capped"""
+def test_least_squares_fixes_a_lambda_whose_scale_would_pass_the_cap():
+    """At 1e7 counts the lambda = 0 nest fits lambda ~ 7e-9, above DEGENERATE_LAMBDA, but
+    exp(s_N / lambda) would pass exp(LOG_CAP): it becomes lambda 0, weight exp(s_N) ~ 3, uncapped"""
     fit = _fit_rounded_counts(1e7)[1]
-    assert fit.flags == ["nest-1-scale-capped"]
-    assert recovery.DEGENERATE_LAMBDA <= fit.model.lambdas[1] < 1e-8
-    assert fit.model.weights[2] == math.exp(recovery.LOG_CAP)
+    assert fit.flags == []
+    assert fit.model.lambdas[1] == 0.0
+    assert fit.model.weights[2] == 1.0  # a fixed-weight nest keeps scale 1
+    assert fit.model.degenerate_weights[1] == pytest.approx(3.0, rel=1e-4)
+
+
+def test_least_squares_fits_a_lambda_0_nest_better_with_more_data():
+    """rmse_soft falls at every tenfold step of the counts from 1e3 to 1e10, and no fit is flagged"""
+    scores = []
+    for exponent in range(3, 11):
+        truth, fit = _fit_rounded_counts(10.0**exponent)
+        assert fit.flags == []
+        scores.append(rmse_soft(truth, fit.model))
+    assert all(later < earlier for earlier, later in zip(scores, scores[1:])), scores
 
 
 def test_fitted_model_is_the_one_nest_rule():
@@ -671,13 +683,19 @@ def test_fitted_model_is_the_one_nest_rule():
     s = [math.log(5.0), math.log(2.0), 2.0, -1.0]
     for outside in (True, False):
         model, capped = recovery._fitted_model(partition, weights, [0.0, 0.5, 1.0, 1e-3], s, outside)
-        assert model.lambdas == (0.0, 0.5, 1.0, 1e-3)
+        # |s_N| = 1 > LOG_CAP * 1e-3: exp(s_N / lambda) would pass the cap, so nest 3 is fixed
+        assert model.lambdas == (0.0, 0.5, 1.0, 0.0)
         # a fixed-weight nest, like the anchor, keeps scale 1
-        assert model.weights[:5] == pytest.approx((1.0, 2.0, 4.0, 12.0, math.exp(2.0)))
-        assert model.weights[5:] == (math.exp(-recovery.LOG_CAP), 4 * math.exp(-recovery.LOG_CAP))
-        assert capped == [3]
+        assert model.weights == pytest.approx((1.0, 2.0, 4.0, 12.0, math.exp(2.0), 1.0, 4.0))
+        assert capped == []
         # exp(s_N) for a lambda = 0 nest; an anchor with lambda exactly 0 has nest value 1
-        assert model.degenerate_weights == {0: pytest.approx(5.0 if outside else 1.0)}
+        assert model.degenerate_weights == {
+            0: pytest.approx(5.0 if outside else 1.0), 3: pytest.approx(math.exp(-1.0))
+        }
+    # Only a fixed weight's own log can pass LOG_CAP; it is capped and reported
+    model, capped = recovery._fitted_model(partition, weights, [0.5, 0.0, 1.0, 0.5], [0, -800, 0, 0], True)
+    assert model.degenerate_weights == {1: math.exp(-recovery.LOG_CAP)}
+    assert capped == [1]
     # Below DEGENERATE_LAMBDA a nest reads as lambda = 0 with fixed weight exp(s_N);
     # an anchor keeps its own lambda unless it is exactly 0.
     model, capped = recovery._fitted_model(partition, weights, [1e-10, 1e-10, 1.0, 0.5], s, False)
