@@ -83,10 +83,13 @@ def _check_determinant(matrix: np.ndarray) -> None:
         )
 
 
-def _clamp_lambda(lam: float, context: str) -> float:
-    """lam clamped into [0, 1] if within LAMBDA_ROUNDOFF of it, else a RecoveryError."""
+def _clamp_lambda(lam: float, context: str, flags: list[str] | None = None) -> float:
+    """lam clamped into [0, 1]; beyond LAMBDA_ROUNDOFF of it (or NaN), context is
+    appended to flags when they are given, else raised as a RecoveryError."""
     if not -LAMBDA_ROUNDOFF <= lam <= 1.0 + LAMBDA_ROUNDOFF:
-        raise RecoveryError(f"{context}: lambda = {lam} outside [0, 1]")
+        if flags is None:
+            raise RecoveryError(f"{context}: lambda = {lam} outside [0, 1]")
+        flags.append(context)
     return min(1.0, max(0.0, lam))
 
 
@@ -376,18 +379,18 @@ def recover_least_squares(
 ) -> LeastSquaresRecovery:
     """Fit nest parameters to noisy counts by least squares over all assortments.
 
-    Every assortment contributes a row to each nest it offers (alongside the
-    anchor).  Lambdas come from one joint least-squares fit, solved in closed
-    form nest by nest (_solve_log_linear), get clamped to [0, 1], and scales
-    are re-fit given the clamped values, so the result is always a valid
-    model; flags record any degraded step.
+    Every assortment with customers contributes a row to each nest it offers
+    (alongside the anchor).  Lambdas come from one joint least-squares fit,
+    solved in closed form nest by nest (_solve_log_linear), get clamped to
+    [0, 1], and scales are re-fit given the clamped values, so the result is
+    always a valid model; flags record any degraded step, a lambda solved
+    beyond LAMBDA_ROUNDOFF of [0, 1] included (nest-k- or anchor-lambda-clamped).
     """
-    if (table.sizes == 0).any():
-        raise ValueError("assortment with no customers")
-    offered = offered_mask(table.n, table.outside, table.assortments, table.labels)
+    sizes = table.sizes[:, None]  # an assortment nobody saw offers nothing: not run
+    offered = offered_mask(table.n, table.outside, table.assortments, table.labels) & (sizes > 0)
     # Zero cells get a half-count so logs and ratios stay finite; the small
     # bias washes out at the sample sizes where recovery is meaningful.
-    probs = np.where(offered, np.maximum(table.counts, COUNT_FLOOR), 0.0) / table.sizes[:, None]
+    probs = np.where(offered, np.maximum(table.counts, COUNT_FLOOR), 0.0) / np.maximum(sizes, 1)
     outside = table.outside
     control = ChoiceProbabilities(assortment=table.assortments[0], probs=probs[0], outside=outside)
     flags: list[str] = []
@@ -438,9 +441,9 @@ def recover_least_squares(
     lambdas = [1.0] * len(nests)
     if anchor_free:
         raw = float(sol[0]) if anchor_varies else 1.0
-        lambdas[anchor_idx] = min(1.0, max(0.0, raw))
+        lambdas[anchor_idx] = _clamp_lambda(raw, "anchor-lambda-clamped", flags)
     for k in np.flatnonzero(lam_col >= 0).tolist():
-        lambdas[k] = min(1.0, max(0.0, float(sol[lam_col[k]])))
+        lambdas[k] = _clamp_lambda(float(sol[lam_col[k]]), f"nest-{k}-lambda-clamped", flags)
 
     # Re-fit each s_N as the mean residual under the final lambdas.
     lam_anchor_eff = lambdas[anchor_idx] if anchor_idx is not None else 0.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -50,9 +50,10 @@ class ChoiceCountTable:
 
     assortments[0] is the control; labels align one to one.  counts[r, i] is
     how many of the sizes[r] customers of assortment r chose item i (0: the
-    outside option).  Items lie in 1..n, counts and sizes are non-negative,
-    counts are zero on items the assortment does not offer and sum to the
-    sample size; construction rejects anything else.  Tables compare equal by value.
+    outside option); sizes are the row sums.  Items lie in 1..n, counts are
+    non-negative, zero on items the assortment does not offer and sum within
+    int64, and the control has customers; construction rejects anything
+    else.  Tables compare equal by value.
     """
 
     n: int
@@ -60,16 +61,14 @@ class ChoiceCountTable:
     labels: tuple[str, ...]
     assortments: tuple[tuple[int, ...], ...]
     counts: np.ndarray
-    sizes: np.ndarray
+    sizes: np.ndarray = field(init=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
-        sizes = np.asarray(self.sizes, dtype=np.int64)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "sizes", sizes)
         if counts.ndim != 2 or counts.shape[1] != self.n + 1:
             raise ValueError(f"count matrix has shape {counts.shape}, not (rows, {self.n + 1})")
-        if not (len(self.labels) == len(self.assortments) == len(counts) == len(sizes)):
+        if not (len(self.labels) == len(self.assortments) == len(counts)):
             raise ValueError("misaligned count table")
         offered = offered_mask(self.n, self.outside, self.assortments, self.labels)
         if counts[~offered].any():
@@ -78,13 +77,13 @@ class ChoiceCountTable:
         if negative.size:
             r, i = negative[0]
             raise ValueError(f"negative count {counts[r, i]} for item {i} in {self.labels[r]}")
-        negative = np.flatnonzero(sizes < 0)
-        if negative.size:
-            r = negative[0]
-            raise ValueError(f"negative sample size {sizes[r]} for {self.labels[r]}")
         totals = counts.cumsum(axis=1)  # of non-negative terms: a wrap first shows as negative
-        if (totals < 0).any() or (totals[:, -1] != sizes).any():
-            raise ValueError("counts must sum to the sample size")
+        wrapped = np.flatnonzero((totals < 0).any(axis=1))
+        if wrapped.size:
+            raise ValueError(f"counts of {self.labels[wrapped[0]]} do not fit in int64")
+        object.__setattr__(self, "sizes", totals[:, -1].copy())
+        if not self.sizes[:1].any():  # a table without rows has no control either
+            raise ValueError("control has no customers")
 
     def __eq__(self, other) -> bool:
         return (
@@ -92,7 +91,6 @@ class ChoiceCountTable:
             and (self.n, self.outside, self.labels, self.assortments)
             == (other.n, other.outside, other.labels, other.assortments)
             and np.array_equal(self.counts, other.counts)
-            and np.array_equal(self.sizes, other.sizes)
         )
 
 
@@ -132,7 +130,6 @@ def draw_counts(
         labels=labels,
         assortments=assortments,
         counts=counts,
-        sizes=allocation,
     )
 
 
@@ -219,9 +216,10 @@ def load_counts(path: str, n: int) -> ChoiceCountTable:
 
     Extra columns and blank lines are ignored.  The file is parsed once and
     checked column by column in a fixed rule order: field count, int64
-    fields, one sample size per label, no repeated item, then control first
-    and every assortment agreeing on the outside option.  Each rule raises at
-    its first offending record, naming its line (and field) where it has one.
+    fields, one sample size per label, no repeated item, control first, one
+    outside-option setting, the table's rules, then each listed sample size
+    against its counts' sum.  Each rule raises at its first offending record,
+    naming its line (and field) or its label.
     """
     with open(path, newline="") as fh:
         header, reader = _count_reader(fh)
@@ -273,11 +271,14 @@ def load_counts(path: str, n: int) -> ChoiceCountTable:
     kept = (item >= 0) & (item <= n)  # the table rejects items outside 1..n, naming the label
     counts[rows[kept], item[kept]] = count[kept]
     listed = np.split(item[order], np.cumsum(np.bincount(rows, minlength=len(labels)))[:-1])
-    return ChoiceCountTable(
+    table = ChoiceCountTable(
         n=n,
         outside=outside,
         labels=labels,
         assortments=tuple(tuple(items[items != 0].tolist()) for items in listed),
         counts=counts,
-        sizes=sizes,
     )
+    for label, m, total in zip(labels, sizes.tolist(), table.sizes.tolist()):
+        if m != total:
+            raise ValueError(f"{label} lists sample size {m} but its counts sum to {total}")
+    return table

@@ -283,7 +283,6 @@ def random_count_table(rng):
         labels=("control", "S"),
         assortments=(items, items),
         counts=counts,
-        sizes=counts.sum(axis=1),
     )
 
 

@@ -591,22 +591,19 @@ def test_count_row_with_too_few_fields_ends_in_one_line(tmp_path, thin_counts):
 
 
 def test_negative_sample_size_ends_in_one_line(tmp_path):
-    """Two control rows whose counts wrap in int64 to their negative sample size"""
+    """A listed sample size is checked against its counts' sum, naming the label"""
     design = tmp_path / "design.json"
     design.write_text(json.dumps({"n": 1, "control": [1], "experiments": [
         {"label": "S", "items": [1]}]}))
     counts = tmp_path / "counts.csv"
     counts.write_text(
         "assortment_label,item_id,count,sample_size\n"
-        "control,0,5000000000000000000,-8446744073709551616\n"
-        "control,1,5000000000000000000,-8446744073709551616\n"
+        "control,0,2,-5\ncontrol,1,3,-5\nS,0,1,4\nS,1,3,4\n"
     )
     with pytest.raises(SystemExit) as exc:
         main(["identify", "--design", str(design), "--counts", str(counts),
               "--out-partition", str(tmp_path / "p.json")])
-    assert exc.value.code == (
-        "nestlab identify: negative sample size -8446744073709551616 for control"
-    )
+    assert exc.value.code == "nestlab identify: control lists sample size -5 but its counts sum to 5"
     assert not (tmp_path / "p.json").exists()
 
 

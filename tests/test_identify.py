@@ -49,7 +49,7 @@ from nestlab.model import (
     design_probabilities,
     generate_ground_truth,
 )
-from nestlab.recovery import recover_all
+from nestlab.recovery import recover_all, recover_least_squares
 from nestlab.sampling import (
     ChoiceCountTable,
     allocate_customers,
@@ -240,7 +240,6 @@ def random_count_tables(num, seed, n_items=3):
             labels=("control", "S"),
             assortments=(items, items),
             counts=counts,
-            sizes=counts.sum(axis=1),
         )
 
 
@@ -310,7 +309,6 @@ def test_z_statistic_zero_when_shares_match():
         labels=("control", "S"),
         assortments=((1, 2), (1, 2)),
         counts=([10, 30, 60], [40, 10, 20]),
-        sizes=(100, 70),
     )
     assert z_statistic(table, 1, 2, 0) == 0.0
 
@@ -323,7 +321,6 @@ def test_z_statistic_rejects_non_integer_ids():
         labels=("control", "S"),
         assortments=((1, 2), (1, 2)),
         counts=([10, 30, 60], [40, 10, 20]),
-        sizes=(100, 70),
     )
     assert z_statistic(table, np.int64(1), 2, 0) == 0.0
     for i, j in ((1, 2.0), (1.5, 2)):
@@ -338,7 +335,6 @@ def test_z_statistic_rejects_empty_evidence():
         labels=("control", "S"),
         assortments=((1, 2), (1, 2)),
         counts=([10, 30, 60], [70, 0, 0]),
-        sizes=(100, 70),
     )
     with pytest.raises(ZeroEvidenceError):
         z_statistic(table, 1, 2, 0)
@@ -392,27 +388,32 @@ def test_threshold_identification_uses_fixed_cutoff():
 
 
 def test_threshold_identification_skips_experiments_without_customers():
-    """An experiment nobody saw adds nothing, as if it had not been run"""
-    rng = np.random.default_rng(43)
-    model = generate_ground_truth(6, rng, outside=False)
+    """An experiment nobody saw adds nothing, as if it had not been run: in the z-threshold
+    regime, in noisy identification with and without an outside option, and in least squares"""
     design = slice_design(balanced_enumeration(6, 2))
     alloc = [10**6] * (design.num_experiments + 1)
     alloc[2] = 0
-    starved = sample_choices(model, design, alloc, seed=8)
-    keep = [k for k in range(len(starved.assortments)) if k != 2]
-    dropped = ChoiceCountTable(
-        n=6,
-        outside=False,
-        labels=tuple(starved.labels[k] for k in keep),
-        assortments=tuple(starved.assortments[k] for k in keep),
-        counts=tuple(starved.counts[k] for k in keep),
-        sizes=tuple(starved.sizes[k] for k in keep),
-    )
-    config = TestConfig(z_threshold=3.0)
-    got, partition = noisy_identify_without_outside(starved, design, config)
-    want, expected = noisy_identify_without_outside(dropped, design, config)
-    assert np.array_equal(got.values, want.values)
-    assert partition == expected
+    keep = [k for k in range(design.num_experiments + 1) if k != 2]
+    cases = [(False, noisy_identify_without_outside, 43), (True, noisy_identify_with_outside, 46)]
+    for outside, identify, truth_seed in cases:
+        model = generate_ground_truth(6, np.random.default_rng(truth_seed), outside=outside)
+        starved = sample_choices(model, design, alloc, seed=8)
+        assert starved.sizes[2] == 0
+        dropped = ChoiceCountTable(
+            n=6,
+            outside=outside,
+            labels=tuple(starved.labels[k] for k in keep),
+            assortments=tuple(starved.assortments[k] for k in keep),
+            counts=starved.counts[keep],
+        )
+        for config in (TestConfig(), TestConfig(z_threshold=3.0)):
+            got, partition = identify(starved, design, config)
+            want, expected = identify(dropped, design, config)
+            assert np.array_equal(got.values, want.values)
+            assert partition == expected
+        got = recover_least_squares(starved, model.partition, design)
+        want = recover_least_squares(dropped, model.partition, design)
+        assert (got.model, got.flags) == (want.model, want.flags)
 
 
 def test_experiment_offering_no_item_deduces_nothing(tmp_path):
@@ -585,15 +586,23 @@ def reference_tables():
                 alloc = [int(m) for m in rng.integers(0, cap, size=design.num_experiments + 1)]
                 if k % 3 == 0:
                     alloc[1 + k % design.num_experiments] = 0  # an all-zero row
-                table = sample_choices(model, design, alloc, seed=int(rng.integers(2**31)))
-                yield design, table, config
+                seed = int(rng.integers(2**31))
+                if alloc[0] == 0:  # the table refuses it, so identification never sees it
+                    with pytest.raises(ValueError, match="^control has no customers$"):
+                        sample_choices(model, design, alloc, seed=seed)
+                    yield design, None, config
+                else:
+                    yield design, sample_choices(model, design, alloc, seed=seed), config
 
 
 def test_noisy_identification_matches_scalar_reference():
     """Per-experiment array tests give bit-identical edges to the pair loops"""
     identify = {True: noisy_identify_with_outside, False: noisy_identify_without_outside}
-    checked = zero_evidence = 0
+    checked = zero_evidence = refused = 0
     for design, table, config in reference_tables():
+        if table is None:
+            refused += 1
+            continue
         edges, partition = identify[table.outside](table, design, config)
         want = reference_noisy_identify(table, config)
         assert np.array_equal(edges.values, want), (table.n, config)
@@ -604,7 +613,8 @@ def test_noisy_identification_matches_scalar_reference():
             for i, j in itertools.combinations(items, 2)
         )
         checked += 1
-    assert checked >= 360
+    assert refused == 21  # thin budgets can leave the control without customers
+    assert checked + refused >= 360
     assert zero_evidence >= 80  # thin budgets exercise the no-evidence skips
 
 
@@ -1095,7 +1105,7 @@ def _two_item_tables(outside):
     counts = ([10, 30, 60], [40, 30, 0]) if outside else ([0, 40, 60], [0, 70, 0])
     table = ChoiceCountTable(
         n=2, outside=outside, labels=("control", "S"), assortments=((1, 2), (1,)),
-        counts=counts, sizes=(100, 70),
+        counts=counts,
     )
     return table, boost_factors_from_counts(table)
 
@@ -1127,6 +1137,12 @@ TWO_ITEMS = ExperimentDesign(n=2, experiments=[(1,)], labels=("S",))
     (lambda: z_statistic(_two_item_tables(True)[0], 1, 2, 0), "item 2 not offered in S"),
     (lambda: TestConfig(alpha=0.05, beta=1.5), "beta must lie in [0, 1]"),
     (lambda: TestConfig(alpha=-0.1), "alpha must lie in [0, 1]"),
+    # Counts without a control customer used to identify 8 singletons (one nest of all 8
+    # items at z_threshold=5); the table now refuses them before any test runs.
+    (lambda: noisy_identify_with_outside(sample_choices(
+        generate_ground_truth(8, 1), slice_design(balanced_enumeration(8, 2)),
+        [0] + [10_000] * 6, seed=3), slice_design(balanced_enumeration(8, 2))),
+     "control has no customers"),
 ])
 def test_identify_boundary_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

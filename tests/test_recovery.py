@@ -35,7 +35,9 @@ from nestlab.recovery import (
     recover_least_squares,
     within_nest_weights,
 )
-from nestlab.sampling import ChoiceCountTable, allocate_customers, sample_choices
+from nestlab.sampling import (
+    ChoiceCountTable, allocate_customers, empirical_probabilities, sample_choices,
+)
 
 
 def test_within_nest_weights_normalizes_lowest_index():
@@ -582,11 +584,12 @@ def _outside_share_moved(row):
         ChoiceProbabilities(assortment=(1, 3), probs=np.array([0.0, 0.5, 0.0, 0.5]), outside=False),
         NestPartition([(1, 2, 3)])),
      "control row offers items [1, 3], partition covers items 1..3"),
-    (lambda: recover_least_squares(
-        ChoiceCountTable(n=2, outside=True, labels=("control", "S"), assortments=((1, 2), (1,)),
-                         counts=([1, 2, 2], [0, 0, 0]), sizes=(5, 0)),
+    (lambda: recover_all(  # least squares fits without S; exact recovery refuses it
+        empirical_probabilities(
+            ChoiceCountTable(n=2, outside=True, labels=("control", "S"), assortments=((1, 2), (1,)),
+                             counts=([1, 2, 2], [0, 0, 0]))),
         NestPartition([(1,), (2,)]), ExperimentDesign(n=2, experiments=[(1,)], labels=("S",))),
-     "assortment with no customers"),
+     "assortments with no customers: S"),
     (lambda: recover_all(*_outside_share_moved(0)),
      "zero control probability for the outside option"),
     (lambda: recover_all(*_outside_share_moved(1)), "S misses the anchor or nest 0"),
@@ -640,7 +643,6 @@ def _fit_rounded_counts(scale: float) -> tuple[NestedLogitModel, recovery.LeastS
     table = ChoiceCountTable(
         n=4, outside=True, labels=("control", *SLICE_4.labels),
         assortments=(SLICE_4.control, *SLICE_4.experiments), counts=counts,
-        sizes=counts.sum(axis=1),
     )
     return truth, recover_least_squares(table, truth.partition, SLICE_4)
 
@@ -667,13 +669,32 @@ def test_least_squares_fixes_a_lambda_whose_scale_would_pass_the_cap():
 
 
 def test_least_squares_fits_a_lambda_0_nest_better_with_more_data():
-    """rmse_soft falls at every tenfold step of the counts from 1e3 to 1e10, and no fit is flagged"""
+    """rmse_soft falls at every tenfold step of the counts from 1e3 to 1e10; the only flag
+    is the lambda = 0 nest's, where rounding solves its lambda below -LAMBDA_ROUNDOFF"""
     scores = []
     for exponent in range(3, 11):
         truth, fit = _fit_rounded_counts(10.0**exponent)
-        assert fit.flags == []
+        assert fit.flags in ([], ["nest-1-lambda-clamped"])
+        assert fit.model.lambdas[1] == 0.0
         scores.append(rmse_soft(truth, fit.model))
     assert all(later < earlier for earlier, later in zip(scores, scores[1:])), scores
+
+
+@pytest.mark.parametrize("outside, seed, flags, lambdas", [
+    (True, 44, ["nest-1-lambda-clamped"], (0.3161629384316399, 1.0)),  # solved 1.21
+    (False, 7, ["anchor-lambda-clamped", "nest-1-lambda-clamped"], (0.0, 0.0)),  # -1.13, -0.49
+], ids=["outside", "no-outside"])
+def test_least_squares_flags_a_lambda_solved_outside_0_1(outside, seed, flags, lambdas):
+    """400 customers on n=4: least squares clamps and flags the lambda that exact recovery,
+    by the same LAMBDA_ROUNDOFF, refuses"""
+    truth = generate_ground_truth(4, seed, outside=outside)
+    alloc = allocate_customers(400, SLICE_4.num_experiments + 1)
+    table = sample_choices(truth, SLICE_4, alloc, seed=seed)
+    fit = recover_least_squares(table, truth.partition, SLICE_4)
+    assert fit.flags == flags
+    assert fit.model.lambdas == pytest.approx(lambdas, rel=1e-12)
+    with pytest.raises(recovery.RecoveryError, match=r"lambda = .* outside \[0, 1\]$"):
+        recover_all(empirical_probabilities(table), truth.partition, SLICE_4)
 
 
 def test_fitted_model_is_the_one_nest_rule():

@@ -129,7 +129,6 @@ def test_count_table_rows_must_match_assortments():
             labels=("control",),
             assortments=((1, 2),),
             counts=([1, 2, 3, 4],),
-            sizes=(10,),
         )
     # a matrix with one column too few
     with pytest.raises(ValueError, match="shape"):
@@ -139,20 +138,16 @@ def test_count_table_rows_must_match_assortments():
             labels=("control",),
             assortments=((1, 2, 3),),
             counts=([1, 2, 3],),
-            sizes=(6,),
         )
 
 
 def test_count_table_validates_sums():
-    with pytest.raises(ValueError):
-        ChoiceCountTable(
-            n=2,
-            outside=True,
-            labels=("control",),
-            assortments=((1, 2),),
-            counts=([1, 2, 3],),
-            sizes=(7,),
-        )
+    """Sample sizes are the row sums; an experiment may have none, the control may not"""
+    fields = dict(n=2, outside=True, labels=("control", "S"), assortments=((1, 2), (1, 2)))
+    table = ChoiceCountTable(counts=([1, 2, 3], [0, 0, 0]), **fields)
+    assert table.sizes.dtype == np.int64 and table.sizes.tolist() == [6, 0]
+    with pytest.raises(ValueError, match="^control has no customers$"):
+        ChoiceCountTable(counts=([0, 0, 0], [1, 2, 3]), **fields)
 
 
 def test_counts_csv_round_trip(tmp_path):
@@ -193,7 +188,7 @@ def test_save_counts_writes_csv_writer_bytes(tmp_path, outside):
     for row, items in zip(counts, assortments):
         row[list(((0,) if outside else ()) + items)] = rng.integers(0, 10**6, len(items) + outside)
     table = ChoiceCountTable(n=3, outside=outside, labels=labels, assortments=assortments,
-                             counts=counts, sizes=counts.sum(axis=1))
+                             counts=counts)
     save_counts(table, tmp_path / "got.csv")
     reference_save_counts(table, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -203,7 +198,7 @@ def test_save_counts_writes_csv_writer_bytes(tmp_path, outside):
 def test_save_counts_sorts_each_assortment(tmp_path):
     """A table listing its items out of order is saved in increasing item order and loads sorted"""
     fields = dict(n=3, outside=True, labels=("control", "S"),
-                  counts=[[1, 2, 3, 4], [2, 0, 5, 3]], sizes=[10, 10])
+                  counts=[[1, 2, 3, 4], [2, 0, 5, 3]])
     table = ChoiceCountTable(assortments=((3, 1, 2), (3, 2)), **fields)
     path = tmp_path / "counts.csv"
     save_counts(table, path)
@@ -239,7 +234,7 @@ def test_load_counts_requires_control_first(tmp_path):
 
 
 def test_count_table_rejects_negative_counts():
-    # -1 and 6 sum to the sample size, so only the sign check catches it
+    # -1 and 6 sum to a positive sample size, so only the sign check catches it
     with pytest.raises(ValueError, match="item 1 in control"):
         ChoiceCountTable(
             n=2,
@@ -247,7 +242,6 @@ def test_count_table_rejects_negative_counts():
             labels=("control",),
             assortments=((1, 2),),
             counts=([0, -1, 6],),
-            sizes=(5,),
         )
 
 
@@ -259,7 +253,6 @@ def test_count_table_rejects_items_outside_range():
             labels=("control", "S"),
             assortments=((1, 2), (1, 7)),
             counts=([0, 2, 3], [0, 1, 4]),
-            sizes=(5, 5),
         )
 
 
@@ -272,7 +265,6 @@ def test_count_table_rejects_non_integer_items():
             labels=("control", "S"),
             assortments=((1, 2), (1, 2.9)),
             counts=([0, 2, 3], [0, 1, 4]),
-            sizes=(5, 5),
         )
 
 
@@ -340,7 +332,7 @@ def _two_item_draw(allocation):
     (lambda tmp: _two_item_draw([5, 5]), "allocation must cover control plus every experiment"),
     (lambda tmp: _two_item_draw([5, -1, 5]), "negative sample size"),
     (lambda tmp: ChoiceCountTable(n=1, outside=True, labels=("control",), assortments=(),
-                                  counts=[[0, 5]], sizes=[5]),
+                                  counts=[[0, 5]]),
      "misaligned count table"),
     (lambda tmp: load_counts(_count_file(tmp / "c.csv", "S,1,5,5\ncontrol,1,5,5\n"), 1),
      "count file must start with the control assortment"),
@@ -378,18 +370,20 @@ def _two_item_draw(allocation):
      "control lists sample sizes 5 and 7"),
     (lambda tmp: load_counts(_count_file(tmp / "c.csv", "S,1,5,5\nS,1,0,5\ncontrol,1,5,5\n"), 3),
      "S lists item 1 twice"),
-    # Then the table's own rules; 5e18 + 5e18 wraps in int64 to the negative size listed.
+    # Then the table's own rules (5e18 + 5e18 wraps in int64 to the negative size listed),
+    # and last each listed sample size against its counts' sum.
     (lambda tmp: load_counts(_count_file(
         tmp / "c.csv", "control,0,5000000000000000000,-8446744073709551616\n"
         "control,1,5000000000000000000,-8446744073709551616\n"), 1),
-     "negative sample size -8446744073709551616 for control"),
-    (lambda tmp: ChoiceCountTable(n=1, outside=False, labels=("control", "S"),
-                                  assortments=((1,), (1,)), counts=[[0, 5], [0, 0]], sizes=[5, -1]),
-     "negative sample size -1 for S"),
+     "counts of control do not fit in int64"),
+    (lambda tmp: load_counts(_count_file(tmp / "c.csv", "control,1,0,5\nS,1,6,7\n"), 1),
+     "control has no customers"),
+    (lambda tmp: load_counts(_count_file(tmp / "c.csv", "control,1,5,5\nS,1,6,7\n"), 1),
+     "S lists sample size 7 but its counts sum to 6"),
     (lambda tmp: ChoiceCountTable(  # 3 * 6148914691236517207 = 2**64 + 5 wraps in int64 to 5
-        n=2, outside=True, labels=("control",), assortments=((1, 2),),
-        counts=[[6148914691236517207] * 3], sizes=[5]),
-     "counts must sum to the sample size"),
+        n=2, outside=True, labels=("control", "S"), assortments=((1, 2), (1, 2)),
+        counts=[[1, 2, 3], [6148914691236517207] * 3]),
+     "counts of S do not fit in int64"),
 ])
 def test_sampling_boundary_checks(tmp_path, call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
