@@ -84,11 +84,12 @@ def _check_determinant(matrix: np.ndarray) -> None:
 
 
 def _clamp_lambda(lam: float, context: str, flags: list[str] | None = None) -> float:
-    """lam clamped into [0, 1]; beyond LAMBDA_ROUNDOFF of it (or NaN), context is
-    appended to flags when they are given, else raised as a RecoveryError."""
-    if not -LAMBDA_ROUNDOFF <= lam <= 1.0 + LAMBDA_ROUNDOFF:
-        if flags is None:
-            raise RecoveryError(f"{context}: lambda = {lam} outside [0, 1]")
+    """lam clamped into [0, 1]; beyond LAMBDA_ROUNDOFF of it (or NaN), context is raised
+    as a RecoveryError.  With flags given (least squares) a lambda below 0 reads as a
+    lambda = 0 nest, and only one above 1 + LAMBDA_ROUNDOFF (or NaN) is flagged."""
+    if flags is None and not -LAMBDA_ROUNDOFF <= lam <= 1.0 + LAMBDA_ROUNDOFF:
+        raise RecoveryError(f"{context}: lambda = {lam} outside [0, 1]")
+    if flags is not None and not lam <= 1.0 + LAMBDA_ROUNDOFF:
         flags.append(context)
     return min(1.0, max(0.0, lam))
 
@@ -384,7 +385,7 @@ def recover_least_squares(
     solved in closed form nest by nest (_solve_log_linear), get clamped to
     [0, 1], and scales are re-fit given the clamped values, so the result is
     always a valid model; flags record any degraded step, a lambda solved
-    beyond LAMBDA_ROUNDOFF of [0, 1] included (nest-k- or anchor-lambda-clamped).
+    above 1 + LAMBDA_ROUNDOFF included (nest-k- or anchor-lambda-clamped).
     """
     sizes = table.sizes[:, None]  # an assortment nobody saw offers nothing: not run
     offered = offered_mask(table.n, table.outside, table.assortments, table.labels) & (sizes > 0)

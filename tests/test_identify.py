@@ -1137,12 +1137,6 @@ TWO_ITEMS = ExperimentDesign(n=2, experiments=[(1,)], labels=("S",))
     (lambda: z_statistic(_two_item_tables(True)[0], 1, 2, 0), "item 2 not offered in S"),
     (lambda: TestConfig(alpha=0.05, beta=1.5), "beta must lie in [0, 1]"),
     (lambda: TestConfig(alpha=-0.1), "alpha must lie in [0, 1]"),
-    # Counts without a control customer used to identify 8 singletons (one nest of all 8
-    # items at z_threshold=5); the table now refuses them before any test runs.
-    (lambda: noisy_identify_with_outside(sample_choices(
-        generate_ground_truth(8, 1), slice_design(balanced_enumeration(8, 2)),
-        [0] + [10_000] * 6, seed=3), slice_design(balanced_enumeration(8, 2))),
-     "control has no customers"),
 ])
 def test_identify_boundary_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

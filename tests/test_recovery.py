@@ -616,6 +616,12 @@ def test_clamp_lambda_absorbs_roundoff_only():
     for lam in (-2 * roundoff, 1.0 + 2 * roundoff):
         with pytest.raises(RecoveryError, match="^nest 1: lambda = "):
             recovery._clamp_lambda(lam, "nest 1")
+    # With flags (least squares) nothing is raised, and a lambda below 0 reads as lambda = 0
+    flags = []
+    assert recovery._clamp_lambda(-0.5, "below", flags) == 0.0
+    assert recovery._clamp_lambda(1.0 + roundoff, "roundoff", flags) == 1.0
+    assert recovery._clamp_lambda(1.0 + 2 * roundoff, "above", flags) == 1.0
+    assert flags == ["above"]
 
 
 def test_exact_recovery_reads_a_roundoff_lambda_as_a_fixed_weight_nest():
@@ -669,12 +675,12 @@ def test_least_squares_fixes_a_lambda_whose_scale_would_pass_the_cap():
 
 
 def test_least_squares_fits_a_lambda_0_nest_better_with_more_data():
-    """rmse_soft falls at every tenfold step of the counts from 1e3 to 1e10; the only flag
-    is the lambda = 0 nest's, where rounding solves its lambda below -LAMBDA_ROUNDOFF"""
+    """rmse_soft falls at every tenfold step of the counts from 1e3 to 1e10; no fit is
+    flagged, also where rounding solves the lambda = 0 nest's lambda below -LAMBDA_ROUNDOFF"""
     scores = []
     for exponent in range(3, 11):
         truth, fit = _fit_rounded_counts(10.0**exponent)
-        assert fit.flags in ([], ["nest-1-lambda-clamped"])
+        assert fit.flags == []
         assert fit.model.lambdas[1] == 0.0
         scores.append(rmse_soft(truth, fit.model))
     assert all(later < earlier for earlier, later in zip(scores, scores[1:])), scores
@@ -682,11 +688,11 @@ def test_least_squares_fits_a_lambda_0_nest_better_with_more_data():
 
 @pytest.mark.parametrize("outside, seed, flags, lambdas", [
     (True, 44, ["nest-1-lambda-clamped"], (0.3161629384316399, 1.0)),  # solved 1.21
-    (False, 7, ["anchor-lambda-clamped", "nest-1-lambda-clamped"], (0.0, 0.0)),  # -1.13, -0.49
+    (False, 71, ["anchor-lambda-clamped", "nest-1-lambda-clamped"], (1.0, 1.0)),  # 1.58, 1.30
 ], ids=["outside", "no-outside"])
 def test_least_squares_flags_a_lambda_solved_outside_0_1(outside, seed, flags, lambdas):
-    """400 customers on n=4: least squares clamps and flags the lambda that exact recovery,
-    by the same LAMBDA_ROUNDOFF, refuses"""
+    """400 customers on n=4: least squares clamps and flags a lambda solved above 1 that
+    exact recovery, by the same LAMBDA_ROUNDOFF, refuses"""
     truth = generate_ground_truth(4, seed, outside=outside)
     alloc = allocate_customers(400, SLICE_4.num_experiments + 1)
     table = sample_choices(truth, SLICE_4, alloc, seed=seed)

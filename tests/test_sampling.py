@@ -378,6 +378,11 @@ def _two_item_draw(allocation):
      "counts of control do not fit in int64"),
     (lambda tmp: load_counts(_count_file(tmp / "c.csv", "control,1,0,5\nS,1,6,7\n"), 1),
      "control has no customers"),
+    # Drawn without a control customer, these counts used to identify 8 singletons (one
+    # nest of all 8 items at z_threshold=5); the table now refuses them before any test.
+    (lambda tmp: sample_choices(generate_ground_truth(8, 1), slice_design(balanced_enumeration(8, 2)),
+                                [0] + [10_000] * 6, seed=3),
+     "control has no customers"),
     (lambda tmp: load_counts(_count_file(tmp / "c.csv", "control,1,5,5\nS,1,6,7\n"), 1),
      "S lists sample size 7 but its counts sum to 6"),
     (lambda tmp: ChoiceCountTable(  # 3 * 6148914691236517207 = 2**64 + 5 wraps in int64 to 5
