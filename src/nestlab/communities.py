@@ -82,31 +82,41 @@ def community_detect(weights: np.ndarray) -> NestPartition:
     modularity compare equal and the earliest is kept.  A graph with no
     edges keeps every item alone.
     """
-    merges, best_step = _walktrap_merges(weights)
-    n = len(weights)
+    return detect_validated(_validated_weights(weights))
+
+
+def detect_validated(w: np.ndarray) -> NestPartition:
+    """community_detect on a matrix the caller built valid and hands over.
+
+    w must be a square float64 array, symmetric, finite and non-negative,
+    with a zero diagonal, as _validated_weights returns it; it is not
+    checked, and it becomes scratch space.
+    """
+    merges, best_step = _walktrap_merges(w)
+    n = len(w)
     groups: dict[int, list[int]] = {i: [i + 1] for i in range(n)}
     for step, (a, b) in enumerate(merges[:best_step]):
         groups[n + step] = groups.pop(a) + groups.pop(b)
     return NestPartition(groups.values())
 
 
-def _walktrap_merges(weights: np.ndarray) -> tuple[list[tuple[int, int]], int]:
+def _walktrap_merges(w: np.ndarray) -> tuple[list[tuple[int, int]], int]:
     """Walktrap's merge sequence on a weight matrix, and its best cut.
 
     Merge k joins communities a < b into the new community n + k.  The cut
     after the first best_step merges is the first strict modularity maximum.
 
-    The validated copy of weights belongs to this function alone.  Once
-    strengths and links are read off it, it becomes P in place and is
-    dropped before the last squaring, so P**t (np.linalg.matrix_power's
-    squarings; WALK_LENGTH is a power of two) holds at most two n x n
-    arrays.  Each community's walk vector is a row of P**t: a merged one
-    is written over the row of its lower-numbered member.  Links come from
+    w is valid as _validated_weights returns it, and the function takes
+    it over: once strengths and links are read off it, it becomes P in
+    place, and P**t (np.linalg.matrix_power's squarings; WALK_LENGTH is a
+    power of two) writes each square over the array two squarings back, so
+    the walk holds two n x n arrays, w's buffer one of them.  Each
+    community's walk vector is a row of P**t: a merged one is written over
+    the row of its lower-numbered member.  Links come from
     one np.nonzero, split by row.  Distances are ddots of stacked rows, as
     in a one-pair np.dot, so each keeps its bits: the first heap's over all
     edges, 256 at a time, then each merged community's to its neighbours.
     """
-    w = _validated_weights(weights)
     n = w.shape[0]
     if n == 0:
         raise ValueError("empty weight matrix")
@@ -125,10 +135,11 @@ def _walktrap_merges(weights: np.ndarray) -> tuple[list[tuple[int, int]], int]:
     np.fill_diagonal(w, 1.0)  # every vertex gets a self-loop of weight 1
     degrees = w.sum(axis=1)
     w /= degrees[:, None]
-    walk = w  # P = D^-1 A
+    walk, spare = w, None  # P = D^-1 A
     del w
     for _ in range(WALK_LENGTH.bit_length() - 1):
-        walk = walk @ walk
+        walk, spare = np.matmul(walk, walk, out=spare), walk
+    del spare
     inv_degree = 1.0 / degrees[:, None]
 
     size: dict[int, int] = dict.fromkeys(range(n), 1)

@@ -11,7 +11,9 @@ summary JSON of means and confidence intervals.
 The grid runs one instance at a time (one process-pool task per instance):
 the instance's all-subset truth cells (metrics.all_subset_cells) are built
 once, shared by its cells' rmse_soft scores, and dropped before the next
-instance.
+instance.  So are the slice design and the truth's probabilities on it,
+shared by the cells of the schemes that run on it; the randomized and
+incremental designs depend on each cell's seed and are built per cell.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from .sampling import ChoiceCountTable, allocate_customers, draw_counts, empiric
 
 DESIGN_SCHEMES = ("slice", "slice_naive", "random", "loo", "incremental")
 BASELINE_SCHEMES = ("default_two_nest", "point_estimate")
+SLICE_SCHEMES = ("slice", *BASELINE_SCHEMES)  # the schemes run on the slice design
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,7 @@ def build_design(
     scheme: str, n: int, b: int, config: ExperimentConfig, rng: np.random.Generator
 ) -> ExperimentDesign:
     """The design of a scheme; random reads config's count and size rule."""
-    if scheme in ("slice", *BASELINE_SCHEMES):
+    if scheme in SLICE_SCHEMES:
         return slice_design(balanced_enumeration(n, b))
     if scheme == "slice_naive":
         return slice_design(naive_encoding(n, b))
@@ -216,6 +219,7 @@ def run_pipeline(
     seed: int,
     instance: int = 0,
     truth_cells: np.ndarray | None = None,
+    slice_probs: tuple[ExperimentDesign, list[ChoiceProbabilities]] | None = None,
 ) -> PipelineResult:
     """Design, sample, identify, recover, and score one grid cell.
 
@@ -227,11 +231,20 @@ def run_pipeline(
     modeling entirely, so it only gets the restricted score.  truth_cells is
     all_subset_cells(truth) when the caller has it; rmse_soft is the
     same float either way, and NaN past metrics.EXHAUSTIVE_LIMIT items.
+    slice_probs is the slice design and the truth's probabilities on it,
+    for a scheme in SLICE_SCHEMES when the caller has them: that design
+    does not depend on the cell's seed, so every result is the same
+    either way.  Other schemes build their design from the seed.
     """
     n = truth.n
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD5)))
-    design = build_design(scheme, n, config.b, config, rng)
-    true_probs = design_probabilities(truth, design)
+    if slice_probs is None:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD5)))
+        design = build_design(scheme, n, config.b, config, rng)
+        true_probs = design_probabilities(truth, design)
+    elif scheme in SLICE_SCHEMES:
+        design, true_probs = slice_probs
+    else:
+        raise ValueError(f"scheme {scheme!r} does not run on the slice design")
     table = sample_counts(true_probs, design, T, seed)
     result = PipelineResult(instance=instance, scheme=scheme, T=T)
     if scheme == "point_estimate":
@@ -284,10 +297,13 @@ def _instance_models(config: ExperimentConfig) -> list[NestedLogitModel]:
 def _run_instance(args) -> list[PipelineResult]:
     """Every (scheme, T) cell of one instance, sharing one vector of truth cells.
 
-    Cells go through the module-level run_pipeline, looked up per call.
+    The slice schemes' cells also share the grid's slice design and the
+    truth's probabilities on it, computed once here.  Cells go through the
+    module-level run_pipeline, looked up per call.
     """
-    config, instance, truth = args
+    config, instance, truth, design = args
     truth_cells = all_subset_cells(truth) if truth.n <= EXHAUSTIVE_LIMIT else None
+    slice_probs = design, design_probabilities(truth, design)
     return [
         run_pipeline(
             truth,
@@ -297,6 +313,7 @@ def _run_instance(args) -> list[PipelineResult]:
             _cell_seed(config.seed, instance, scheme, T),
             instance,
             truth_cells=truth_cells,
+            slice_probs=slice_probs if scheme in SLICE_SCHEMES else None,
         )
         for scheme in config.schemes
         for T in config.T_list
@@ -356,13 +373,15 @@ def compare_designs(config: ExperimentConfig) -> CompareReport:
     """Run the full comparison grid and optionally write its reports.
 
     Ground-truth instances are generated once and shared by every scheme and
-    budget; general-position violations against the slice design get flagged
-    (they void the identification guarantees, so the CLI exits nonzero).
+    budget, and the slice design once for the grid; general-position
+    violations against it get flagged (they void the identification
+    guarantees, so the CLI exits nonzero).
     Work runs per instance: each instance builds its truth's all-subset
-    cells once for its cells' rmse_soft and drops them when done, so at
-    most one such vector per worker is alive.  Results come back in (instance, scheme,
-    T) order.  NESTLAB_THREADS > 1 distributes instances across processes,
-    at most one per CPU.
+    cells once for its cells' rmse_soft, and its truth's probabilities on
+    the slice design once for the slice schemes' cells, and drops them
+    when done, so at most one such vector per worker is alive.  Results
+    come back in (instance, scheme, T) order.  NESTLAB_THREADS > 1
+    distributes instances across processes, at most one per CPU.
     """
     models = _instance_models(config)
     slice_ref = slice_design(balanced_enumeration(config.n, config.b))
@@ -373,7 +392,7 @@ def compare_designs(config: ExperimentConfig) -> CompareReport:
                 f"instance {i}: nests {k_a} and {k_b} share a multiplier under {label}"
             )
 
-    tasks = [(config, i, truth) for i, truth in enumerate(models)]
+    tasks = [(config, i, truth, slice_ref) for i, truth in enumerate(models)]
     threads = _worker_count()
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor  # slow to import, and only needed here

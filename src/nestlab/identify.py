@@ -7,14 +7,15 @@ share one when both nests are fully offered, in which case it equals the
 outside option's boost.  One rule engine turns these facts into an edge
 matrix of same-nest deductions, fed by either of two comparators: relative
 tolerance on exact boost factors, or a |z| cutoff on counts.  The noisy
-identifiers replace equality with two-proportion z-tests, run per experiment
-as array operations on one pair kernel: over the pairs (a < b) of the
-offered items that no earlier experiment rejected, and for each item against
-the outside option.  Each experiment's weights merge by elementwise minimum
-into both orientations of each pair, and the symmetric soft evidence matrix
-goes to community detection.  A p-value is evaluated only where it sets an
-edge weight: pairs clearly past the alpha cutoff are rejected from |z| alone,
-and math.erfc decides exactly near the cutoff.
+identifiers replace equality with two-proportion z-tests, run as array
+operations on one pair kernel over chunks of consecutive experiments: over
+the pairs (a < b) of each experiment's offered items that no earlier chunk
+rejected, and for each item against the outside option.  Each experiment's
+weights merge by elementwise minimum into both orientations of each pair,
+and the symmetric soft evidence matrix goes to community detection.  A
+p-value is evaluated only where it sets an edge weight: pairs clearly past
+the alpha cutoff are rejected from |z| alone, and math.erfc decides exactly
+near the cutoff.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .communities import community_detect
+from .communities import detect_validated
 from .designs import ExperimentDesign
 from .model import (
     EXACT_TOLERANCE,
@@ -41,6 +42,7 @@ from .model import (
 from .sampling import ChoiceCountTable, empirical_probabilities
 
 NOISY_NULL = 2.0  # above any attainable p-value, so min() absorbs it
+_PAIR_BUDGET = 1 << 10  # consecutive experiments are tested together up to this many pairs
 SAMPLE_SIZE_CONSTANT = 25.0  # the absolute constant C of the finite-sample bound
 
 
@@ -295,10 +297,11 @@ def _pair_z(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two-proportion z scores for the pairs (a[k], b[k]) of one experiment's support.
 
-    xs and xc count each support item's choices in the experiment and in the
-    control, out of m_s and m_c customers; a and b index into them.  Returns
-    z per pair, NaN where a pair has no evidence, and the has-evidence mask
-    (pooled counts positive on both assortments).  Exactly antisymmetric: the
+    xs and xc count each support item's choices in its experiment and in
+    the control, out of m_s (one count, or one per support item) and m_c
+    customers; a and b index into them.  Returns z per pair, NaN where a
+    pair has no evidence, and the has-evidence mask (pooled counts
+    positive on both assortments).  Exactly antisymmetric: the
     numerator is cross-multiplied so swapping a pair negates the same float
     products instead of rounding two different quotients.
     """
@@ -318,14 +321,16 @@ def _pair_z(
     return z, evidence
 
 
+def _counts(table: ChoiceCountTable, rows, cols) -> tuple:
+    """_pair_z's xs, xc, m_s and m_c: choices of cols in rows and in the control, and customers."""
+    return table.counts[rows, cols], table.counts[0, cols], table.sizes[rows], table.sizes[0]
+
+
 def _support_z(
     table: ChoiceCountTable, experiment: int, support: tuple[int, ...], a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """_pair_z over the pairs (a, b) of the given items (0: outside option) of one experiment."""
-    row, cols = experiment + 1, list(support)
-    return _pair_z(
-        table.counts[row, cols], table.counts[0, cols], table.sizes[row], table.sizes[0], a, b
-    )
+    return _pair_z(*_counts(table, experiment + 1, list(support)), a, b)
 
 
 def z_statistic(table: ChoiceCountTable, i: int, j: int, experiment: int) -> float:
@@ -440,45 +445,102 @@ def _merge_min(values: np.ndarray, rows, cols, weight) -> None:
     flat[mirror] = merged
 
 
+def _chunks(experiments) -> list[range]:
+    """Consecutive experiments, in order, with at most _PAIR_BUDGET pairs together.
+
+    An experiment with more pairs than that is a chunk of its own.
+    """
+    chunks, first, pairs = [], 0, 0
+    for s, items in enumerate(experiments):
+        count = math.comb(len(items), 2)
+        if s > first and pairs + count > _PAIR_BUDGET:
+            chunks.append(range(first, s))
+            first, pairs = s, 0
+        pairs += count
+    if experiments:
+        chunks.append(range(first, len(experiments)))
+    return chunks
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts end to end; a single part as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _test_chunk(
+    table: ChoiceCountTable, chunk: range, values: np.ndarray, config: TestConfig
+) -> None:
+    """Merge the noisy tests of consecutive experiments into values by elementwise minimum.
+
+    The chunk's supports lie end to end.  One _pair_z call tests each item
+    against its experiment's outside option, which leads the experiment's
+    support in that call; one tests every pair that values, as it stood
+    before the chunk, does not hold at 0.  A pair that an earlier experiment
+    of the chunk rejects is tested again to no effect, since 0 absorbs
+    every minimum.  Each experiment's pairs and unboosted items then merge
+    on their own, so no merge lists a pair twice.  A chunk of one
+    experiment runs on that experiment's arrays alone.
+    """
+    n = table.n
+    groups = [table.assortments[s + 1] for s in chunk]
+    sizes = [len(items) for items in groups]
+    starts = np.cumsum([0, *sizes])  # each experiment's first position among the chunk's items
+    cols = _joined([np.asarray(items, dtype=np.intp) for items in groups])
+    rows = np.repeat(np.asarray(chunk) + 1, sizes)
+    offered = cols - 1
+    boosted = None
+    if table.outside:
+        lead = np.arange(len(groups))  # experiment e's outside option sits at starts[e] + e
+        outside_at = np.repeat(starts[:-1] + lead, sizes)
+        item_at = np.arange(len(cols)) + np.repeat(lead + 1, sizes)
+        support = np.insert(cols, starts[:-1], 0)
+        support_rows = np.insert(rows, starts[:-1], np.asarray(chunk) + 1)
+        z, tested = _pair_z(*_counts(table, support_rows, support), item_at, outside_at)
+        # one-sided p-value of 'no boost over the outside option'; NaN untested
+        p_leq = np.full(len(cols), np.nan)
+        p_leq[tested] = 0.5 * _erfc(z[tested] / math.sqrt(2.0))
+        boosted = p_leq <= config.alpha
+    pairs = [_upper_pairs(k) for k in sizes]
+    a = _joined([first + start if start else first for (first, _), start in zip(pairs, starts)])
+    b = _joined([second + start if start else second for (_, second), start in zip(pairs, starts)])
+    # test only the pairs not yet rejected: 0 absorbs every minimum
+    open_ = values[offered[a], offered[b]] != 0.0
+    a, b = a[open_], b[open_]
+    a, b, weight = _pair_weights(
+        a, b, *_pair_z(*_counts(table, rows, cols), a, b), config.alpha, boosted
+    )
+    cuts = np.searchsorted(a, starts).tolist()  # each experiment's slice of the tested pairs
+    for e, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        _merge_min(values, offered[a[lo:hi]], offered[b[lo:hi]], weight[lo:hi])
+        if table.outside:
+            own = slice(starts[e], starts[e + 1])
+            unboosted = p_leq[own] > config.beta
+            if unboosted.any():
+                block = _unoffered_block(n, offered[own], unboosted)
+                _merge_min(values, *block, (1.0 - p_leq[own][unboosted])[:, None])
+
+
 def _noisy_identify(
     table: ChoiceCountTable, config: TestConfig
 ) -> tuple[EdgeMatrix, NestPartition]:
-    """Both noisy identifiers; the outside-option tests and one-hop transitivity need one."""
+    """Both noisy identifiers; the outside-option tests and one-hop transitivity need one.
+
+    Consecutive experiments are tested in chunks of at most _PAIR_BUDGET
+    pairs (_test_chunk); an experiment with more pairs is a chunk of its
+    own.  The finished matrix is symmetric, finite and non-negative with a
+    zero diagonal, so community detection takes a copy of it unchecked.
+    """
     if config.z_threshold is not None:
         return _deduce(table.n, _threshold_comparisons(table, config.z_threshold), table.outside)
     n = table.n
     values = np.full((n, n), NOISY_NULL)
-    for s, items in enumerate(table.assortments[1:]):
-        offered = np.asarray(items, dtype=np.intp) - 1
-        k = len(items)
-        boosted = None
-        if table.outside:
-            # each item against the outside option (support position 0)
-            z, tested = _support_z(
-                table, s, (0, *items), np.arange(1, k + 1), np.zeros(k, dtype=np.intp)
-            )
-            # one-sided p-value of 'no boost over the outside option'; NaN untested
-            p_leq = np.full(k, np.nan)
-            p_leq[tested] = 0.5 * _erfc(z[tested] / math.sqrt(2.0))
-            boosted = p_leq <= config.alpha
-        a, b = _upper_pairs(k)
-        # test only the pairs not yet rejected: 0 absorbs every minimum
-        open_ = values[offered[a], offered[b]] != 0.0
-        a, b = a[open_], b[open_]
-        a, b, weight = _pair_weights(
-            a, b, *_support_z(table, s, items, a, b), config.alpha, boosted
-        )
-        _merge_min(values, offered[a], offered[b], weight)
-        if table.outside:
-            unboosted = p_leq > config.beta
-            if unboosted.any():
-                block = _unoffered_block(n, offered, unboosted)
-                _merge_min(values, *block, (1.0 - p_leq[unboosted])[:, None])
+    for chunk in _chunks(table.assortments[1:]):
+        _test_chunk(table, chunk, values, config)
     if table.outside:
         _one_hop_transitivity(values, values != 0.0)  # any pair not rejected
     values[values == NOISY_NULL] = 0.0
     np.fill_diagonal(values, 0.0)
-    return EdgeMatrix(values=values), community_detect(values)
+    return EdgeMatrix(values=values), detect_validated(values.copy())
 
 
 def noisy_identify_with_outside(
@@ -491,8 +553,9 @@ def noisy_identify_with_outside(
     smallest p-value seen as a soft weight.  Items confidently unboosted
     discount their edges to items outside the experiment.  With alpha = 1
     every pair is rejected; with alpha = 0 nothing is and the matrix stays
-    purely soft.  Each experiment's tests run as one array computation and
-    every update is a minimum, so experiments combine in any order.
+    purely soft.  Chunks of consecutive experiments run their tests as
+    array computations, and every update is a minimum, so experiments
+    combine in any order.
     """
     if not table.outside:
         raise ValueError("count table has no outside option")

@@ -6,12 +6,15 @@ recovered partition by pairwise co-membership agreement; confidence
 intervals are Student-t over independent instances (the only use of
 scipy, imported on first call so that importing nestlab stays light).
 
-The all-subset scores walk the bitmasks in blocks of 2**13, each through
-the model's one probability kernel, and keep only the cells rmse_soft
-counts: the outside option's probability and each offered item's, about
-half of the (2**n - 1) x (n + 1) table.  all_subset_cells gathers them
-into one vector, and rmse_soft sums squared errors piece by piece without
-building the estimate's.  A caller scoring many estimates of one truth
+The all-subset scores run the model's probability kernel in its two
+steps (model.nest_values, model.nest_factors): the value step once per
+model, on per-nest tables of W and W ** lambda over the subsets of each
+nest's items, and the factor step on blocks of 2**13 bitmasks, whose
+values and weights are gathered from the tables.  They keep only the
+cells rmse_soft counts: the outside option's probability and each
+offered item's, about half of the (2**n - 1) x (n + 1) table.
+all_subset_cells gathers them into one vector, and rmse_soft sums squared
+errors piece by piece without building the estimate's.  A caller scoring many estimates of one truth
 (the comparison grid) builds the truth's vector once and passes it to
 rmse_soft.  all_subset_probabilities scatters the cells into the full
 table.  Probability rows are item-indexed arrays (see
@@ -27,7 +30,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import ChoiceProbabilities, NestPartition, NestedLogitModel, nest_factors
+from .model import (
+    ChoiceProbabilities,
+    NestPartition,
+    NestedLogitModel,
+    nest_factors,
+    nest_values,
+)
 
 EXHAUSTIVE_LIMIT = 20  # 2**n probability table; past this use the restricted form
 CONFIDENCE_LEVEL = 0.95  # two-sided coverage of confidence_interval
@@ -47,52 +56,73 @@ def _cell_count(n: int, outside: bool) -> int:
 def _subset_cells(model: NestedLogitModel) -> Iterator[tuple[int, np.ndarray]]:
     """(start, values): consecutive pieces of all_subset_cells(model), block by block.
 
-    A block is 2**13 consecutive bitmasks.  The per-nest offered weights are
-    doubled once over the low items, in increasing item order; a block's
-    high items are then added in increasing item order too, and one kernel
-    call gives the block's per-nest factors.  Low item t + 1 is offered on
-    every second run of 2**t bitmasks, high items on the whole block or on
-    none of it.  Block 0 is computed at full width, bitmask 0 included: that
-    subset offers no item, so only the outside option's piece drops it.
+    A nest's offered weight takes at most 2**|N| values, one per subset of
+    its items, so the kernel's value step runs once per model on per-nest
+    tables: row k, entry c holds W_N of the subset of nest k whose j-th
+    smallest item is offered where bit j of c is set, doubled in increasing
+    item order (the float sums a pass over every bitmask forms), and
+    nest_values turns the rows into W ** lambda.  A block is 2**13
+    consecutive bitmasks: each nest's codes over the block are its low
+    items' codes, built once, plus the block's high items, so one gather
+    of V and one of W feed the factor step, nest_factors.  Low item t + 1
+    is offered on every second run of 2**t bitmasks, high items on the
+    whole block or on none of it.  Block 0 is computed at full width,
+    bitmask 0 included: that subset offers no item, so only the outside
+    option's piece drops it.
     """
     n = model.n
     low_bits = min(n, _BLOCK_BITS)
     width = 1 << low_bits
     labels = model.partition.labels().tolist()
     weights = model.weights
-    low = np.zeros((model.partition.num_nests, width))  # column l: low subset l, 0 included
+    nests = model.partition.nests
+    bit = [0] * n  # item t + 1's bit in its nest's code
+    for nest in nests:
+        for j, item in enumerate(nest):
+            bit[item - 1] = 1 << j
+    span = 1 << max(map(len, nests))  # one table row per nest, as wide as the largest nest's
+    within = np.zeros((len(nests), span))
+    for t, k in enumerate(labels):
+        row = within[k]
+        np.add(row[: bit[t]], weights[t], out=row[bit[t] : 2 * bit[t]])
+    values = nest_values(model, within).ravel()
+    within = within.ravel()
+    index = np.empty((len(nests), width), dtype=np.intp)  # raveled table position, low subset l
+    index[:, 0] = np.arange(len(nests)) * span
     for t in range(low_bits):
-        top = low[:, 1 << t : 2 << t]
-        top[...] = low[:, : 1 << t]
-        top[labels[t]] += weights[t]
+        top = index[:, 1 << t : 2 << t]
+        top[...] = index[:, : 1 << t]
+        top[labels[t]] += bit[t]
+    block_values, block_within = np.empty(index.shape), np.empty(index.shape)
+    codes = np.zeros(len(nests), dtype=np.intp)  # per nest, the code of the block's high items
     outside_cells = (1 << n) - 1 if model.outside else 0
     starts = [outside_cells + t * (1 << (n - 1)) for t in range(n)]  # each item's next position
 
-    def block_weights(high: int) -> np.ndarray:
-        within = low.copy()
+    for high in range(1 << (n - low_bits)):
+        high_codes = np.zeros(len(nests), dtype=np.intp)
         for t in range(low_bits, n):
             if (high >> (t - low_bits)) & 1:
-                within[labels[t]] += weights[t]
-        return within
-
-    for high in range(1 << (n - low_bits)):
+                high_codes[labels[t]] += bit[t]
+        index += (high_codes - codes)[:, None]  # from the last block's high items to this block's
+        codes = high_codes
+        # mode="clip" writes straight into out; every position is in range
+        np.take(values, index, out=block_values, mode="clip")
+        np.take(within, index, out=block_within, mode="clip")
         # without an outside option bitmask 0 divides 0 by 0; no cell reads that column
         with np.errstate(invalid="ignore") if high == 0 else contextlib.nullcontext():
-            # the weights are built in the call, so the kernel frees them before its factors
-            factor, denom = nest_factors(model, block_weights(high))
+            factor, denom = nest_factors(model, block_values, block_within)
         if model.outside:
             skip = 1 if high == 0 else 0  # bitmask 0 is the empty subset
             yield (high << low_bits) + skip - 1, 1.0 / denom[skip:]
         for t, k in enumerate(labels):
             if t < low_bits:
-                values = factor[k].reshape(-1, 2 << t)[:, 1 << t :] * weights[t]
+                piece = factor[k].reshape(-1, 2 << t)[:, 1 << t :] * weights[t]
             elif (high >> (t - low_bits)) & 1:
-                values = factor[k] * weights[t]
+                piece = factor[k] * weights[t]
             else:
                 continue
-            yield starts[t], values.ravel()
-            starts[t] += values.size
-        del factor, denom  # freed before the next block is computed
+            yield starts[t], piece.ravel()
+            starts[t] += piece.size
 
 
 def all_subset_cells(model: NestedLogitModel) -> np.ndarray:
@@ -144,7 +174,9 @@ def rmse_soft(
     for the outside option when present: the cells of all_subset_cells,
     over which the mean is taken.  The squared errors are summed piece by
     piece as the estimate's blocks are computed, and the pieces' sums added
-    with math.fsum, so no whole vector or table of the estimate is built.
+    with math.fsum, so no whole vector or table of the estimate is built;
+    its per-nest tables hold 2**|N| entries per nest N, 2**n for a model
+    of one nest.
     truth_cells, when given, is all_subset_cells(truth), computed once and
     shared by every estimate of the same truth; without it the truth's
     pieces are computed alongside the estimate's.  The result is the same

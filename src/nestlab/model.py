@@ -10,12 +10,16 @@ row that boosts or recovery read, through check_control_row.
 
 Per-assortment values share one row format: an item-indexed vector of
 length n + 1, column 0 the outside option and column i item i, 0 where
-absent.  Every choice probability comes from one kernel, nest_factors, fed
-per-nest offered weights (from offer masks here, by doubling over all
-subsets in metrics): item i's probability is its nest's factor times v_i.
-probability_table spreads the factors into rows for designs and single
-assortments; metrics reads the all-subset blocks' offered entries straight
-from them.  A row never depends on the rows computed with it.
+absent.  Every choice probability comes from one kernel in two steps that
+both callers share: nest_values turns per-nest offered weights into nest
+values W ** lambda, and nest_factors turns those into the denominator and
+the per-nest factors; item i's probability is its nest's factor times v_i.
+probability_table runs both steps on the offered weights of designs and
+single assortments (from offer masks) and spreads the factors into rows.
+metrics runs the value step once per model, on per-nest tables of the
+weight of every subset of a nest's items, and the factor step on each
+all-subset block's gathered values, reading the offered entries straight
+from the factors.  A row never depends on the rows computed with it.
 """
 
 from __future__ import annotations
@@ -237,40 +241,55 @@ def nest_sums(partition: NestPartition, values: np.ndarray) -> np.ndarray:
     return sums.reshape(partition.num_nests, rows)
 
 
-def nest_factors(model: NestedLogitModel, within: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one probability kernel: (factor, denom) of R assortments, shapes (K, R) and (R,).
+def nest_values(model: NestedLogitModel, within: np.ndarray) -> np.ndarray:
+    """The kernel's value step: nest values V_N = W_N ** lambda_N, shape (K, R).
 
-    within[k, r] is nest k's offered weight W_N(S_r).  Nest values
-    W_N ** lambda_N (in log space; the fixed weight when lambda_N = 0, 0 for
-    an absent nest), the denominator and the per-nest factor
-    v_N / denom / W_N are whole-array operations: item i's probability is
-    factor[nest(i)] * v_i where offered, the outside option's 1 / denom.
-    The denominator adds the nests in index order, so no assortment depends
-    on the others: with fewer assortments than items (designs, single
-    assortments) as one cumulative sum, with at least as many (the
-    all-subset blocks) as a loop that allocates no (K, R) temporary.
+    within[k, r] is nest k's offered weight W_N(S_r).  The power is taken
+    in log space; a lambda_N = 0 nest has its fixed weight, and an absent
+    nest (W = 0) the value 0.  Absent entries of within are set to 1 in
+    place, so every log, exp and division of the kernel is plain.  R may
+    count assortments (designs, single assortments) or, in metrics, the
+    entries of each nest's table of offered weights.
     """
     present = within > 0.0
-    within = within + ~present  # absent nests read W = 1, so every log, exp and division is plain
-    factor = np.log(within)
-    factor *= np.asarray(model.lambdas)[:, None]
-    np.exp(factor, out=factor)
-    factor *= present
+    within += ~present
+    values = np.log(within)
+    values *= np.asarray(model.lambdas)[:, None]
+    np.exp(values, out=values)
+    values *= present
     for k, v in model.degenerate_weights.items():
-        factor[k] = present[k] * v
-    rows = within.shape[1]
+        values[k] = present[k] * v
+    return values
+
+
+def nest_factors(
+    model: NestedLogitModel, values: np.ndarray, within: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's factor step: (factor, denom) of R assortments, shapes (K, R) and (R,).
+
+    values and within are nest_values' output and its in-place rewrite of
+    the offered weights (1 for an absent nest), gathered per assortment.
+    The per-nest factor v_N / denom / W_N is computed in place on values:
+    item i's probability is factor[nest(i)] * v_i where offered, the
+    outside option's 1 / denom.  The denominator adds the nests in index
+    order, so no assortment depends on the others: with fewer assortments
+    than items (designs, single assortments) as one cumulative sum, with at
+    least as many (the all-subset blocks) as a loop that allocates no
+    (K, R) temporary.
+    """
+    rows = values.shape[1]
     if rows >= model.n:
         denom = np.zeros(rows)
-        for values in factor:
-            denom += values
+        for row in values:
+            denom += row
     else:
-        denom = np.cumsum(factor, axis=0)[-1]  # the same nest-by-nest order
+        denom = np.cumsum(values, axis=0)[-1]  # the same nest-by-nest order
     if model.outside:
         denom += 1.0
-    # per-nest factor v_N(S) / (denom(S) * W_N(S)), in place; absent nests stay 0
-    factor /= denom
-    factor /= within
-    return factor, denom
+    # absent nests stay 0
+    values /= denom
+    values /= within
+    return values, denom
 
 
 def probability_table(
@@ -278,10 +297,11 @@ def probability_table(
 ) -> np.ndarray:
     """Probability rows of R assortments from their per-nest offered weights.
 
-    within is as in nest_factors, offered[t, r] whether assortment r offers
-    item t + 1.  Returns the (R, n + 1) row-format table, column-major.
+    within is as in nest_values, which rewrites it, and offered[t, r]
+    whether assortment r offers item t + 1.  Returns the (R, n + 1)
+    row-format table, column-major.
     """
-    factor, denom = nest_factors(model, within)
+    factor, denom = nest_factors(model, nest_values(model, within), within)
     probs = np.empty((model.n + 1, within.shape[1]))  # one contiguous row per column
     if model.outside:
         np.divide(1.0, denom, out=probs[0])

@@ -328,7 +328,7 @@ def test_whole_array_heap_build_matches_per_community_build(edges):
         w[connected[a[pick]], connected[b[pick]]] = levels  # thirds tie walk distances
         w = w + w.T
         assert np.count_nonzero(np.triu(w, 1)) == edges
-        assert _walktrap_merges(w) == per_community_walktrap_merges(w)
+        assert _walktrap_merges(w.copy()) == per_community_walktrap_merges(w)
 
 
 def test_exactly_tied_cuts_keep_the_earliest():

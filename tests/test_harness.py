@@ -242,8 +242,10 @@ def assert_cells_equal_standalone_run_pipeline(config):
 
 @pytest.mark.parametrize("mode", ["noisy", "exact"])
 def test_compare_designs_cells_equal_standalone_run_pipeline(mode):
+    """Cells on the shared slice design and on per-cell designs, every scheme"""
     assert_cells_equal_standalone_run_pipeline(tiny_config(
-        schemes=("slice", "random", "default_two_nest", "point_estimate"),
+        schemes=("slice", "slice_naive", "random", "loo", "incremental", "default_two_nest",
+                 "point_estimate"),
         T_list=(7000, 40000),
         mode=mode,
     ))
@@ -274,6 +276,28 @@ def test_compare_designs_calls_module_level_run_pipeline_per_cell(monkeypatch):
     expected = [(s, T, True) for _ in range(2) for s in config.schemes for T in config.T_list]
     assert calls == expected
     assert [(r.scheme, r.T) for r in report.results] == [(s, T) for s, T, _ in expected]
+
+
+def test_slice_schemes_share_one_slice_design_per_instance(monkeypatch):
+    seen = []
+    original = harness.run_pipeline
+
+    def spy(truth, scheme, T, *args, slice_probs=None, **kwargs):
+        seen.append((scheme, slice_probs))
+        return original(truth, scheme, T, *args, slice_probs=slice_probs, **kwargs)
+
+    monkeypatch.setattr(harness, "run_pipeline", spy)
+    config = tiny_config(
+        schemes=("slice", "random", "default_two_nest", "point_estimate"), T_list=(7000, 9000),
+    )
+    compare_designs(config)
+    assert all((probs is None) == (scheme == "random") for scheme, probs in seen)
+    per_instance = [{id(probs) for _, probs in seen[i * 8 : (i + 1) * 8] if probs} for i in range(2)]
+    assert [len(ids) for ids in per_instance] == [1, 1] and per_instance[0] != per_instance[1]
+    slice_probs = seen[0][1]
+    assert slice_probs[0] is seen[-1][1][0]  # one slice design for the grid
+    with pytest.raises(ValueError, match="does not run on the slice design"):
+        run_pipeline(_instance_models(config)[0], "random", 7000, config, 1, slice_probs=slice_probs)
 
 
 def test_compare_designs_past_exhaustive_limit_scores_restricted_only():

@@ -618,9 +618,60 @@ def test_noisy_identification_matches_scalar_reference():
     assert zero_evidence >= 80  # thin budgets exercise the no-evidence skips
 
 
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("outside", [True, False])
+@pytest.mark.parametrize("split", ["whole", "partway"])
+def test_noisy_identification_in_chunks_matches_scalar_reference(monkeypatch, n, outside, split):
+    """Experiments tested in chunks, the whole design in one or split partway, give the pair loops' edges"""
+    from nestlab import identify
+
+    design = slice_design(balanced_enumeration(n, 2))
+    total = sum(math.comb(len(items), 2) for items in design.experiments)
+    monkeypatch.setattr(identify, "_PAIR_BUDGET", total if split == "whole" else total // 2)
+    chunks = identify._chunks(design.experiments)
+    if split == "whole":
+        assert len(chunks) == 1
+    else:
+        assert len(chunks) >= 2 and max(map(len, chunks)) >= 2
+    rng = np.random.default_rng(n + 2 * outside)
+    identify_ = noisy_identify_with_outside if outside else noisy_identify_without_outside
+    for config in (TestConfig(alpha=0.05), TestConfig(alpha=1e-4, beta=0.0)):
+        for cap in (60, 10**5):
+            model = generate_ground_truth(n, rng, outside=outside)
+            alloc = [int(m) for m in rng.integers(1, cap, size=design.num_experiments + 1)]
+            alloc[2] = 0  # an experiment nobody saw, inside the first chunk
+            table = sample_choices(model, design, alloc, seed=int(rng.integers(2**31)))
+            edges, partition = identify_(table, design, config)
+            want = reference_noisy_identify(table, config)
+            assert np.array_equal(edges.values, want), (config, cap)
+            assert partition == community_detect(want)
+
+
+def assert_rejected_pairs_skipped_in_later_chunks(calls, table, chunks, alpha):
+    """Each chunk's pair call tests no pair that an earlier chunk rejected; (tested, all) pair counts.
+
+    A pair call's positions index the chunk's items, laid end to end.
+    """
+    pair_calls = calls[1::2] if table.outside else calls  # each chunk's outside-option tests run first
+    assert len(pair_calls) == len(chunks)
+    rejected, tested, full = set(), 0, 0
+    for chunk, (a, b, z, evidence) in zip(chunks, pair_calls):
+        items = [i for s in chunk for i in table.assortments[s + 1]]
+        pairs = [(items[i], items[j]) for i, j in zip(a.tolist(), b.tolist())]
+        assert rejected.isdisjoint(pairs)
+        rejected.update(
+            pair for pair, seen, v in zip(pairs, evidence.tolist(), z.tolist())
+            if seen and math.erfc(abs(v) / math.sqrt(2.0)) <= alpha
+        )
+        tested += len(pairs)
+        full += sum(math.comb(len(table.assortments[s + 1]), 2) for s in chunk)
+    assert rejected
+    return tested, full
+
+
 @pytest.mark.parametrize("outside", [True, False])
 def test_pairs_rejected_once_are_never_tested_again(monkeypatch, outside):
-    """A weight of 0 absorbs every later minimum, so later experiments skip the pair"""
+    """A weight of 0 absorbs every later minimum, so later chunks of experiments skip the pair"""
     from nestlab import identify
 
     calls, pair_z = [], identify._pair_z
@@ -631,26 +682,31 @@ def test_pairs_rejected_once_are_never_tested_again(monkeypatch, outside):
         return z, evidence
 
     monkeypatch.setattr(identify, "_pair_z", recording_pair_z)
+    config = TestConfig(alpha=0.05)
+    identify_ = noisy_identify_with_outside if outside else noisy_identify_without_outside
     design = slice_design(balanced_enumeration(128, 2))
     model = generate_ground_truth(128, np.random.default_rng(81), outside=outside)
     table = sample_choices(model, design, allocate_customers(10**7, design.num_experiments + 1), seed=5)
-    config = TestConfig(alpha=0.05)
-    identify_ = noisy_identify_with_outside if outside else noisy_identify_without_outside
     edges, _ = identify_(table, design, config)
     assert np.array_equal(edges.values, reference_noisy_identify(table, config))
-    pair_calls = calls[1::2] if outside else calls  # each experiment's outside-option tests run first
-    assert len(pair_calls) == design.num_experiments
-    rejected, tested, full = set(), 0, 0
-    for items, (a, b, z, evidence) in zip(table.assortments[1:], pair_calls):
-        pairs = [(items[i], items[j]) for i, j in zip(a.tolist(), b.tolist())]
-        assert rejected.isdisjoint(pairs)
-        rejected.update(
-            pair for pair, seen, v in zip(pairs, evidence.tolist(), z.tolist())
-            if seen and math.erfc(abs(v) / math.sqrt(2.0)) <= config.alpha
-        )
-        tested += len(pairs)
-        full += math.comb(len(items), 2)
-    assert rejected and tested < full / 2
+    # at n = 128 each experiment is a chunk of its own: one call of each kind per experiment
+    chunks = [range(s, s + 1) for s in range(design.num_experiments)]
+    assert identify._chunks(design.experiments) == chunks
+    tested, full = assert_rejected_pairs_skipped_in_later_chunks(calls, table, chunks, config.alpha)
+    assert tested < full / 2
+
+    # at n = 16 chunks of two experiments: a pair rejected in an earlier chunk is skipped
+    calls.clear()
+    monkeypatch.setattr(identify, "_PAIR_BUDGET", 2 * math.comb(8, 2))
+    design = slice_design(balanced_enumeration(16, 2))
+    chunks = identify._chunks(design.experiments)
+    assert [len(chunk) for chunk in chunks] == [2] * 4
+    model = generate_ground_truth(16, np.random.default_rng(82), outside=outside)
+    table = sample_choices(model, design, allocate_customers(10**6, design.num_experiments + 1), seed=6)
+    edges, _ = identify_(table, design, config)
+    assert np.array_equal(edges.values, reference_noisy_identify(table, config))
+    tested, full = assert_rejected_pairs_skipped_in_later_chunks(calls, table, chunks, config.alpha)
+    assert tested < full
 
 
 @pytest.mark.parametrize("outside", [True, False])

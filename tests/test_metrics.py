@@ -244,6 +244,24 @@ def test_rmse_soft_never_holds_a_whole_table():
     assert peak <= table.nbytes / 2
 
 
+def test_rmse_soft_holds_a_single_nest_table_pair_at_n_20():
+    """A 20-item nest has the largest per-nest tables: W and W**lambda of 2**20 floats each"""
+    rng = np.random.default_rng(75)
+    truth = generate_ground_truth(20, rng)
+    estimate = NestedLogitModel(
+        partition=NestPartition([range(1, 21)]), weights=truth.weights, lambdas=(0.5,), outside=True,
+    )
+    tracemalloc.start()
+    try:
+        rmse_soft(truth, estimate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = 8 * 2**20
+    # the two tables, their bool mask and both models' block buffers; not a third table
+    assert peak <= 2.5 * table_bytes, peak / table_bytes
+
+
 def test_rmse_soft_rejects_truth_cells_of_wrong_shape():
     rng = np.random.default_rng(72)
     truth = generate_ground_truth(5, rng)
