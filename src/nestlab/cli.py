@@ -1,7 +1,7 @@
 """Command line entry points.
 
 Subcommands mirror the pipeline stages: design, simulate, identify, recover,
-evaluate, compare; the first four call the stage functions of nestlab.harness
+evaluate, compare; the first five call the stage functions of nestlab.harness
 that the comparison grid runs.  Designs and models travel as JSON, choice
 counts as CSV; see the package README for the file schemas.
 """
@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import designs, harness, identify, metrics, model, sampling
+from . import designs, harness, identify, model, sampling
 
 
 def _cmd_design(args) -> int:
@@ -139,19 +139,11 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    """Print evaluate_model's scores, the Rand index of the estimate's own partition."""
     truth = model.load_model(args.true)
     estimate = model.load_model(args.est)
-    report: dict = {
-        "rand_index": metrics.rand_index(truth.partition, estimate.partition)
-    }
-    if truth.n <= metrics.EXHAUSTIVE_LIMIT:
-        report["rmse_soft"] = metrics.rmse_soft(truth, estimate)
-    if args.design:
-        design = designs.load_design(args.design)
-        report["rmse_soft_restricted"] = metrics.rmse_soft_restricted(
-            model.design_probabilities(truth, design), model.design_probabilities(estimate, design)
-        )
-    print(json.dumps(report, indent=2))
+    design = designs.load_design(args.design) if args.design else None
+    print(json.dumps(harness.evaluate_model(truth, estimate, design=design), indent=2))
     return 0
 
 

@@ -2,10 +2,11 @@
 
 One pipeline run is: build a design, split the customer budget, sample
 choices, identify the nest partition from the counts, fit parameters by
-least squares, and score the fit against the ground truth.  Each data stage
-is one function, which the nestlab subcommands call too.  The comparison
-grid repeats this over instances x schemes x budgets with per-cell seeds, so
-any cell is reproducible in isolation, and writes one CSV per budget plus a
+least squares, and score the fit against the ground truth.  Each stage is
+one function (build_design, sample_counts, identify_partition, recover_model,
+evaluate_model), which the nestlab subcommands call too.  The comparison grid
+repeats this over instances x schemes x budgets with per-cell seeds, so any
+cell is reproducible in isolation, and writes one CSV per budget plus a
 summary JSON of means and confidence intervals.
 
 The grid runs one instance at a time (one process-pool task per instance):
@@ -21,7 +22,7 @@ from __future__ import annotations
 import csv
 import os
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -186,7 +187,7 @@ def sample_counts(
 
 
 def identify_partition(
-    table: ChoiceCountTable, design: ExperimentDesign, test_config: TestConfig,
+    table: ChoiceCountTable | None, design: ExperimentDesign, test_config: TestConfig,
     boosts: BoostTable | None = None, tol: float = EXACT_TOLERANCE,
 ) -> tuple[EdgeMatrix, NestPartition]:
     """Edges and partition: exact rules on boosts if given, else test_config's tests on table.
@@ -201,7 +202,7 @@ def identify_partition(
 
 
 def recover_model(
-    table: ChoiceCountTable, partition: NestPartition, design: ExperimentDesign,
+    table: ChoiceCountTable | None, partition: NestPartition, design: ExperimentDesign,
     probs: list[ChoiceProbabilities] | None = None,
 ) -> tuple[NestedLogitModel, tuple[str, ...]]:
     """Fitted model and flags: exact recovery from probs if given, else least squares on table."""
@@ -209,6 +210,34 @@ def recover_model(
         return recover_all(probs, partition, design), ()
     fit = recover_least_squares(table, partition, design)
     return fit.model, tuple(fit.flags)
+
+
+def evaluate_model(
+    truth: NestedLogitModel, estimate: NestedLogitModel,
+    partition: NestPartition | None = None, design: ExperimentDesign | None = None,
+    true_probs: list[ChoiceProbabilities] | None = None, truth_cells: np.ndarray | None = None,
+) -> dict[str, float]:
+    """Scores of estimate against truth, keyed rand_index, rmse_soft, rmse_soft_restricted.
+
+    rand_index scores partition, the estimate's own partition when None.
+    The two differ where least squares fits a one-nest partition without an
+    outside option as the flat logit (singleton nests, flag single-nest-mnl):
+    the grid scores the partition it identified, nestlab evaluate the model's.
+    rmse_soft is left out past EXHAUSTIVE_LIMIT items, and reads truth_cells
+    (all_subset_cells(truth)) when given; rmse_soft_restricted needs a design,
+    and reads true_probs (the truth's probabilities on it) when given.  Either
+    given input yields the same floats as computing it here.
+    """
+    if partition is None:
+        partition = estimate.partition
+    scores = {"rand_index": rand_index(truth.partition, partition)}
+    if truth.n <= EXHAUSTIVE_LIMIT:
+        scores["rmse_soft"] = rmse_soft(truth, estimate, truth_cells)
+    if design is not None:
+        true_probs = design_probabilities(truth, design) if true_probs is None else true_probs
+        est_probs = design_probabilities(estimate, design)
+        scores["rmse_soft_restricted"] = rmse_soft_restricted(true_probs, est_probs)
+    return scores
 
 
 def run_pipeline(
@@ -221,16 +250,16 @@ def run_pipeline(
     truth_cells: np.ndarray | None = None,
     slice_probs: tuple[ExperimentDesign, list[ChoiceProbabilities]] | None = None,
 ) -> PipelineResult:
-    """Design, sample, identify, recover, and score one grid cell.
+    """Design, sample, identify, recover, and score one grid cell, one stage function each.
 
     The truth's design probabilities are computed once: counts are drawn
-    from them, and exact identification and recovery (mode "exact") and the
-    restricted score read them.
+    from them, and exact identification and recovery (mode "exact", which
+    draws counts only for point_estimate) and the restricted score read them.
     Baseline schemes reuse the slice design's data: default_two_nest skips
     identification in favor of a fixed half split, and point_estimate skips
-    modeling entirely, so it only gets the restricted score.  truth_cells is
-    all_subset_cells(truth) when the caller has it; rmse_soft is the
-    same float either way, and NaN past metrics.EXHAUSTIVE_LIMIT items.
+    modeling entirely, so it only gets the restricted score.  Other cells
+    take evaluate_model's scores of the identified partition; truth_cells is
+    all_subset_cells(truth) when the caller has it.
     slice_probs is the slice design and the truth's probabilities on it,
     for a scheme in SLICE_SCHEMES when the caller has them: that design
     does not depend on the cell's seed, so every result is the same
@@ -245,14 +274,15 @@ def run_pipeline(
         design, true_probs = slice_probs
     else:
         raise ValueError(f"scheme {scheme!r} does not run on the slice design")
-    table = sample_counts(true_probs, design, T, seed)
     result = PipelineResult(instance=instance, scheme=scheme, T=T)
     if scheme == "point_estimate":
-        empirical = empirical_probabilities(table)
-        result.rmse_soft_restricted = rmse_soft_restricted(true_probs, empirical)
-        return result
+        empirical = empirical_probabilities(sample_counts(true_probs, design, T, seed))
+        return replace(result, rmse_soft_restricted=rmse_soft_restricted(true_probs, empirical))
 
     exact = config.mode == "exact"
+    if exact:  # the exact stages read no counts, so only sampling's budget check runs
+        allocate_customers(T, design.num_experiments + 1)
+    table = None if exact else sample_counts(true_probs, design, T, seed)
     stage = "identify"
     try:
         if scheme == "default_two_nest":
@@ -269,14 +299,8 @@ def run_pipeline(
         result.failed_stage = stage
         return result
 
-    result.partition = partition
-    if n <= EXHAUSTIVE_LIMIT:
-        result.rmse_soft = rmse_soft(truth, estimate, truth_cells)
-    result.rand_index = rand_index(truth.partition, partition)
-    result.rmse_soft_restricted = rmse_soft_restricted(
-        true_probs, design_probabilities(estimate, design)
-    )
-    return result
+    scores = evaluate_model(truth, estimate, partition, design, true_probs, truth_cells)
+    return replace(result, partition=partition, **scores)
 
 
 def _cell_seed(master: int, instance: int, scheme: str, T: int) -> int:

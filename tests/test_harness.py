@@ -11,7 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from nestlab.designs import balanced_enumeration, slice_design
+from nestlab.cli import main
+from nestlab.designs import balanced_enumeration, save_design, slice_design
 from nestlab import harness
 from nestlab.harness import (
     ExperimentConfig,
@@ -22,12 +23,13 @@ from nestlab.harness import (
     compare_designs,
     config_from_dict,
     default_two_nest_partition,
+    evaluate_model,
     load_config,
     run_pipeline,
     _worker_count,
 )
-from nestlab.metrics import rmse_soft_restricted
-from nestlab.model import NestPartition, design_probabilities, generate_ground_truth
+from nestlab.metrics import all_subset_cells, rmse_soft_restricted
+from nestlab.model import NestPartition, design_probabilities, generate_ground_truth, save_model
 from nestlab.recovery import recover_all, recover_least_squares
 from nestlab.sampling import allocate_customers, empirical_probabilities, sample_choices
 
@@ -483,3 +485,110 @@ def test_config_integer_fields_become_python_ints():
     assert config.T_list == (7000,) and type(config.T_list[0]) is int
     assert type(config.n) is int and type(config.seed) is int
     assert config.to_dict()["T_list"] == [7000]
+
+
+def stage_cell(config, truth, instance, scheme, T):
+    """One grid cell rebuilt from the stage functions: design, true probabilities, partition, fit"""
+    seed = _cell_seed(config.seed, instance, scheme, T)
+    design = build_design(scheme, truth.n, config.b, config,
+                          np.random.default_rng(np.random.SeedSequence((seed, 0xD5))))
+    true_probs = design_probabilities(truth, design)
+    table = harness.sample_counts(true_probs, design, T, seed)
+    if scheme == "default_two_nest":
+        partition = default_two_nest_partition(truth.n)
+    else:
+        partition = harness.identify_partition(table, design, config.test_config())[1]
+    estimate, flags = harness.recover_model(table, partition, design)
+    return design, true_probs, partition, estimate, flags
+
+
+def cli_scores(tmp_path, truth, estimate, design, capsys):
+    """The JSON nestlab evaluate prints for the truth, estimate and design saved to files"""
+    save_model(truth, str(tmp_path / "truth.json"))
+    save_model(estimate, str(tmp_path / "est.json"))
+    args = ["evaluate", "--true", str(tmp_path / "truth.json"), "--est", str(tmp_path / "est.json")]
+    if design is not None:
+        save_design(design, str(tmp_path / "design.json"))
+        args += ["--design", str(tmp_path / "design.json")]
+    capsys.readouterr()
+    assert main(args) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("outside", [True, False])
+def test_stage_functions_rebuild_grid_cells_and_their_scores(outside, tmp_path, capsys):
+    """evaluate_model, the grid's PipelineResult and nestlab evaluate give the same floats"""
+    config = tiny_config(
+        schemes=("slice", "random", "default_two_nest"), T_list=(9000, 90000), outside=outside,
+    )
+    report = compare_designs(config)
+    truths = _instance_models(config)
+    assert not any(r.failed for r in report.results)
+    for r in report.results:
+        truth = truths[r.instance]
+        design, true_probs, partition, estimate, flags = stage_cell(
+            config, truth, r.instance, r.scheme, r.T
+        )
+        assert (partition, flags) == (r.partition, r.flags)
+        scores = evaluate_model(truth, estimate, partition, design, true_probs,
+                                all_subset_cells(truth))
+        assert list(scores) == ["rand_index", "rmse_soft", "rmse_soft_restricted"]
+        assert scores == {name: getattr(r, name) for name in scores}
+        assert scores == evaluate_model(truth, estimate, partition, design)
+        assert estimate.partition == partition  # no flat-logit fit among these cells
+        printed = cli_scores(tmp_path, truth, estimate, design, capsys)
+        assert list(printed) == list(scores) and printed == scores
+
+
+def test_grid_scores_the_identified_partition_and_evaluate_the_models(tmp_path, capsys):
+    """A one-nest fit without an outside option is saved as singletons; both scores are pinned"""
+    config = ExperimentConfig(n=8, T_list=(9000, 90000), instances=30, outside=False)
+    truth = _instance_models(config)[8]
+    result = run_pipeline(truth, "random", 90000, config, _cell_seed(0, 8, "random", 90000), 8)
+    design, _, partition, estimate, flags = stage_cell(config, truth, 8, "random", 90000)
+    assert partition == truth.partition == NestPartition([tuple(range(1, 9))])
+    assert flags == ("single-nest-mnl",) == result.flags
+    assert estimate.partition == NestPartition([(i,) for i in range(1, 9)])
+    assert result.rand_index == 1.0
+    assert evaluate_model(truth, estimate, partition)["rand_index"] == 1.0
+    assert evaluate_model(truth, estimate)["rand_index"] == 0.0
+    assert cli_scores(tmp_path, truth, estimate, design, capsys)["rand_index"] == 0.0
+
+
+def test_evaluate_model_scores_only_what_its_inputs_allow():
+    """No rmse_soft past EXHAUSTIVE_LIMIT items, no restricted score without a design"""
+    truth = generate_ground_truth(8, np.random.default_rng(3))
+    estimate = generate_ground_truth(8, np.random.default_rng(4))
+    assert list(evaluate_model(truth, estimate)) == ["rand_index", "rmse_soft"]
+    design = slice_design(balanced_enumeration(8, 2))
+    assert list(evaluate_model(truth, estimate, design=design)) == [
+        "rand_index", "rmse_soft", "rmse_soft_restricted",
+    ]
+    big = generate_ground_truth(21, np.random.default_rng(5))
+    assert list(evaluate_model(big, big)) == ["rand_index"]
+    scores = evaluate_model(big, big, design=slice_design(balanced_enumeration(21, 2)))
+    assert scores == {"rand_index": 1.0, "rmse_soft_restricted": 0.0}
+
+
+EXACT_SCHEMES = ("slice", "slice_naive", "random", "loo", "incremental", "default_two_nest")
+
+
+def test_exact_mode_cells_draw_no_counts(monkeypatch):
+    """Only point_estimate reads exact mode's counts; the others check the budget and draw none"""
+    config = tiny_config(schemes=EXACT_SCHEMES, T_list=(7000, 40000), mode="exact")
+    drawn = compare_designs(config)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("counts drawn")
+
+    monkeypatch.setattr(harness, "draw_counts", broken)
+    skipped = compare_designs(config)
+    assert all(same_result(a, b) for a, b in zip(drawn.results, skipped.results))
+    assert len(skipped.results) == len(drawn.results)
+    assert not any(r.failed for r in skipped.results)
+    truth = _instance_models(config)[0]
+    with pytest.raises(RuntimeError, match="counts drawn"):
+        run_pipeline(truth, "point_estimate", 7000, config, seed=1)
+    message = "budget 6 cannot give each of 7 assortments a customer"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_pipeline(truth, "slice", 6, config, seed=1)
