@@ -7,15 +7,15 @@ share one when both nests are fully offered, in which case it equals the
 outside option's boost.  One rule engine turns these facts into an edge
 matrix of same-nest deductions, fed by either of two comparators: relative
 tolerance on exact boost factors, or a |z| cutoff on counts.  The noisy
-identifiers replace equality with two-proportion z-tests, run as array
-operations on one pair kernel over chunks of consecutive experiments: over
-the pairs (a < b) of each experiment's offered items that no earlier chunk
-rejected, and for each item against the outside option.  Each experiment's
-weights merge by elementwise minimum into both orientations of each pair,
-and the symmetric soft evidence matrix goes to community detection.  A
-p-value is evaluated only where it sets an edge weight: pairs clearly past
-the alpha cutoff are rejected from |z| alone, and math.erfc decides exactly
-near the cutoff.
+identifiers replace equality with two-proportion z-tests, one pair kernel
+call per chunk of consecutive experiments.  As everywhere here, the outside
+option leads each experiment's support: the first row of its pairs (a < b)
+tests the items against it, and the rest are the item pairs that no earlier
+chunk rejected.  Each experiment's weights merge by elementwise minimum into
+both orientations of each pair, and the symmetric soft evidence matrix goes
+to community detection.  A p-value is evaluated only where it sets an edge
+weight: pairs clearly past the alpha cutoff are rejected from |z| alone, and
+math.erfc decides exactly near the cutoff.
 """
 
 from __future__ import annotations
@@ -472,52 +472,45 @@ def _test_chunk(
 ) -> None:
     """Merge the noisy tests of consecutive experiments into values by elementwise minimum.
 
-    The chunk's supports lie end to end.  One _pair_z call tests each item
-    against its experiment's outside option, which leads the experiment's
-    support in that call; one tests every pair that values, as it stood
-    before the chunk, does not hold at 0.  A pair that an earlier experiment
-    of the chunk rejects is tested again to no effect, since 0 absorbs
-    every minimum.  Each experiment's pairs and unboosted items then merge
-    on their own, so no merge lists a pair twice.  A chunk of one
-    experiment runs on that experiment's arrays alone.
+    Each experiment's support is its outside option, if any, then its
+    items; the chunk's supports lie end to end.  One _pair_z call tests the
+    first row of each experiment's pairs, its items against the outside
+    option, and the item pairs that values, as it stood before the chunk,
+    does not hold at 0.  A pair that an earlier experiment of the chunk
+    rejects is tested again to no effect, since 0 absorbs every minimum.
+    Each experiment's pairs and unboosted items then merge on their own, so
+    no merge lists a pair twice.  A chunk of one experiment runs on that
+    experiment's arrays alone.
     """
-    n = table.n
-    groups = [table.assortments[s + 1] for s in chunk]
-    sizes = [len(items) for items in groups]
-    starts = np.cumsum([0, *sizes])  # each experiment's first position among the chunk's items
-    cols = _joined([np.asarray(items, dtype=np.intp) for items in groups])
-    rows = np.repeat(np.asarray(chunk) + 1, sizes)
-    offered = cols - 1
-    boosted = None
-    if table.outside:
-        lead = np.arange(len(groups))  # experiment e's outside option sits at starts[e] + e
-        outside_at = np.repeat(starts[:-1] + lead, sizes)
-        item_at = np.arange(len(cols)) + np.repeat(lead + 1, sizes)
-        support = np.insert(cols, starts[:-1], 0)
-        support_rows = np.insert(rows, starts[:-1], np.asarray(chunk) + 1)
-        z, tested = _pair_z(*_counts(table, support_rows, support), item_at, outside_at)
-        # one-sided p-value of 'no boost over the outside option'; NaN untested
-        p_leq = np.full(len(cols), np.nan)
-        p_leq[tested] = 0.5 * _erfc(z[tested] / math.sqrt(2.0))
-        boosted = p_leq <= config.alpha
+    lead = (0,) if table.outside else ()
+    groups = [lead + table.assortments[s + 1] for s in chunk]
+    sizes = [len(support) for support in groups]
+    starts = np.cumsum([0, *sizes])  # each experiment's first position in the chunk's supports
+    cols = _joined([np.asarray(support, dtype=np.intp) for support in groups])
+    offered = cols - 1  # -1 at an outside option, which is no item: values[-1] is item n's row
     pairs = [_upper_pairs(k) for k in sizes]
     a = _joined([first + start if start else first for (first, _), start in zip(pairs, starts)])
     b = _joined([second + start if start else second for (_, second), start in zip(pairs, starts)])
-    # test only the pairs not yet rejected: 0 absorbs every minimum
-    open_ = values[offered[a], offered[b]] != 0.0
+    # an item pair runs only while values does not hold it at 0; the outside option's
+    # tests always run, whatever values[-1] holds
+    open_ = (cols[a] == 0) | (values[offered[a], offered[b]] != 0.0)
     a, b = a[open_], b[open_]
-    a, b, weight = _pair_weights(
-        a, b, *_pair_z(*_counts(table, rows, cols), a, b), config.alpha, boosted
-    )
+    outside = cols[a] == 0
+    z, evidence = _pair_z(*_counts(table, np.repeat(np.asarray(chunk) + 1, sizes), cols), a, b)
+    # one-sided p-value of 'no boost over the outside option', at each item; NaN untested.
+    # -z is the (item, outside) z bit for bit: _pair_z is exactly antisymmetric.
+    tested = outside & evidence
+    p_leq = np.full(len(cols), np.nan)
+    p_leq[b[tested]] = 0.5 * _erfc(-z[tested] / math.sqrt(2.0))
+    a, b, weight = _pair_weights(a, b, z, evidence & ~outside, config.alpha, p_leq <= config.alpha)
     cuts = np.searchsorted(a, starts).tolist()  # each experiment's slice of the tested pairs
     for e, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
         _merge_min(values, offered[a[lo:hi]], offered[b[lo:hi]], weight[lo:hi])
-        if table.outside:
-            own = slice(starts[e], starts[e + 1])
-            unboosted = p_leq[own] > config.beta
-            if unboosted.any():
-                block = _unoffered_block(n, offered[own], unboosted)
-                _merge_min(values, *block, (1.0 - p_leq[own][unboosted])[:, None])
+        own = slice(starts[e] + len(lead), starts[e + 1])
+        unboosted = p_leq[own] > config.beta
+        if unboosted.any():
+            block = _unoffered_block(table.n, offered[own], unboosted)
+            _merge_min(values, *block, (1.0 - p_leq[own][unboosted])[:, None])
 
 
 def _noisy_identify(

@@ -248,6 +248,8 @@ def test_z_statistic_antisymmetry_is_exact():
         z_ij = z_statistic(table, 1, 2, 0)
         z_ji = z_statistic(table, 2, 1, 0)
         assert z_ij == -z_ji  # bitwise, not approximate
+        for i in (1, 2, 3):  # against the outside option, as the noisy boost tests read it
+            assert z_statistic(table, 0, i, 0) == -z_statistic(table, i, 0, 0)
 
 
 def test_z_statistic_matches_straight_line_formula():
@@ -300,6 +302,14 @@ def test_pair_z_keeps_the_bits_of_the_plain_formula():
             want_z, want_evidence = reference_pair_z(xs, xc, m_s, m_c, a, b)
             assert z.tobytes() == want_z.tobytes()
             assert np.array_equal(evidence, want_evidence)
+            # swapped pairs negate every nonzero z bit for bit, with the same zeros, NaNs and
+            # evidence (a zero numerator writes +0.0 in either order)
+            z_ba, evidence_ba = _pair_z(xs, xc, m_s, m_c, b, a)
+            signed = ~np.isnan(z) & (z != 0.0)
+            assert (-z[signed]).tobytes() == z_ba[signed].tobytes()
+            assert np.array_equal(z_ba == 0.0, z == 0.0)
+            assert np.array_equal(np.isnan(z_ba), np.isnan(z))
+            assert np.array_equal(evidence_ba, evidence)
 
 
 def test_z_statistic_zero_when_shares_match():
@@ -648,19 +658,26 @@ def test_noisy_identification_in_chunks_matches_scalar_reference(monkeypatch, n,
 
 
 def assert_rejected_pairs_skipped_in_later_chunks(calls, table, chunks, alpha):
-    """Each chunk's pair call tests no pair that an earlier chunk rejected; (tested, all) pair counts.
+    """Each chunk's one pair call skips the pairs earlier chunks rejected; (tested, all) item pairs.
 
-    A pair call's positions index the chunk's items, laid end to end.
+    A pair call's positions index the chunk's supports, laid end to end, each
+    led by its experiment's outside option when the table has one.  A pair
+    whose first item is the outside option (0) tests a boost, not sameness.
     """
-    pair_calls = calls[1::2] if table.outside else calls  # each chunk's outside-option tests run first
-    assert len(pair_calls) == len(chunks)
+    assert len(calls) == len(chunks)  # one _pair_z call per chunk, outside-option tests included
+    lead = (0,) if table.outside else ()
     rejected, tested, full = set(), 0, 0
-    for chunk, (a, b, z, evidence) in zip(chunks, pair_calls):
-        items = [i for s in chunk for i in table.assortments[s + 1]]
-        pairs = [(items[i], items[j]) for i, j in zip(a.tolist(), b.tolist())]
+    for chunk, (a, b, z, evidence) in zip(chunks, calls):
+        items = [i for s in chunk for i in lead + table.assortments[s + 1]]
+        results = [
+            ((items[i], items[j]), seen, v)
+            for i, j, seen, v in zip(a.tolist(), b.tolist(), evidence.tolist(), z.tolist())
+            if items[i] != 0
+        ]
+        pairs = [pair for pair, _, _ in results]
         assert rejected.isdisjoint(pairs)
         rejected.update(
-            pair for pair, seen, v in zip(pairs, evidence.tolist(), z.tolist())
+            pair for pair, seen, v in results
             if seen and math.erfc(abs(v) / math.sqrt(2.0)) <= alpha
         )
         tested += len(pairs)
@@ -689,7 +706,7 @@ def test_pairs_rejected_once_are_never_tested_again(monkeypatch, outside):
     table = sample_choices(model, design, allocate_customers(10**7, design.num_experiments + 1), seed=5)
     edges, _ = identify_(table, design, config)
     assert np.array_equal(edges.values, reference_noisy_identify(table, config))
-    # at n = 128 each experiment is a chunk of its own: one call of each kind per experiment
+    # at n = 128 each experiment is a chunk of its own, with one pair call
     chunks = [range(s, s + 1) for s in range(design.num_experiments)]
     assert identify._chunks(design.experiments) == chunks
     tested, full = assert_rejected_pairs_skipped_in_later_chunks(calls, table, chunks, config.alpha)
