@@ -107,15 +107,15 @@ def _cmd_identify(args) -> int:
         delta = IDENTIFY_DELTA if args.delta is None else args.delta
         threshold = identify.theorem_z_threshold(pairs, delta)
         print(f"z threshold {threshold:.4f} (K = {pairs})", file=sys.stderr)
-    # Exact mode reads only boosts and tol: _reject_ignored_flags keeps the rest unset.
+    # Exact mode reads only probs and tol: _reject_ignored_flags keeps the rest unset.
     config = identify.TestConfig(
         alpha=identify.TestConfig.alpha if args.alpha is None else args.alpha,
         beta=args.beta,
         z_threshold=threshold,
     )
-    boosts = identify.boost_factors_from_counts(table) if args.mode == "exact" else None
+    probs = sampling.empirical_probabilities(table) if args.mode == "exact" else None
     tol = identify.EXACT_TOLERANCE if args.tol is None else args.tol
-    edges, partition = harness.identify_partition(table, design, config, boosts, tol)
+    edges, partition = harness.identify_partition(table, design, config, probs, tol)
     if edges.inconsistencies:
         print(f"note: {len(edges.inconsistencies)} contradictory deductions", file=sys.stderr)
     model.write_json(model.partition_to_dict(partition), args.out_partition)
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=int, default=2)
     p.add_argument("--scheme", choices=harness.DESIGN_SCHEMES, default="slice")
     p.add_argument("--num-assortments", type=int, default=None)
-    p.add_argument("--size-rule", choices=["uniform_3_6", "half"], default="uniform_3_6")
+    p.add_argument("--size-rule", choices=designs.SIZE_RULES, default="uniform_3_6")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="design.json")
     p.set_defaults(func=_cmd_design)

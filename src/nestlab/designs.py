@@ -13,7 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import from_json_object, item_ids, item_position, offered_mask, read_json, write_json
+from .model import (
+    from_json_object, integer, item_ids, item_position, offered_mask, read_json, write_json,
+)
+
+SIZE_RULES = ("uniform_3_6", "half")  # randomized_design's assortment size rules
 
 
 def _check_items(n: int) -> None:
@@ -182,6 +186,7 @@ def randomized_design(
     and needs n >= 2.  Duplicate assortments across draws are kept.
     """
     _check_items(n)
+    num_assortments = integer(num_assortments, "assortment count")
     if num_assortments < 1:
         raise ValueError("need at least one assortment")
     rng = np.random.default_rng(rng)

@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .designs import (
+    SIZE_RULES,
     ExperimentDesign,
     balanced_enumeration,
     incremental_design,
@@ -36,7 +37,6 @@ from .designs import (
     slice_design,
 )
 from .identify import (
-    BoostTable,
     EdgeMatrix,
     TestConfig,
     boost_factors,
@@ -98,6 +98,11 @@ class ExperimentConfig:
             names.append("num_random_assortments")
         for name in names:
             object.__setattr__(self, name, integer(getattr(self, name), f"config field {name}"))
+        if self.num_random_assortments is not None and self.num_random_assortments < 1:
+            raise ValueError(f"config field num_random_assortments must be at least 1, "
+                             f"got {self.num_random_assortments}")
+        if self.size_rule not in SIZE_RULES:
+            raise ValueError(f"size_rule must be one of {list(SIZE_RULES)}, got {self.size_rule!r}")
         T_list = tuple(integer(T, "config field T_list entry") for T in self.T_list)
         object.__setattr__(self, "T_list", T_list)
         object.__setattr__(self, "schemes", tuple(self.schemes))
@@ -188,13 +193,15 @@ def sample_counts(
 
 def identify_partition(
     table: ChoiceCountTable | None, design: ExperimentDesign, test_config: TestConfig,
-    boosts: BoostTable | None = None, tol: float = EXACT_TOLERANCE,
+    probs: list[ChoiceProbabilities] | None = None, tol: float = EXACT_TOLERANCE,
 ) -> tuple[EdgeMatrix, NestPartition]:
-    """Edges and partition: exact rules on boosts if given, else test_config's tests on table.
+    """Edges and partition: exact rules on probs' boosts if given, else test_config's tests.
 
-    Each picks the with- or without-outside identifier by its own outside flag.
+    probs is recover_model's: the control row, then one per experiment.  Each
+    picks the with- or without-outside identifier by its own outside flag.
     """
-    if boosts is not None:
+    if probs is not None:
+        boosts = boost_factors(probs[0], probs[1:], design.labels)
         exact = exact_identify_with_outside if boosts.outside else exact_identify_without_outside
         return exact(boosts, design, tol=tol)
     noisy = noisy_identify_with_outside if table.outside else noisy_identify_without_outside
@@ -279,21 +286,18 @@ def run_pipeline(
         empirical = empirical_probabilities(sample_counts(true_probs, design, T, seed))
         return replace(result, rmse_soft_restricted=rmse_soft_restricted(true_probs, empirical))
 
-    exact = config.mode == "exact"
-    if exact:  # the exact stages read no counts, so only sampling's budget check runs
+    exact_probs = true_probs if config.mode == "exact" else None
+    if exact_probs is not None:  # the exact stages read no counts, so only the budget check runs
         allocate_customers(T, design.num_experiments + 1)
-    table = None if exact else sample_counts(true_probs, design, T, seed)
+    table = sample_counts(true_probs, design, T, seed) if exact_probs is None else None
     stage = "identify"
     try:
         if scheme == "default_two_nest":
             partition = default_two_nest_partition(n)
         else:
-            boosts = boost_factors(true_probs[0], true_probs[1:], design.labels) if exact else None
-            partition = identify_partition(table, design, config.test_config(), boosts)[1]
+            partition = identify_partition(table, design, config.test_config(), exact_probs)[1]
         stage = "recovery"
-        estimate, result.flags = recover_model(
-            table, partition, design, true_probs if exact else None
-        )
+        estimate, result.flags = recover_model(table, partition, design, exact_probs)
     except Exception as exc:  # noqa: BLE001  degraded cell, scored as a failure
         result.flags = (f"{type(exc).__name__}: {exc}",)
         result.failed_stage = stage

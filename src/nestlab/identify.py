@@ -8,14 +8,14 @@ outside option's boost.  One rule engine turns these facts into an edge
 matrix of same-nest deductions, fed by either of two comparators: relative
 tolerance on exact boost factors, or a |z| cutoff on counts.  The noisy
 identifiers replace equality with two-proportion z-tests, one pair kernel
-call per chunk of consecutive experiments.  As everywhere here, the outside
-option leads each experiment's support: the first row of its pairs (a < b)
-tests the items against it, and the rest are the item pairs that no earlier
-chunk rejected.  Each experiment's weights merge by elementwise minimum into
-both orientations of each pair, and the symmetric soft evidence matrix goes
-to community detection.  A p-value is evaluated only where it sets an edge
-weight: pairs clearly past the alpha cutoff are rejected from |z| alone, and
-math.erfc decides exactly near the cutoff.
+call per chunk of consecutive experiments.  Each support is its row of the
+count table's offer mask, led by the outside option as everywhere here: the
+first row of its pairs (a < b) tests the items against it, and the rest are
+the item pairs that no earlier chunk rejected.  Weights merge by elementwise
+minimum into both orientations of each pair, and the symmetric soft evidence
+matrix goes to community detection.  A p-value is evaluated only where it
+sets an edge weight: pairs clearly past the alpha cutoff are rejected from
+|z| alone, and math.erfc decides exactly near the cutoff.
 """
 
 from __future__ import annotations
@@ -408,14 +408,14 @@ def _rejection_band(alpha: float) -> tuple[float, float]:
 
 def _pair_weights(
     a: np.ndarray, b: np.ndarray, z: np.ndarray, evidence: np.ndarray,
-    alpha: float, boosted: np.ndarray | None = None,
+    alpha: float, boosted: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pairs (a, b) with evidence and their edge weights, given each pair's z.
 
     A pair whose two-sided p-value is at most alpha is rejected (weight 0).
-    A kept pair weighs 1 when boosted is given and marks both items, else
-    its p-value.  The p-value is computed only where it sets the weight or,
-    inside the rejection band, decides the rejection.
+    A kept pair weighs 1 when boosted marks both items, else its p-value.
+    The p-value is computed only where it sets the weight or, inside the
+    rejection band, decides the rejection.
     """
     a, b = a[evidence], b[evidence]
     u = np.abs(z[evidence]) / math.sqrt(2.0)
@@ -424,10 +424,9 @@ def _pair_weights(
     near = kept & (u >= low)
     kept[near] = _erfc(u[near]) > alpha
     weight = np.zeros(len(u))
-    if boosted is not None:
-        sure = kept & boosted[a] & boosted[b]
-        weight[sure] = 1.0
-        kept &= ~sure
+    sure = kept & boosted[a] & boosted[b]
+    weight[sure] = 1.0
+    kept &= ~sure
     weight[kept] = _erfc(u[kept])
     return a, b, weight
 
@@ -472,8 +471,8 @@ def _test_chunk(
 ) -> None:
     """Merge the noisy tests of consecutive experiments into values by elementwise minimum.
 
-    Each experiment's support is its outside option, if any, then its
-    items; the chunk's supports lie end to end.  One _pair_z call tests the
+    Each experiment's support is its row of table.offered, the outside
+    option (if any) then its items, end to end.  One _pair_z call tests the
     first row of each experiment's pairs, its items against the outside
     option, and the item pairs that values, as it stood before the chunk,
     does not hold at 0.  A pair that an earlier experiment of the chunk
@@ -482,21 +481,18 @@ def _test_chunk(
     no merge lists a pair twice.  A chunk of one experiment runs on that
     experiment's arrays alone.
     """
-    lead = (0,) if table.outside else ()
-    groups = [lead + table.assortments[s + 1] for s in chunk]
-    sizes = [len(support) for support in groups]
-    starts = np.cumsum([0, *sizes])  # each experiment's first position in the chunk's supports
-    cols = _joined([np.asarray(support, dtype=np.intp) for support in groups])
+    rows, cols = np.nonzero(table.offered[1:][chunk.start : chunk.stop])
+    starts = np.searchsorted(rows, np.arange(len(chunk) + 1))  # each experiment's first position
     offered = cols - 1  # -1 at an outside option, which is no item: values[-1] is item n's row
-    pairs = [_upper_pairs(k) for k in sizes]
-    a = _joined([first + start if start else first for (first, _), start in zip(pairs, starts)])
-    b = _joined([second + start if start else second for (_, second), start in zip(pairs, starts)])
+    pairs = [_upper_pairs(k) for k in np.diff(starts).tolist()]
+    a = _joined([p + start if start else p for (p, _), start in zip(pairs, starts)])
+    b = _joined([q + start if start else q for (_, q), start in zip(pairs, starts)])
     # an item pair runs only while values does not hold it at 0; the outside option's
     # tests always run, whatever values[-1] holds
     open_ = (cols[a] == 0) | (values[offered[a], offered[b]] != 0.0)
     a, b = a[open_], b[open_]
     outside = cols[a] == 0
-    z, evidence = _pair_z(*_counts(table, np.repeat(np.asarray(chunk) + 1, sizes), cols), a, b)
+    z, evidence = _pair_z(*_counts(table, rows + (chunk.start + 1), cols), a, b)
     # one-sided p-value of 'no boost over the outside option', at each item; NaN untested.
     # -z is the (item, outside) z bit for bit: _pair_z is exactly antisymmetric.
     tested = outside & evidence
@@ -506,7 +502,7 @@ def _test_chunk(
     cuts = np.searchsorted(a, starts).tolist()  # each experiment's slice of the tested pairs
     for e, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
         _merge_min(values, offered[a[lo:hi]], offered[b[lo:hi]], weight[lo:hi])
-        own = slice(starts[e] + len(lead), starts[e + 1])
+        own = slice(starts[e] + table.outside, starts[e + 1])
         unboosted = p_leq[own] > config.beta
         if unboosted.any():
             block = _unoffered_block(table.n, offered[own], unboosted)
@@ -579,7 +575,7 @@ def _threshold_comparisons(table: ChoiceCountTable, threshold: float):
     """
     skip = int(table.outside)
     for s, items in enumerate(table.assortments[1:]):
-        support = ((0,) if table.outside else ()) + items
+        support = np.flatnonzero(table.offered[s + 1])
         ref = 0
         if not table.outside:
             xs, xc = table.counts[[s + 1, 0]][:, list(items)]

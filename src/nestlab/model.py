@@ -388,6 +388,7 @@ def generate_ground_truth(
     each nest's lambda is uniform on [0.3, 0.6]; singleton nests then get
     reparameterized to lambda = 1.
     """
+    n = integer(n, "item count")
     if n < 2:
         raise ValueError("ground truth generation needs n >= 2")
     rng = np.random.default_rng(rng)

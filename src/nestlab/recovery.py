@@ -388,7 +388,7 @@ def recover_least_squares(
     above 1 + LAMBDA_ROUNDOFF included (nest-k- or anchor-lambda-clamped).
     """
     sizes = table.sizes[:, None]  # an assortment nobody saw offers nothing: not run
-    offered = offered_mask(table.n, table.outside, table.assortments, table.labels) & (sizes > 0)
+    offered = table.offered & (sizes > 0)
     # Zero cells get a half-count so logs and ratios stay finite; the small
     # bias washes out at the sample sizes where recovery is meaningful.
     probs = np.where(offered, np.maximum(table.counts, COUNT_FLOOR), 0.0) / np.maximum(sizes, 1)

@@ -1,10 +1,10 @@
 """Customer allocation and multinomial choice sampling.
 
-Observed data is a count table: for the control assortment and each
-experiment, how many of its m customers picked each offered item: one
-int64 (assortments x (n+1)) matrix in the model's row format, so sample
-sizes in the hundreds of billions stay exact.  Sampling draws from given
-design probabilities, so a caller that has them does not compute them again.
+Observed data is a count table: how many of each assortment's m customers
+picked each offered item, control first, in one int64 (assortments x (n+1))
+matrix in the model's row format (exact for sample sizes in the hundreds of
+billions), with the sorted assortments and the offer mask later stages read.
+Sampling draws from given design probabilities, so callers compute them once.
 """
 
 from __future__ import annotations
@@ -53,7 +53,9 @@ class ChoiceCountTable:
     outside option); sizes are the row sums.  Items lie in 1..n, counts are
     non-negative, zero on items the assortment does not offer and sum within
     int64, and the control has customers; construction rejects anything
-    else.  Tables compare equal by value.
+    else.  Assortments are stored as item_ids gives them; offered is the
+    read-only mask of offered entries, column 0 the outside option, so
+    np.flatnonzero(offered[r]) is row r's support.  Tables compare by value.
     """
 
     n: int
@@ -62,6 +64,7 @@ class ChoiceCountTable:
     assortments: tuple[tuple[int, ...], ...]
     counts: np.ndarray
     sizes: np.ndarray = field(init=False)
+    offered: np.ndarray = field(init=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -71,6 +74,10 @@ class ChoiceCountTable:
         if not (len(self.labels) == len(self.assortments) == len(counts)):
             raise ValueError("misaligned count table")
         offered = offered_mask(self.n, self.outside, self.assortments, self.labels)
+        offered.flags.writeable = False
+        object.__setattr__(self, "offered", offered)
+        rows = (tuple((np.flatnonzero(items) + 1).tolist()) for items in offered[:, 1:])
+        object.__setattr__(self, "assortments", tuple(rows))  # each row's item columns
         if counts[~offered].any():
             raise ValueError("count rows must cover exactly the offered items")
         negative = np.argwhere(counts < 0)
@@ -174,14 +181,13 @@ def save_counts(table: ChoiceCountTable, path: str) -> None:
     The bytes are csv.writer's: only a label can need quoting, so csv.writer
     writes each label once and the integer fields are formatted directly.
     """
-    lead = (0,) if table.outside else ()
     end = csv.excel.lineterminator
-    per_assortment = zip(map(_csv_lead, table.labels), table.assortments,
+    per_assortment = zip(map(_csv_lead, table.labels), table.offered,
                          table.counts.tolist(), table.sizes.tolist())
     lines = (
         f"{head}{item},{row[item]},{m}{end}"
         for head, offered, row, m in per_assortment
-        for item in sorted((*lead, *offered))
+        for item in np.flatnonzero(offered).tolist()
     )
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(COUNT_COLUMNS)

@@ -358,6 +358,13 @@ def test_design_errors_end_in_one_line(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["design", "--n", "0", "--out", str(tmp_path / "design.json")])
     assert exc.value.code == "nestlab design: number of items must be a positive integer, got 0"
+    with pytest.raises(SystemExit) as exc:  # once read as the default count of 6
+        main(["design", "--n", "8", "--scheme", "random", "--num-assortments", "0",
+              "--out", str(tmp_path / "design.json")])
+    assert exc.value.code == (
+        "nestlab design: config field num_random_assortments must be at least 1, got 0"
+    )
+    assert not (tmp_path / "design.json").exists()
 
 
 def test_simulate_errors_end_in_one_line(tmp_path, capsys):

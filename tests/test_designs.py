@@ -303,6 +303,7 @@ SMALL_DESIGN = {"n": 3, "control": [1, 2, 3], "experiments": [{"label": "A", "it
     (lambda: ExperimentDesign(n=3, experiments=[(1, 2)], labels=()),
      "one label per experiment required"),
     (lambda: randomized_design(8, 0), "need at least one assortment"),
+    (lambda: randomized_design(8, 2.5), "assortment count must be an integer, got 2.5"),
     (lambda: randomized_design(1, 2, size_rule="half"), "size rule half needs n >= 2"),
     (lambda: randomized_design(8, 2, size_rule="third"), "unknown size rule 'third'"),
     (lambda: leave_one_out_design(1), "leave-one-out needs n >= 2"),

@@ -480,6 +480,19 @@ def test_config_integer_fields_are_integers(field, value, message):
         tiny_config(**{field: value})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("num_random_assortments", 0, "config field num_random_assortments must be at least 1, got 0"),
+    ("num_random_assortments", -3,
+     "config field num_random_assortments must be at least 1, got -3"),
+    ("size_rule", "bogus", "size_rule must be one of ['uniform_3_6', 'half'], got 'bogus'"),
+])
+def test_config_refuses_random_settings_at_load(field, value, message):
+    """A count of 0 once ran default-size random cells, and an unknown size rule loaded
+    whenever no random scheme was in the grid"""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        config_from_dict({"n": 8, "schemes": ["slice"], field: value})
+
+
 def test_config_integer_fields_become_python_ints():
     config = config_from_dict({"n": np.int64(8), "T_list": [np.int64(7000)], "seed": np.int32(5)})
     assert config.T_list == (7000,) and type(config.T_list[0]) is int

@@ -48,6 +48,7 @@ from nestlab.model import (
     choice_probabilities,
     design_probabilities,
     generate_ground_truth,
+    offered_mask,
 )
 from nestlab.recovery import recover_all, recover_least_squares
 from nestlab.sampling import (
@@ -506,6 +507,29 @@ def test_boost_factors_from_counts_matches_ratio():
         assert boosts.factors[0][i] == pytest.approx(emp_s[i] / emp_control[i])
 
 
+def test_shuffled_count_table_reads_as_its_sorted_twin():
+    """A control listed as (2, 1, 4, 3) once failed the control-row rule of recovery and boosts"""
+    fields = dict(n=4, outside=True, labels=("control", "A", "B"),
+                  counts=[[100, 50, 60, 70, 80], [100, 90, 95, 0, 0], [100, 0, 0, 120, 130]])
+    shuffled = ChoiceCountTable(assortments=((2, 1, 4, 3), (2, 1, 2), (4, 3)), **fields)
+    twin = ChoiceCountTable(assortments=((1, 2, 3, 4), (1, 2), (3, 4)), **fields)
+    assert shuffled.assortments == twin.assortments
+    assert np.array_equal(shuffled.offered, offered_mask(4, True, twin.assortments, twin.labels))
+    with pytest.raises(ValueError, match="read-only"):
+        shuffled.offered[1, 3] = True
+    design = ExperimentDesign(n=4, experiments=((1, 2), (3, 4)), labels=("A", "B"))
+    partition = NestPartition([(1, 2), (3, 4)])
+    assert recover_least_squares(shuffled, partition, design) == recover_least_squares(
+        twin, partition, design
+    )
+    boosts, twin_boosts = boost_factors_from_counts(shuffled), boost_factors_from_counts(twin)
+    assert boosts.assortments == twin_boosts.assortments
+    assert np.array_equal(boosts.factors, twin_boosts.factors, equal_nan=True)
+    for config in (TestConfig(), TestConfig(z_threshold=2.0)):
+        edges = noisy_identify_with_outside(shuffled, design, config)[0]
+        assert np.array_equal(edges.values, noisy_identify_with_outside(twin, design, config)[0].values)
+
+
 def reference_z(table, i, j, s):
     """Scalar pooled z score for (i, j) in experiment s; None without evidence."""
     row = s + 1
@@ -766,10 +790,11 @@ def test_noisy_identification_with_alpha_tied_to_a_p_value():
             tied = p[len(p) // 2]
             pair = [k for k, v in enumerate(z[evidence])
                     if math.erfc(abs(v) / math.sqrt(2.0)) == tied]
-            weights = _pair_weights(a, b, z, evidence, tied)[2]
+            none_boosted = np.zeros(len(items), dtype=bool)
+            weights = _pair_weights(a, b, z, evidence, tied, none_boosted)[2]
             assert weights[pair].tolist() == [0.0] * len(pair)
             below = float(np.nextafter(tied, 0.0))
-            weights = _pair_weights(a, b, z, evidence, below)[2]
+            weights = _pair_weights(a, b, z, evidence, below, none_boosted)[2]
             assert weights[pair].tolist() == [tied] * len(pair)
             for alpha in (tied, below, float(np.nextafter(tied, 1.0))):
                 config = TestConfig(alpha=alpha)
@@ -806,7 +831,8 @@ def test_pair_weights_screen_agrees_with_exact_p_values():
             got_a, got_b, weight = _pair_weights(a, b, matrix[a, b], evidence[a, b], alpha, boosted)
             assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
             assert np.array_equal(weight, want), alpha
-            _, _, weight = _pair_weights(a, b, matrix[a, b], evidence[a, b], alpha)
+            none_boosted = np.zeros(side, dtype=bool)
+            _, _, weight = _pair_weights(a, b, matrix[a, b], evidence[a, b], alpha, none_boosted)
             assert np.array_equal(weight, np.where(p <= alpha, 0.0, p)), alpha
 
 

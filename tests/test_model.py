@@ -719,6 +719,7 @@ def test_model_from_dict_names_a_missing_key(key):
                               lambdas=(0.0,), degenerate_weights={0: 0.0}),
      "degenerate nest weights must be positive and finite"),
     (lambda: generate_ground_truth(1), "ground truth generation needs n >= 2"),
+    (lambda: generate_ground_truth(2.5, 1), "item count must be an integer, got 2.5"),
     (lambda: model_from_dict([1, 2]), "model file must hold a JSON object"),
     (lambda: model_from_dict({**model_to_dict(generate_ground_truth(4, 0)), "nests": 5}),
      "model has a field of the wrong type: 'int' object is not iterable"),

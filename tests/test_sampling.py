@@ -196,10 +196,11 @@ def test_save_counts_writes_csv_writer_bytes(tmp_path, outside):
 
 
 def test_save_counts_sorts_each_assortment(tmp_path):
-    """A table listing its items out of order is saved in increasing item order and loads sorted"""
+    """A table listing its items out of order, or one twice, is stored, saved and loaded sorted"""
     fields = dict(n=3, outside=True, labels=("control", "S"),
                   counts=[[1, 2, 3, 4], [2, 0, 5, 3]])
-    table = ChoiceCountTable(assortments=((3, 1, 2), (3, 2)), **fields)
+    table = ChoiceCountTable(assortments=((3, 1, 2), (3, 2, 3)), **fields)
+    assert table.assortments == ((1, 2, 3), (2, 3))
     path = tmp_path / "counts.csv"
     save_counts(table, path)
     assert path.read_text().splitlines()[1:] == [
@@ -207,7 +208,7 @@ def test_save_counts_sorts_each_assortment(tmp_path):
         "S,0,2,10", "S,2,5,10", "S,3,3,10",
     ]
     loaded = load_counts(path, n=3)
-    assert loaded == ChoiceCountTable(assortments=((1, 2, 3), (2, 3)), **fields)
+    assert loaded == table == ChoiceCountTable(assortments=((1, 2, 3), (2, 3)), **fields)
     save_counts(loaded, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
