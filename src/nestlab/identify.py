@@ -66,6 +66,10 @@ class BoostTable:
         if not len(self.labels) == len(self.assortments) == len(factors):
             raise ValueError("misaligned boost table")
         offered = offered_mask(self.n, self.outside, self.assortments, self.labels)
+        for label, items in zip(self.labels, self.assortments):
+            if len(set(items)) < len(items):
+                repeat = next(i for k, i in enumerate(items) if i in items[:k])
+                raise ValueError(f"{label} lists item {repeat} twice")
         if not np.array_equal(offered, ~np.isnan(factors)):
             raise ValueError("boost rows must cover exactly the offered items")
 
@@ -137,15 +141,6 @@ class EdgeMatrix:
         flat[mirror] = value
 
 
-def _unoffered_block(n: int, offered, flagged) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) pairing each flagged offered item with every unoffered item, as a block.
-
-    A flagged item has its nest inside the experiment, so it splits from the
-    whole block: exact mode writes 0 there, noisy mode merges 1 - p.
-    """
-    return offered[flagged][:, None], np.delete(np.arange(n), offered)
-
-
 def _one_hop_transitivity(values: np.ndarray, open_: np.ndarray) -> None:
     """The one-hop rule: an open pair (i, j) with a shared definite-1 neighbour becomes 1.
 
@@ -213,22 +208,22 @@ def _deduce(n: int, comparisons, outside: bool) -> tuple[EdgeMatrix, NestPartiti
     low_groups = []
     for items, differ, boosted in comparisons:
         offered = np.asarray(items, dtype=np.intp) - 1
-        a, c = _upper_pairs(len(offered))
+        unoffered = np.delete(np.arange(n), offered)
+        a, c = _upper_pairs((len(offered),))
         pair = differ[a, c]
         join = (pair == 0.0) & (boosted[a] == 1.0) & (boosted[c] == 1.0)
         write = (pair == 1.0) | join
         edges._write(offered[a[write]], offered[c[write]], join[write].astype(np.float64))
-        unboosted = boosted == 0.0
+        unboosted = offered[boosted == 0.0]
         if outside:
-            edges._write(*_unoffered_block(n, offered, unboosted), 0.0)
+            edges._write(unboosted[:, None], unoffered, 0.0)
         else:
-            low_groups.append((offered, unboosted))
-    for offered, low in low_groups:
-        group = offered[low]
+            low_groups.append((unboosted, unoffered))
+    for group, unoffered in low_groups:
         if (edges.values[np.ix_(group, group)] == 0.0).any():
-            edges._write(*_unoffered_block(n, offered, low), 0.0)
+            edges._write(group[:, None], unoffered, 0.0)
         else:
-            a, c = _upper_pairs(len(group))
+            a, c = _upper_pairs((len(group),))
             edges._write(group[a], group[c], 1.0)
     return _finalize_exact(edges)
 
@@ -285,11 +280,16 @@ def exact_identify_without_outside(
 
 
 @functools.lru_cache(maxsize=16)
-def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair a < b of k positions, in np.triu_indices order; read-only."""
-    a, b = np.triu_indices(k, 1)
-    a.flags.writeable = b.flags.writeable = False
-    return a, b
+def _upper_pairs(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair a < b inside each run of consecutive positions, run by run; read-only.
+
+    sizes gives the runs' lengths in order; each run's pairs follow
+    np.triu_indices order.
+    """
+    starts = np.cumsum((0, *sizes[:-1]))
+    pairs = np.concatenate([np.add(np.triu_indices(k, 1), s) for k, s in zip(sizes, starts)], 1)
+    pairs.flags.writeable = False
+    return pairs[0], pairs[1]
 
 
 def _pair_z(
@@ -348,7 +348,7 @@ def z_statistic(table: ChoiceCountTable, i: int, j: int, experiment: int) -> flo
         for item in (i, j):
             if not (table.outside if item == 0 else item in table.assortments[row]):
                 raise ValueError(f"item {item} not offered in {table.labels[row]}")
-    z, evidence = _support_z(table, experiment, (i, j), *_upper_pairs(2))
+    z, evidence = _support_z(table, experiment, (i, j), *_upper_pairs((2,)))
     if not evidence[0]:
         raise ZeroEvidenceError(
             f"no observations of items {i},{j} in {table.labels[experiment + 1]} or control"
@@ -378,6 +378,8 @@ class TestConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
+        if self.z_threshold is not None and not 0.0 < self.z_threshold < math.inf:
+            raise ValueError("z_threshold must be a positive finite number")
 
 
 def _erfc(x: np.ndarray) -> np.ndarray:
@@ -434,14 +436,13 @@ def _pair_weights(
 def _merge_min(values: np.ndarray, rows, cols, weight) -> None:
     """values[r, c] = values[c, r] = min(values[r, c], weight), elementwise.
 
-    values stays symmetric, since each unordered pair is listed at most once:
-    one gather and two scatters on the raveled matrix.
+    A pair may be listed more than once, in either orientation: np.minimum.at
+    takes every weight into the pair's raveled position and into its mirror,
+    so a symmetric values stays symmetric.
     """
     flat = values.reshape(-1)
-    index, mirror = _pair_positions(values.shape[0], rows, cols)
-    merged = np.minimum(flat[index], weight)
-    flat[index] = merged
-    flat[mirror] = merged
+    for positions in _pair_positions(values.shape[0], rows, cols):
+        np.minimum.at(flat, positions, weight)
 
 
 def _chunks(experiments) -> list[range]:
@@ -461,11 +462,6 @@ def _chunks(experiments) -> list[range]:
     return chunks
 
 
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """The parts end to end; a single part as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def _test_chunk(
     table: ChoiceCountTable, chunk: range, values: np.ndarray, config: TestConfig
 ) -> None:
@@ -477,36 +473,31 @@ def _test_chunk(
     option, and the item pairs that values, as it stood before the chunk,
     does not hold at 0.  A pair that an earlier experiment of the chunk
     rejects is tested again to no effect, since 0 absorbs every minimum.
-    Each experiment's pairs and unboosted items then merge on their own, so
-    no merge lists a pair twice.  A chunk of one experiment runs on that
-    experiment's arrays alone.
+    All the chunk's weights then merge at once, a pair shared by two
+    experiments listed once for each, and every unboosted item merges
+    against its own experiment's unoffered items in one more merge.
     """
     rows, cols = np.nonzero(table.offered[1:][chunk.start : chunk.stop])
-    starts = np.searchsorted(rows, np.arange(len(chunk) + 1))  # each experiment's first position
     offered = cols - 1  # -1 at an outside option, which is no item: values[-1] is item n's row
-    pairs = [_upper_pairs(k) for k in np.diff(starts).tolist()]
-    a = _joined([p + start if start else p for (p, _), start in zip(pairs, starts)])
-    b = _joined([q + start if start else q for (_, q), start in zip(pairs, starts)])
+    a, b = _upper_pairs(tuple(np.bincount(rows, minlength=len(chunk)).tolist()))
     # an item pair runs only while values does not hold it at 0; the outside option's
     # tests always run, whatever values[-1] holds
     open_ = (cols[a] == 0) | (values[offered[a], offered[b]] != 0.0)
     a, b = a[open_], b[open_]
     outside = cols[a] == 0
-    z, evidence = _pair_z(*_counts(table, rows + (chunk.start + 1), cols), a, b)
+    rows += chunk.start + 1  # from the chunk's experiments to the count table's rows
+    z, evidence = _pair_z(*_counts(table, rows, cols), a, b)
     # one-sided p-value of 'no boost over the outside option', at each item; NaN untested.
     # -z is the (item, outside) z bit for bit: _pair_z is exactly antisymmetric.
     tested = outside & evidence
     p_leq = np.full(len(cols), np.nan)
     p_leq[b[tested]] = 0.5 * _erfc(-z[tested] / math.sqrt(2.0))
     a, b, weight = _pair_weights(a, b, z, evidence & ~outside, config.alpha, p_leq <= config.alpha)
-    cuts = np.searchsorted(a, starts).tolist()  # each experiment's slice of the tested pairs
-    for e, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-        _merge_min(values, offered[a[lo:hi]], offered[b[lo:hi]], weight[lo:hi])
-        own = slice(starts[e] + table.outside, starts[e + 1])
-        unboosted = p_leq[own] > config.beta
-        if unboosted.any():
-            block = _unoffered_block(table.n, offered[own], unboosted)
-            _merge_min(values, *block, (1.0 - p_leq[own][unboosted])[:, None])
+    _merge_min(values, offered[a], offered[b], weight)
+    unboosted = np.flatnonzero(p_leq > config.beta)
+    if unboosted.size:
+        pick, unoffered = np.nonzero(~table.offered[rows[unboosted], 1:])
+        _merge_min(values, offered[unboosted[pick]], unoffered, 1.0 - p_leq[unboosted[pick]])
 
 
 def _noisy_identify(
@@ -586,7 +577,7 @@ def _threshold_comparisons(table: ChoiceCountTable, threshold: float):
             ratio = np.full(len(items), np.inf)
             ratio[seen] = (xs[seen] / m_s) / (xc[seen] / m_c)
             ref = int(np.lexsort((items, ratio))[0])
-        a, b = _upper_pairs(len(support))
+        a, b = _upper_pairs((len(support),))
         z = _support_z(table, s, support, a, b)[0]
         differ = np.full((len(support), len(support)), np.nan)
         differ[a, b] = differ[b, a] = np.where(np.isnan(z), np.nan, np.abs(z) > threshold)

@@ -54,8 +54,9 @@ class ChoiceCountTable:
     non-negative, zero on items the assortment does not offer and sum within
     int64, and the control has customers; construction rejects anything
     else.  Assortments are stored as item_ids gives them; offered is the
-    read-only mask of offered entries, column 0 the outside option, so
-    np.flatnonzero(offered[r]) is row r's support.  Tables compare by value.
+    mask of offered entries, column 0 the outside option, so
+    np.flatnonzero(offered[r]) is row r's support.  The table owns counts,
+    sizes and offered, all read-only.  Tables compare by value.
     """
 
     n: int
@@ -67,7 +68,8 @@ class ChoiceCountTable:
     offered: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.array(self.counts, dtype=np.int64)  # a copy: the caller's array stays theirs
+        counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
         if counts.ndim != 2 or counts.shape[1] != self.n + 1:
             raise ValueError(f"count matrix has shape {counts.shape}, not (rows, {self.n + 1})")
@@ -88,7 +90,9 @@ class ChoiceCountTable:
         wrapped = np.flatnonzero((totals < 0).any(axis=1))
         if wrapped.size:
             raise ValueError(f"counts of {self.labels[wrapped[0]]} do not fit in int64")
-        object.__setattr__(self, "sizes", totals[:, -1].copy())
+        sizes = totals[:, -1].copy()
+        sizes.flags.writeable = False
+        object.__setattr__(self, "sizes", sizes)
         if not self.sizes[:1].any():  # a table without rows has no control either
             raise ValueError("control has no customers")
 

@@ -211,6 +211,19 @@ def test_identify_rejects_flags_its_mode_ignores(tmp_path, capsys, mode, flag):
     assert not (tmp_path / "p.json").exists()
 
 
+@pytest.mark.parametrize("flag", ["--threshold nan", "--delta nan"])
+def test_identify_refuses_a_cutoff_that_is_no_positive_number(tmp_path, flag):
+    design = tmp_path / "design.json"
+    write_two_experiment_design(design)
+    counts = tmp_path / "counts.csv"
+    counts.write_text(CONTRADICTORY_COUNTS)
+    with pytest.raises(SystemExit) as exc:
+        main(["identify", "--design", str(design), "--counts", str(counts), "--mode", "ztheorem",
+              *flag.split(), "--out-partition", str(tmp_path / "p.json")])
+    assert exc.value.code == "nestlab identify: z_threshold must be a positive finite number"
+    assert not (tmp_path / "p.json").exists()
+
+
 @pytest.fixture
 def slice_design_with_loo_counts(tmp_path, capsys):
     """An n = 8 slice design and counts taken on the leave-one-out design."""

@@ -201,6 +201,19 @@ def test_exact_identification_without_outside_preserves_choice():
     assert merged >= 1
 
 
+def test_boost_table_refuses_a_repeated_item():
+    """A boost row listing an item twice is refused, naming its label and the item"""
+    model = generate_ground_truth(6, 3)
+    design = slice_design(balanced_enumeration(6, 2))
+    probs = design_probabilities(model, design)
+    table = boost_factors(probs[0], probs[1:], labels=design.labels)
+    assert exact_identify_with_outside(table, design)[1] == model.partition
+    relisted = tuple((items[0], *items) for items in table.assortments)
+    with pytest.raises(ValueError, match=r"^S\(1,-0\) lists item 2 twice$"):
+        BoostTable(n=6, outside=True, labels=table.labels, assortments=relisted,
+                   factors=table.factors)
+
+
 def test_edge_matrix_get_rejects_items_outside_range():
     """Items are 1-based: 0 and n + 1 raise KeyError instead of wrapping or an IndexError"""
     edges = EdgeMatrix(values=np.arange(9.0).reshape(3, 3))
@@ -750,19 +763,35 @@ def test_pairs_rejected_once_are_never_tested_again(monkeypatch, outside):
     assert tested < full
 
 
+def test_merge_min_keeps_the_smaller_weight_of_a_repeated_pair():
+    """A pair listed twice, in both orientations, takes its smaller weight on both sides"""
+    from nestlab import identify
+
+    for weight in ([0.2, 0.7], [0.7, 0.2]):
+        values = np.full((3, 3), NOISY_NULL)
+        identify._merge_min(values, np.array([0, 2]), np.array([2, 0]), np.array(weight))
+        assert values[0, 2] == values[2, 0] == 0.2
+        assert np.array_equal(values, values.T)
+
+
 @pytest.mark.parametrize("outside", [True, False])
 def test_every_merge_leaves_the_edge_matrix_symmetric(monkeypatch, outside):
     """Each weight goes into both orientations of its pair, so no merge breaks symmetry"""
     from nestlab import identify
 
-    shapes, merge_min = [], identify._merge_min
+    merges, merge_min, test_chunk = [], identify._merge_min, identify._test_chunk
 
     def checked_merge_min(values, rows, cols, weight):
         merge_min(values, rows, cols, weight)
         assert np.array_equal(values, values.T)
-        shapes.append(np.ndim(rows))
+        merges[-1][1].append((rows, cols))
+
+    def recording_test_chunk(table, chunk, values, config):
+        merges.append((chunk, []))
+        test_chunk(table, chunk, values, config)
 
     monkeypatch.setattr(identify, "_merge_min", checked_merge_min)
+    monkeypatch.setattr(identify, "_test_chunk", recording_test_chunk)
     design = slice_design(balanced_enumeration(64, 2))
     model = generate_ground_truth(64, np.random.default_rng(86), outside=outside)
     table = sample_choices(model, design, allocate_customers(10**6, design.num_experiments + 1), seed=7)
@@ -770,8 +799,16 @@ def test_every_merge_leaves_the_edge_matrix_symmetric(monkeypatch, outside):
     identify_ = noisy_identify_with_outside if outside else noisy_identify_without_outside
     edges, _ = identify_(table, design, config)
     assert np.array_equal(edges.values, reference_noisy_identify(table, config))
-    assert shapes.count(1) == design.num_experiments
-    assert (2 in shapes) == outside  # unboosted items merged against the unoffered block
+    assert [chunk for chunk, _ in merges] == identify._chunks(design.experiments)
+    for chunk, ((a, b), *split) in merges:
+        # one merge of the chunk's weights, each pair offered together by an experiment of the chunk
+        offered = table.offered[chunk.start + 1 : chunk.stop + 1, 1:]
+        assert (offered[:, a] & offered[:, b]).any(axis=0).all()
+        # at most one more: items against what an experiment of the chunk leaves unoffered
+        assert len(split) <= 1
+        for rows, cols in split:
+            assert (offered[:, rows] & ~offered[:, cols]).any(axis=0).all()
+    assert any(split for _, (_, *split) in merges) == outside
 
 
 def test_noisy_identification_with_alpha_tied_to_a_p_value():
@@ -1236,6 +1273,8 @@ TWO_ITEMS = ExperimentDesign(n=2, experiments=[(1,)], labels=("S",))
     (lambda: z_statistic(_two_item_tables(True)[0], 1, 2, 0), "item 2 not offered in S"),
     (lambda: TestConfig(alpha=0.05, beta=1.5), "beta must lie in [0, 1]"),
     (lambda: TestConfig(alpha=-0.1), "alpha must lie in [0, 1]"),
+    *((lambda t=threshold: TestConfig(z_threshold=t), "z_threshold must be a positive finite number")
+      for threshold in (math.nan, math.inf, 0.0, -3.0)),
 ])
 def test_identify_boundary_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

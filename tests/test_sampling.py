@@ -150,6 +150,22 @@ def test_count_table_validates_sums():
         ChoiceCountTable(counts=([0, 0, 0], [1, 2, 3]), **fields)
 
 
+def test_count_table_owns_read_only_arrays():
+    """A table copies the counts it is given and keeps counts, sizes and offered read-only"""
+    counts = np.array([[1, 2, 3], [4, 5, 0]], dtype=np.int64)
+    table = ChoiceCountTable(n=2, outside=True, labels=("control", "S"),
+                             assortments=((1, 2), (1,)), counts=counts)
+    counts[1, 2] = -7
+    assert table.counts.tolist() == [[1, 2, 3], [4, 5, 0]]
+    assert table.sizes.tolist() == [6, 9]
+    for array in (table.counts, table.sizes, table.offered):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table.counts[1, 2] = -7
+    with pytest.raises(ValueError, match="read-only"):
+        table.sizes[0] = 0
+
+
 def test_counts_csv_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     model = generate_ground_truth(5, rng)
