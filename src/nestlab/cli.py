@@ -23,7 +23,7 @@ def _cmd_design(args) -> int:
     config = harness.ExperimentConfig(
         num_random_assortments=args.num_assortments, size_rule=args.size_rule
     )
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(model.integer(args.seed, "seed", 0))
     design = harness.build_design(args.scheme, args.n, args.base, config, rng)
     unseparated = designs.verify_separation(design)
     if unseparated:
@@ -38,9 +38,8 @@ def _cmd_simulate(args) -> int:
     if args.model:
         truth = model.load_model(args.model)
     else:
-        truth = model.generate_ground_truth(
-            design.n, np.random.default_rng(args.generate_seed), outside=not args.no_outside
-        )
+        rng = np.random.default_rng(model.integer(args.generate_seed, "generate seed", 0))
+        truth = model.generate_ground_truth(design.n, rng, outside=not args.no_outside)
     probs = model.design_probabilities(truth, design)
     table = harness.sample_counts(probs, design, args.customers, args.seed)
     # written only once the counts are drawn, so a failed run leaves no file

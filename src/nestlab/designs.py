@@ -20,20 +20,9 @@ from .model import (
 SIZE_RULES = ("uniform_3_6", "half")  # randomized_design's assortment size rules
 
 
-def _check_items(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"number of items must be a positive integer, got {n!r}")
-
-
-def _check_base(b: int) -> None:
-    if not isinstance(b, (int, np.integer)) or b < 2:
-        raise ValueError(f"encoding base must be an integer >= 2, got {b!r}")
-
-
 def code_length(n: int, b: int) -> int:
     """Smallest L >= 1 with b**L >= n."""
-    _check_items(n)
-    _check_base(b)
+    n, b = integer(n, "number of items", 1), integer(b, "encoding base", 2)
     length = 1
     capacity = b
     while capacity < n:
@@ -134,7 +123,7 @@ class ExperimentDesign:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        _check_items(self.n)
+        object.__setattr__(self, "n", integer(self.n, "number of items", 1))
         rows = (item_ids(s, self.n, f"experiment {k}") for k, s in enumerate(self.experiments))
         object.__setattr__(self, "experiments", tuple(rows))
         if len(self.labels) != len(self.experiments):
@@ -185,10 +174,8 @@ def randomized_design(
     needs n >= 6 so every drawable size is feasible; "half" uses floor(n/2)
     and needs n >= 2.  Duplicate assortments across draws are kept.
     """
-    _check_items(n)
-    num_assortments = integer(num_assortments, "assortment count")
-    if num_assortments < 1:
-        raise ValueError("need at least one assortment")
+    n = integer(n, "number of items", 1)
+    num_assortments = integer(num_assortments, "assortment count", 1)
     rng = np.random.default_rng(rng)
     if size_rule == "uniform_3_6":
         if n < 6:
@@ -207,9 +194,7 @@ def randomized_design(
 
 def leave_one_out_design(n: int) -> ExperimentDesign:
     """n experiments, the k-th offering every item except k."""
-    _check_items(n)
-    if n < 2:
-        raise ValueError("leave-one-out needs n >= 2")
+    n = integer(n, "number of items", 2)
     full = range(1, n + 1)
     experiments = tuple(tuple(i for i in full if i != k) for k in range(1, n + 1))
     labels = tuple(f"LOO({k})" for k in range(1, n + 1))
@@ -224,7 +209,7 @@ def incremental_design(
     The final experiment duplicates the control assortment; it is kept so the
     design has exactly n experiments.
     """
-    _check_items(n)
+    n = integer(n, "number of items", 1)
     rng = np.random.default_rng(rng)
     perm = (rng.permutation(n) + 1).tolist()
     experiments = [perm[:k] for k in range(1, n + 1)]

@@ -76,7 +76,7 @@ SLICE_SCHEMES = ("slice", *BASELINE_SCHEMES)  # the schemes run on the slice des
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Settings for one comparison grid."""
+    """Settings for one comparison grid, each field checked at load (integers with lower bounds)."""
 
     n: int = 16
     b: int = 2
@@ -93,17 +93,15 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        names = ["n", "b", "instances", "seed"]
+        bounds = {"n": 2, "b": 2, "instances": 1, "seed": 0}
         if self.num_random_assortments is not None:
-            names.append("num_random_assortments")
-        for name in names:
-            object.__setattr__(self, name, integer(getattr(self, name), f"config field {name}"))
-        if self.num_random_assortments is not None and self.num_random_assortments < 1:
-            raise ValueError(f"config field num_random_assortments must be at least 1, "
-                             f"got {self.num_random_assortments}")
+            bounds["num_random_assortments"] = 1
+        for name, least in bounds.items():
+            value = integer(getattr(self, name), f"config field {name}", least)
+            object.__setattr__(self, name, value)
         if self.size_rule not in SIZE_RULES:
             raise ValueError(f"size_rule must be one of {list(SIZE_RULES)}, got {self.size_rule!r}")
-        T_list = tuple(integer(T, "config field T_list entry") for T in self.T_list)
+        T_list = tuple(integer(T, "config field T_list entry", 1) for T in self.T_list)
         object.__setattr__(self, "T_list", T_list)
         object.__setattr__(self, "schemes", tuple(self.schemes))
         valid = set(DESIGN_SCHEMES) | set(BASELINE_SCHEMES)

@@ -35,6 +35,7 @@ from .model import (
     NestPartition,
     check_control_row,
     design_probabilities,
+    integer,
     item_position,
     offered_mask,
     relative_differ,
@@ -597,15 +598,25 @@ def theorem_pair_count(n: int, num_experiments: int) -> int:
     return (num_experiments + 1) * (n + 1 + math.comb(n + 1, 2))
 
 
+def _union_bound_log(pair_count: int, delta: float) -> float:
+    """log(2K / delta) for K >= 1 pair estimates held together w.p. 1 - delta in (0, 1)."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    return math.log(2.0 * integer(pair_count, "pair count", 1) / delta)
+
+
 def theorem_z_threshold(pair_count: int, delta: float) -> float:
     """|z| cutoff below which a pair is declared equal, valid w.p. 1 - delta."""
-    return 8.0 * math.sqrt(3.0 * math.log(2.0 * pair_count / delta))
+    return 8.0 * math.sqrt(3.0 * _union_bound_log(pair_count, delta))
 
 
 def theorem_sample_size(rho: float, margin: float, pair_count: int, delta: float) -> int:
-    """Per-assortment samples sufficient for the cutoff to classify every pair."""
+    """Samples per assortment that let the cutoff classify every pair; rho, margin in (0, 1]."""
+    for name, value in (("rho", rho), ("margin", margin)):
+        if not 0.0 < value <= 1.0:
+            raise ValueError(f"{name} must lie in (0, 1], got {value}")
     c2 = SAMPLE_SIZE_CONSTANT**2
-    return math.ceil(3.0 * c2 * math.log(2.0 * pair_count / delta) / (rho * margin * margin))
+    return math.ceil(3.0 * c2 * _union_bound_log(pair_count, delta) / (rho * margin * margin))
 
 
 def theorem_margins(model, design: ExperimentDesign) -> tuple[float, float]:

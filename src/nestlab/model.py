@@ -59,12 +59,15 @@ def item_position(item: int, n: int) -> int:
         raise KeyError(item) from None
 
 
-def integer(value, what: str) -> int:
-    """operator.index(value), or one ValueError naming what the value is."""
+def integer(value, what: str, least: int | None = None) -> int:
+    """The one integer rule: value as a Python int, at least least; else ValueError naming what."""
     try:
-        return operator.index(value)
+        number = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and number < least:
+        raise ValueError(f"{what} must be at least {least}, got {number}")
+    return number
 
 
 def check_control_row(control: ChoiceProbabilities, partition: NestPartition | None = None) -> None:
@@ -388,9 +391,7 @@ def generate_ground_truth(
     each nest's lambda is uniform on [0.3, 0.6]; singleton nests then get
     reparameterized to lambda = 1.
     """
-    n = integer(n, "item count")
-    if n < 2:
-        raise ValueError("ground truth generation needs n >= 2")
+    n = integer(n, "item count", 2)
     rng = np.random.default_rng(rng)
     perm = rng.permutation(n) + 1
     k = int(rng.integers(1, n // 2 + 1))
@@ -496,10 +497,10 @@ def read_json(path: str, kind: str, keys: Sequence[str], build: Callable[[dict],
 
 
 def write_json(data: dict, path: str) -> None:
-    """The one JSON writer: data indented by two spaces, then a final newline."""
+    """The one JSON writer: indent 2, final newline; unencodable data leaves path as it was."""
+    text = json.dumps(data, indent=2)
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_partition(path: str) -> NestPartition:

@@ -31,9 +31,8 @@ def allocate_customers(total: int, num_assortments: int) -> list[int]:
     Remainder seats go round-robin starting from the first assortment, so
     sizes differ by at most 1.
     """
-    total, num_assortments = integer(total, "budget"), integer(num_assortments, "assortment count")
-    if num_assortments < 1:
-        raise ValueError("need at least one assortment")
+    total = integer(total, "budget")
+    num_assortments = integer(num_assortments, "assortment count", 1)
     if total > INT64.max:
         raise ValueError(f"budget {total} does not fit in int64")
     if total < num_assortments:
@@ -51,11 +50,11 @@ class ChoiceCountTable:
     assortments[0] is the control; labels align one to one.  counts[r, i] is
     how many of the sizes[r] customers of assortment r chose item i (0: the
     outside option); sizes are the row sums.  Items lie in 1..n, counts are
-    non-negative, zero on items the assortment does not offer and sum within
-    int64, and the control has customers; construction rejects anything
-    else.  Assortments are stored as item_ids gives them; offered is the
-    mask of offered entries, column 0 the outside option, so
-    np.flatnonzero(offered[r]) is row r's support.  The table owns counts,
+    non-negative whole numbers (a float must be one), zero on items the
+    assortment does not offer and sum within int64, and the control has
+    customers; construction rejects anything else.  Assortments are stored
+    as item_ids gives them; offered is the mask of offered entries, column 0
+    the outside option, so np.flatnonzero(offered[r]) is row r's support.  The table owns counts,
     sizes and offered, all read-only.  Tables compare by value.
     """
 
@@ -68,13 +67,19 @@ class ChoiceCountTable:
     offered: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64)  # a copy: the caller's array stays theirs
+        given = np.asarray(self.counts)
+        if given.ndim != 2 or given.shape[1] != self.n + 1:
+            raise ValueError(f"count matrix has shape {given.shape}, not (rows, {self.n + 1})")
+        if not (len(self.labels) == len(self.assortments) == len(given)):
+            raise ValueError("misaligned count table")
+        if given.dtype.kind == "f":  # integer input needs no check of its values
+            whole = np.isfinite(given) & (given == np.trunc(given))
+            for r, i in np.argwhere(~whole | (np.abs(given) >= 2.0**63))[:1]:  # the first bad count
+                fault = "does not fit in int64" if whole[r, i] else "is not an integer"
+                raise ValueError(f"count {given[r, i]} for item {i} in {self.labels[r]} {fault}")
+        counts = np.array(given, dtype=np.int64)  # a copy: the caller's array stays theirs
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        if counts.ndim != 2 or counts.shape[1] != self.n + 1:
-            raise ValueError(f"count matrix has shape {counts.shape}, not (rows, {self.n + 1})")
-        if not (len(self.labels) == len(self.assortments) == len(counts)):
-            raise ValueError("misaligned count table")
         offered = offered_mask(self.n, self.outside, self.assortments, self.labels)
         offered.flags.writeable = False
         object.__setattr__(self, "offered", offered)
@@ -117,8 +122,9 @@ def draw_counts(
     one row per experiment; allocation[0] is the control's sample size.
     Each assortment gets an independent stream derived from (seed,
     assortment index), so per-assortment results do not shift when other
-    assortments change.
+    assortments change.  seed and each sample size are integers of at least 0.
     """
+    seed = integer(seed, "seed", 0)
     if len(allocation) != design.num_experiments + 1:
         raise ValueError("allocation must cover control plus every experiment")
     labels = ("control", *design.labels)
@@ -128,8 +134,7 @@ def draw_counts(
     outside = probs[0].outside
     counts = np.zeros((len(assortments), design.n + 1), dtype=np.int64)
     for idx, (items, cp, m) in enumerate(zip(assortments, probs, allocation)):
-        if m < 0:
-            raise ValueError("negative sample size")
+        m = integer(m, "sample size", 0)
         support = ([0] if outside else []) + list(items)
         p = cp.probs[support]
         p = p / p.sum()  # guard against accumulated roundoff

@@ -211,8 +211,12 @@ def test_identify_rejects_flags_its_mode_ignores(tmp_path, capsys, mode, flag):
     assert not (tmp_path / "p.json").exists()
 
 
-@pytest.mark.parametrize("flag", ["--threshold nan", "--delta nan"])
-def test_identify_refuses_a_cutoff_that_is_no_positive_number(tmp_path, flag):
+@pytest.mark.parametrize("flag", [
+    "--threshold nan", "--delta nan", "--delta 5", "--delta -0.1", "--delta 0", "--delta 1",
+])
+def test_identify_refuses_a_cutoff_that_is_no_positive_number(tmp_path, capsys, flag):
+    """A delta outside (0, 1) gives no valid cutoff: 5 once gave 30.47, -0.1 a math domain
+    error, 0 a ZeroDivisionError traceback, and nan a cutoff line before the refusal"""
     design = tmp_path / "design.json"
     write_two_experiment_design(design)
     counts = tmp_path / "counts.csv"
@@ -220,7 +224,11 @@ def test_identify_refuses_a_cutoff_that_is_no_positive_number(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         main(["identify", "--design", str(design), "--counts", str(counts), "--mode", "ztheorem",
               *flag.split(), "--out-partition", str(tmp_path / "p.json")])
-    assert exc.value.code == "nestlab identify: z_threshold must be a positive finite number"
+    name, value = flag.split()
+    message = ("z_threshold must be a positive finite number" if name == "--threshold"
+               else f"delta must lie in (0, 1), got {float(value)}")
+    assert exc.value.code == f"nestlab identify: {message}"
+    assert capsys.readouterr().err == ""
     assert not (tmp_path / "p.json").exists()
 
 
@@ -370,13 +378,16 @@ def test_malformed_counts_end_in_one_line(tmp_path, thin_counts, command):
 def test_design_errors_end_in_one_line(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["design", "--n", "0", "--out", str(tmp_path / "design.json")])
-    assert exc.value.code == "nestlab design: number of items must be a positive integer, got 0"
+    assert exc.value.code == "nestlab design: number of items must be at least 1, got 0"
     with pytest.raises(SystemExit) as exc:  # once read as the default count of 6
         main(["design", "--n", "8", "--scheme", "random", "--num-assortments", "0",
               "--out", str(tmp_path / "design.json")])
     assert exc.value.code == (
         "nestlab design: config field num_random_assortments must be at least 1, got 0"
     )
+    with pytest.raises(SystemExit) as exc:  # once numpy's "expected non-negative integer"
+        main(["design", "--n", "8", "--seed", "-1", "--out", str(tmp_path / "design.json")])
+    assert exc.value.code == "nestlab design: seed must be at least 0, got -1"
     assert not (tmp_path / "design.json").exists()
 
 
@@ -390,7 +401,12 @@ def test_simulate_errors_end_in_one_line(tmp_path, capsys):
     assert exc.value.code == (
         "nestlab simulate: budget 5 cannot give each of 7 assortments a customer"
     )
-    assert not counts.exists()
+    for flag, name in (("--seed", "seed"), ("--generate-seed", "generate seed")):
+        with pytest.raises(SystemExit) as exc:  # once numpy's "expected non-negative integer"
+            main(["simulate", "--design", str(design), "--customers", "7000", flag, "-1",
+                  "--save-model", str(tmp_path / "truth.json"), "--out", str(counts)])
+        assert exc.value.code == f"nestlab simulate: {name} must be at least 0, got -1"
+    assert not counts.exists() and not (tmp_path / "truth.json").exists()
 
 
 @pytest.mark.parametrize("text, message", [
@@ -578,6 +594,14 @@ def test_failed_simulate_leaves_no_model_file(tmp_path, capsys):
      "config field instances must be an integer, got 1.0"),
     ("compare", "--config", lambda d: {**d, "alpha": 1.5}, "alpha must lie in [0, 1]"),
     ("compare", "--config", lambda d: {**d, "beta": -1}, "beta must lie in [0, 1]"),
+    ("compare", "--config", lambda d: {**d, "n": 1}, "config field n must be at least 2, got 1"),
+    ("compare", "--config", lambda d: {**d, "b": 1}, "config field b must be at least 2, got 1"),
+    *(("compare", "--config", lambda d, k=k: {**d, "instances": k},
+       f"config field instances must be at least 1, got {k}") for k in (0, -2)),
+    ("compare", "--config", lambda d: {**d, "seed": -1},
+     "config field seed must be at least 0, got -1"),
+    *(("compare", "--config", lambda d, T=T: {**d, "T_list": [T]},
+       f"config field T_list entry must be at least 1, got {T}") for T in (0, -5)),
 ])
 def test_malformed_input_files_end_in_one_line(tmp_path, thin_counts, command, flag, rewrite,
                                                message):

@@ -227,6 +227,19 @@ def test_design_json_round_trip(tmp_path):
     assert path.read_text() == SMALL_DESIGN_FILE
 
 
+@pytest.mark.parametrize("build", [
+    lambda n: slice_design(balanced_enumeration(n, np.int64(2))),
+    leave_one_out_design,
+    lambda n: randomized_design(n, np.int64(5), rng=0),
+])
+def test_design_from_numpy_integers_stores_python_ints(tmp_path, build):
+    """A numpy n used to stay in the design, so save_design left a partial file"""
+    design = build(np.int64(8))
+    assert type(design.n) is int
+    save_design(design, tmp_path / "design.json")
+    assert load_design(tmp_path / "design.json") == design
+
+
 SMALL_DESIGN_FILE = """{
   "n": 3,
   "control": [
@@ -297,19 +310,19 @@ SMALL_DESIGN = {"n": 3, "control": [1, 2, 3], "experiments": [{"label": "A", "it
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: code_length(4, 1), "encoding base must be an integer >= 2, got 1"),
+    (lambda: code_length(4, 1), "encoding base must be at least 2, got 1"),
     (lambda: BaseBEncoding(n=3, b=2, digits=np.zeros((2, 2), dtype=np.int64)),
      "digit matrix does not cover all items"),
     (lambda: ExperimentDesign(n=3, experiments=[(1, 2)], labels=()),
      "one label per experiment required"),
-    (lambda: randomized_design(8, 0), "need at least one assortment"),
+    (lambda: randomized_design(8, 0), "assortment count must be at least 1, got 0"),
     (lambda: randomized_design(8, 2.5), "assortment count must be an integer, got 2.5"),
     (lambda: randomized_design(1, 2, size_rule="half"), "size rule half needs n >= 2"),
     (lambda: randomized_design(8, 2, size_rule="third"), "unknown size rule 'third'"),
-    (lambda: leave_one_out_design(1), "leave-one-out needs n >= 2"),
-    (lambda: incremental_design(0), "number of items must be a positive integer, got 0"),
+    (lambda: leave_one_out_design(1), "number of items must be at least 2, got 1"),
+    (lambda: incremental_design(0), "number of items must be at least 1, got 0"),
     (lambda: design_from_dict({**SMALL_DESIGN, "n": 0}),
-     "number of items must be a positive integer, got 0"),
+     "number of items must be at least 1, got 0"),
     (lambda: design_from_dict({**SMALL_DESIGN, "control": [1, 2]}),
      "design control must list every item 1..3"),
     (lambda: design_from_dict([1, 2]), "design file must hold a JSON object"),

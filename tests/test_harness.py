@@ -441,6 +441,18 @@ def test_report_writes_one_file_per_budget(tmp_path):
     (lambda: config_from_dict([1, 2]), "config file must hold a JSON object"),
     (lambda: config_from_dict({"n": 8, "schemes": 5}),
      "config has a field of the wrong type: 'int' object is not iterable"),
+    # once refused only as the grid started (seed -1 and T -5 by numpy); instances 0 or -2
+    # ran an empty grid
+    (lambda: config_from_dict({"n": 1}), "config field n must be at least 2, got 1"),
+    (lambda: config_from_dict({"b": 1}), "config field b must be at least 2, got 1"),
+    (lambda: config_from_dict({"instances": 0}), "config field instances must be at least 1, got 0"),
+    (lambda: config_from_dict({"instances": -2}),
+     "config field instances must be at least 1, got -2"),
+    (lambda: config_from_dict({"seed": -1}), "config field seed must be at least 0, got -1"),
+    (lambda: config_from_dict({"T_list": [9000, 0]}),
+     "config field T_list entry must be at least 1, got 0"),
+    (lambda: config_from_dict({"T_list": [-5]}),
+     "config field T_list entry must be at least 1, got -5"),
 ])
 def test_harness_boundary_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

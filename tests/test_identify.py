@@ -1275,6 +1275,13 @@ TWO_ITEMS = ExperimentDesign(n=2, experiments=[(1,)], labels=("S",))
     (lambda: TestConfig(alpha=-0.1), "alpha must lie in [0, 1]"),
     *((lambda t=threshold: TestConfig(z_threshold=t), "z_threshold must be a positive finite number")
       for threshold in (math.nan, math.inf, 0.0, -3.0)),
+    # delta 5 once gave a cutoff, -0.1 a math domain error and 0 a ZeroDivisionError
+    *((lambda d=delta: theorem_z_threshold(45, d), f"delta must lie in (0, 1), got {delta}")
+      for delta in (5.0, -0.1, 0.0, 1.0, math.nan)),
+    (lambda: theorem_z_threshold(0, 0.1), "pair count must be at least 1, got 0"),
+    (lambda: theorem_sample_size(0.01, 0.05, 45, 5.0), "delta must lie in (0, 1), got 5.0"),
+    (lambda: theorem_sample_size(0.0, 0.05, 45, 0.1), "rho must lie in (0, 1], got 0.0"),
+    (lambda: theorem_sample_size(0.01, 1.5, 45, 0.1), "margin must lie in (0, 1], got 1.5"),
 ])
 def test_identify_boundary_checks(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -650,6 +650,18 @@ PARTITION_FILE = """{
 """
 
 
+def test_write_json_leaves_no_partial_file(tmp_path):
+    """A value JSON cannot encode used to leave a truncated file, or clobber an existing one"""
+    path = tmp_path / "data.json"
+    with pytest.raises(TypeError):
+        write_json({"n": np.int64(8)}, path)
+    assert not path.exists()
+    path.write_text("kept\n")
+    with pytest.raises(TypeError):
+        write_json({"n": 3, "nests": {1, 2}}, path)
+    assert path.read_text() == "kept\n"
+
+
 def test_generator_accepts_integer_seed():
     rng = np.random.default_rng(9)
     a = generate_ground_truth(6, rng)
@@ -718,7 +730,7 @@ def test_model_from_dict_names_a_missing_key(key):
     (lambda: NestedLogitModel(partition=NestPartition([(1, 2)]), weights=(1.0, 2.0),
                               lambdas=(0.0,), degenerate_weights={0: 0.0}),
      "degenerate nest weights must be positive and finite"),
-    (lambda: generate_ground_truth(1), "ground truth generation needs n >= 2"),
+    (lambda: generate_ground_truth(1), "item count must be at least 2, got 1"),
     (lambda: generate_ground_truth(2.5, 1), "item count must be an integer, got 2.5"),
     (lambda: model_from_dict([1, 2]), "model file must hold a JSON object"),
     (lambda: model_from_dict({**model_to_dict(generate_ground_truth(4, 0)), "nests": 5}),

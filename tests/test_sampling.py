@@ -262,6 +262,11 @@ def test_count_table_rejects_negative_counts():
         )
 
 
+def test_count_table_takes_whole_float_counts():
+    table = _control_table([10.0, 20.0, 3.0])
+    assert table == _control_table([10, 20, 3]) and table.counts.dtype == np.int64
+
+
 def test_count_table_rejects_items_outside_range():
     with pytest.raises(ValueError, match="item 7 of S"):
         ChoiceCountTable(
@@ -337,17 +342,31 @@ def _count_file(path, rows):
     return path
 
 
-def _two_item_draw(allocation):
+def _two_item_draw(allocation, seed=0):
     model = generate_ground_truth(2, np.random.default_rng(0))
     design = slice_design(balanced_enumeration(2, 2))
-    return draw_counts(design_probabilities(model, design), design, allocation, seed=0)
+    return draw_counts(design_probabilities(model, design), design, allocation, seed=seed)
+
+
+def _control_table(counts):
+    """A one-row table of items 1, 2 with an outside option."""
+    return ChoiceCountTable(n=2, outside=True, labels=("control",), assortments=((1, 2),),
+                            counts=[counts])
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda tmp: allocate_customers(10, 0), "need at least one assortment"),
+    (lambda tmp: allocate_customers(10, 0), "assortment count must be at least 1, got 0"),
     (lambda tmp: allocate_customers(10**23, 3), f"budget {10**23} does not fit in int64"),
     (lambda tmp: _two_item_draw([5, 5]), "allocation must cover control plus every experiment"),
-    (lambda tmp: _two_item_draw([5, -1, 5]), "negative sample size"),
+    (lambda tmp: _two_item_draw([5, -1, 5]), "sample size must be at least 0, got -1"),
+    (lambda tmp: _two_item_draw([5, 5, 5], seed=-1), "seed must be at least 0, got -1"),
+    # float counts used to be truncated (10.5 stored as 10) or end in numpy's messages
+    (lambda tmp: _control_table([10.5, 20.9, 3.99]),
+     "count 10.5 for item 0 in control is not an integer"),
+    (lambda tmp: _control_table([10.0, np.nan, 3.0]),
+     "count nan for item 1 in control is not an integer"),
+    (lambda tmp: _control_table([10.0, 20.0, 1e30]),
+     "count 1e+30 for item 2 in control does not fit in int64"),
     (lambda tmp: ChoiceCountTable(n=1, outside=True, labels=("control",), assortments=(),
                                   counts=[[0, 5]]),
      "misaligned count table"),
